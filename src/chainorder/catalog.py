@@ -19,11 +19,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, ClassVar, NamedTuple
 
 from .chains import (
-    BOTH,
     GE_ONLY,
     LE_ONLY,
     ChainLevel,
@@ -737,7 +736,7 @@ def separation_data(
     return arc, distance / 2
 
 
-# -- shared certificate machinery ---------------------------------------------
+# -- the shared chain-family protocol -------------------------------------------
 
 
 def _scan_certificate(family, x, y, depth: int) -> ComparisonVerdict:
@@ -748,8 +747,6 @@ def _scan_certificate(family, x, y, depth: int) -> ComparisonVerdict:
     from a level where both points are in settled zones, where the walk
     layout pins their relative order at every finer level as well.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     if x == y:
         return ComparisonVerdict.stabilized(EQ, 1, depth)
     rels = [family.level(n).relation(x, y) for n in range(1, depth + 1)]
@@ -775,28 +772,72 @@ def _scan_certificate(family, x, y, depth: int) -> ComparisonVerdict:
     return ComparisonVerdict.stabilized(direction, threshold, depth, certificate=certificate)
 
 
-def _require_level(n: int) -> None:
-    if n < 1:
-        raise ValueError("levels start at 1")
+@dataclass(frozen=True)
+class ChainFamily:
+    """A chain sequence on one catalog space, one memoized level per depth.
+
+    A family names its space in ``SPACE`` and its variants in
+    ``VARIANTS``.  Level n comes from a plan: ``_build_plan(n)`` returns
+    a record with the link count ``size`` and the mesh bound ``mesh``,
+    and ``_index(plan, point)`` places a point on that level's links.
+    Comparisons are certified by ``_certify``, which by default scans
+    the levels and needs ``_pair_settled``; the sampled validator reads
+    ``walk_samples`` and ``tail_samples``.
+    """
+
+    SPACE: ClassVar[str]
+    VARIANTS: ClassVar[tuple[str, ...]]
+    _levels: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
+    _plans: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
+
+    def __post_init__(self) -> None:
+        if self.variant not in self.VARIANTS:
+            raise ValueError(f"unknown variant: {self.variant!r}")
+
+    @property
+    def space(self) -> StrandSpace:
+        return catalog_spaces()[self.SPACE]
+
+    def _plan(self, n: int):
+        if n < 1:
+            raise ValueError("levels start at 1")
+        if n not in self._plans:
+            self._plans[n] = self._build_plan(n)
+        return self._plans[n]
+
+    def level(self, n: int) -> ChainLevel:
+        if n not in self._levels:
+            plan = self._plan(n)
+            self._levels[n] = ChainLevel(
+                level=n, size=plan.size, mesh_bound=plan.mesh, index_fn=partial(self._index, plan)
+            )
+        return self._levels[n]
+
+    def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
+        if depth < 1:
+            raise ValueError("depth must be at least 1")
+        return self._certify(x, y, depth)
+
+    def _certify(self, x, y, depth: int) -> ComparisonVerdict:
+        return _scan_certificate(self, x, y, depth)
 
 
 # -- the arc ------------------------------------------------------------------
 
 
+class _ArcPlan(NamedTuple):
+    chain: IntervalChain
+    size: int
+    mesh: Fraction
+
+
 @dataclass(frozen=True)
-class ArcChainFamily:
+class ArcChainFamily(ChainFamily):
     """Canonical chains of 2^n links on [0,1], optionally reversely numbered."""
 
-    variant: str = "standard"
-    _levels: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("standard", "reversed"):
-            raise ValueError(f"unknown arc variant: {self.variant!r}")
-
-    @property
-    def space(self) -> StrandSpace:
-        return arc_space()
+    SPACE: ClassVar[str] = "arc"
+    VARIANTS: ClassVar[tuple[str, ...]] = ("standard", "reversed")
+    variant: str
 
     def _param(self, point) -> Fraction:
         if isinstance(point, CatalogPoint):
@@ -805,24 +846,15 @@ class ArcChainFamily:
             return point.param
         return rational(point)
 
-    def level(self, n: int) -> ChainLevel:
-        _require_level(n)
-        if n not in self._levels:
-            chain = IntervalChain(2**n)
-            flip = self.variant == "reversed"
+    def _build_plan(self, n: int) -> _ArcPlan:
+        chain = IntervalChain(2**n)
+        return _ArcPlan(chain, chain.k, chain.mesh)
 
-            def index_of(point, chain=chain, flip=flip) -> IndexRange:
-                r = chain.index_of(self._param(point))
-                return reverse_range(chain.k, r) if flip else r
+    def _index(self, plan: _ArcPlan, point) -> IndexRange:
+        r = plan.chain.index_of(self._param(point))
+        return reverse_range(plan.size, r) if self.variant == "reversed" else r
 
-            self._levels[n] = ChainLevel(
-                level=n, size=chain.k, mesh_bound=chain.mesh, index_fn=index_of
-            )
-        return self._levels[n]
-
-    def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
+    def _certify(self, x, y, depth: int) -> ComparisonVerdict:
         s, t = self._param(x), self._param(y)
         if s == t:
             return ComparisonVerdict.stabilized(EQ, 1, depth)
@@ -852,6 +884,16 @@ class ArcChainFamily:
 # -- the closed sine curve S1 --------------------------------------------------
 
 
+def _wave_tail_samples(plan) -> list:
+    """Wave points beyond a level's deep cutoff, which its last links absorb."""
+    pts = []
+    u = plan.deep + plan.ov
+    while u <= plan.deep + 2:
+        pts.append(CatalogPoint("wave", u))
+        u += plan.h / 4
+    return pts
+
+
 class _SinePlan(NamedTuple):
     n: int
     h: Fraction
@@ -869,7 +911,7 @@ class _SinePlan(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SineChainFamily:
+class SineChainFamily(ChainFamily):
     """Chains on S1 that walk the oscillation first, then the limit bar.
 
     Variant D cuts the oscillation at a peak and enters the bar from the
@@ -877,45 +919,41 @@ class SineChainFamily:
     the reversely numbered copies.
     """
 
-    variant: str = "D"
-    _levels: dict = field(default_factory=dict, compare=False, repr=False)
-    _plans: dict = field(default_factory=dict, compare=False, repr=False)
+    SPACE: ClassVar[str] = "s1"
+    VARIANTS: ClassVar[tuple[str, ...]] = ("D", "D'", "E", "E'")
+    variant: str
 
-    def __post_init__(self) -> None:
-        if self.variant not in ("D", "D'", "E", "E'"):
-            raise ValueError(f"unknown variant: {self.variant!r}")
-
-    @property
-    def space(self) -> StrandSpace:
-        return s1_space()
-
-    def _plan(self, n: int) -> _SinePlan:
-        _require_level(n)
-        if n not in self._plans:
-            c = 3 * (n + 3)
-            h = Fraction(1, c)
-            peak_cut = self.variant in ("D", "E")
-            deep = 4 * n + 2 if peak_cut else 4 * n + 4
-            windows = deep * c
-            slabs = 4 * (n + 3)
-            band = Fraction(2, slabs)
-            plan = _SinePlan(
-                n=n,
-                h=h,
-                ov=h / 8,
-                deep=deep,
-                ustar=deep - h / 8,
-                windows=windows,
-                slabs=slabs,
-                band=band,
-                ovb=band / 8,
-                size=windows + slabs,
-                top_first=peak_cut,
-                flip=self.variant in ("E", "E'"),
-                mesh=max(h + h / 4, band + band / 4, _wave_point(deep - h / 8)[0]),
-            )
-            self._plans[n] = plan
-        return self._plans[n]
+    def _build_plan(self, n: int) -> _SinePlan:
+        c = 3 * (n + 3)
+        h = Fraction(1, c)
+        peak_cut = self.variant in ("D", "E")
+        deep = 4 * n + 2 if peak_cut else 4 * n + 4
+        windows = deep * c
+        slabs = 4 * (n + 3)
+        band = Fraction(2, slabs)
+        plan = _SinePlan(
+            n=n,
+            h=h,
+            ov=h / 8,
+            deep=deep,
+            ustar=deep - h / 8,
+            windows=windows,
+            slabs=slabs,
+            band=band,
+            ovb=band / 8,
+            size=windows + slabs,
+            top_first=peak_cut,
+            flip=self.variant in ("E", "E'"),
+            mesh=max(h + h / 4, band + band / 4, _wave_point(deep - h / 8)[0]),
+        )
+        # The walk enters from the free end: the outermost trough is in
+        # the first link, and the bar is first met by its entry slab.
+        if self._base_index(plan, CatalogPoint("wave", 0)) != IndexRange(1, 1):
+            raise AssertionError("free end must open the walk")
+        entry = CatalogPoint("bar", 1 if plan.top_first else -1)
+        if self._base_index(plan, entry) != IndexRange(plan.windows + 1, plan.windows + 1):
+            raise AssertionError("bar entry must follow the last window")
+        return plan
 
     def _base_index(self, plan: _SinePlan, point: CatalogPoint) -> IndexRange:
         if point.strand == "wave":
@@ -932,25 +970,9 @@ class SineChainFamily:
         o = (1 - y) if plan.top_first else (y + 1)
         return _shift(_window_range(o, plan.band, plan.ovb, plan.slabs), plan.windows)
 
-    def level(self, n: int) -> ChainLevel:
-        if n not in self._levels:
-            plan = self._plan(n)
-
-            def index_of(point, plan=plan) -> IndexRange:
-                r = self._base_index(plan, point)
-                return reverse_range(plan.size, r) if plan.flip else r
-
-            lvl = ChainLevel(level=n, size=plan.size, mesh_bound=plan.mesh, index_fn=index_of)
-            # The walk enters from the free end: the outermost trough is in
-            # the first link, and the bar is first met by its entry slab.
-            outer = self._base_index(plan, CatalogPoint("wave", 0))
-            if outer != IndexRange(1, 1):
-                raise AssertionError("free end must open the walk")
-            entry = CatalogPoint("bar", 1 if plan.top_first else -1)
-            if self._base_index(plan, entry) != IndexRange(plan.windows + 1, plan.windows + 1):
-                raise AssertionError("bar entry must follow the last window")
-            self._levels[n] = lvl
-        return self._levels[n]
+    def _index(self, plan: _SinePlan, point: CatalogPoint) -> IndexRange:
+        r = self._base_index(plan, point)
+        return reverse_range(plan.size, r) if plan.flip else r
 
     def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
         plan = self._plan(n)
@@ -959,9 +981,6 @@ class SineChainFamily:
             return p.strand == "bar" or p.param <= plan.ustar
 
         return settled(x) and settled(y)
-
-    def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
-        return _scan_certificate(self, x, y, depth)
 
     def walk_samples(self, n: int) -> list:
         plan = self._plan(n)
@@ -977,13 +996,7 @@ class SineChainFamily:
         return pts
 
     def tail_samples(self, n: int) -> list:
-        plan = self._plan(n)
-        u = plan.deep + plan.ov
-        out = []
-        while u <= plan.deep + 2:
-            out.append(CatalogPoint("wave", u))
-            u += plan.h / 4
-        return out
+        return _wave_tail_samples(self._plan(n))
 
 
 # -- S2: the sine curve with an outer arc --------------------------------------
@@ -1005,7 +1018,7 @@ class _S2Plan(NamedTuple):
 
 
 @dataclass(frozen=True)
-class OuterArcChainFamily:
+class OuterArcChainFamily(ChainFamily):
     """Chains on S2 walking the oscillation, then the outer arc end to end.
 
     The oscillation is cut at a peak, so the walk always enters the
@@ -1013,42 +1026,37 @@ class OuterArcChainFamily:
     the same cover backwards.
     """
 
-    variant: str = "standard"
-    _levels: dict = field(default_factory=dict, compare=False, repr=False)
-    _plans: dict = field(default_factory=dict, compare=False, repr=False)
+    SPACE: ClassVar[str] = "s2"
+    VARIANTS: ClassVar[tuple[str, ...]] = ("standard", "reversed")
+    variant: str
 
-    def __post_init__(self) -> None:
-        if self.variant not in ("standard", "reversed"):
-            raise ValueError(f"unknown variant: {self.variant!r}")
-
-    @property
-    def space(self) -> StrandSpace:
-        return s2_space()
-
-    def _plan(self, n: int) -> _S2Plan:
-        _require_level(n)
-        if n not in self._plans:
-            c = 3 * (n + 3)
-            h = Fraction(1, c)
-            deep = 4 * n + 2
-            windows = deep * c
-            eta = Fraction(1, 2 * (n + 3))
-            slabs = 10 * (n + 3)
-            self._plans[n] = _S2Plan(
-                n=n,
-                h=h,
-                ov=h / 8,
-                deep=deep,
-                ustar=deep - h / 8,
-                windows=windows,
-                slabs=slabs,
-                eta=eta,
-                ovp=eta / 8,
-                size=windows + slabs,
-                flip=self.variant == "reversed",
-                mesh=max(h + h / 4, eta + eta / 4 + _wave_point(deep - h / 8)[0]),
-            )
-        return self._plans[n]
+    def _build_plan(self, n: int) -> _S2Plan:
+        c = 3 * (n + 3)
+        h = Fraction(1, c)
+        deep = 4 * n + 2
+        windows = deep * c
+        eta = Fraction(1, 2 * (n + 3))
+        slabs = 10 * (n + 3)
+        plan = _S2Plan(
+            n=n,
+            h=h,
+            ov=h / 8,
+            deep=deep,
+            ustar=deep - h / 8,
+            windows=windows,
+            slabs=slabs,
+            eta=eta,
+            ovp=eta / 8,
+            size=windows + slabs,
+            flip=self.variant == "reversed",
+            mesh=max(h + h / 4, eta + eta / 4 + _wave_point(deep - h / 8)[0]),
+        )
+        if self._base_index(plan, CatalogPoint("wave", 0)) != IndexRange(1, 1):
+            raise AssertionError("free end must open the walk")
+        corner = self._base_index(plan, CatalogPoint("ell", 0))
+        if corner != IndexRange(plan.windows + 1, plan.windows + 1):
+            raise AssertionError("outer arc must start right after the windows")
+        return plan
 
     def _base_index(self, plan: _S2Plan, point: CatalogPoint) -> IndexRange:
         if point.strand == "wave":
@@ -1065,23 +1073,9 @@ class OuterArcChainFamily:
             raise ValueError(f"unknown point: {point}")
         return _shift(_window_range(p, plan.eta, plan.ovp, plan.slabs), plan.windows)
 
-    def level(self, n: int) -> ChainLevel:
-        if n not in self._levels:
-            plan = self._plan(n)
-
-            def index_of(point, plan=plan) -> IndexRange:
-                r = self._base_index(plan, point)
-                return reverse_range(plan.size, r) if plan.flip else r
-
-            if self._base_index(plan, CatalogPoint("wave", 0)) != IndexRange(1, 1):
-                raise AssertionError("free end must open the walk")
-            corner = self._base_index(plan, CatalogPoint("ell", 0))
-            if corner != IndexRange(plan.windows + 1, plan.windows + 1):
-                raise AssertionError("outer arc must start right after the windows")
-            self._levels[n] = ChainLevel(
-                level=n, size=plan.size, mesh_bound=plan.mesh, index_fn=index_of
-            )
-        return self._levels[n]
+    def _index(self, plan: _S2Plan, point: CatalogPoint) -> IndexRange:
+        r = self._base_index(plan, point)
+        return reverse_range(plan.size, r) if plan.flip else r
 
     def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
         plan = self._plan(n)
@@ -1090,9 +1084,6 @@ class OuterArcChainFamily:
             return p.strand == "ell" or p.param <= plan.ustar
 
         return settled(x) and settled(y)
-
-    def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
-        return _scan_certificate(self, x, y, depth)
 
     def walk_samples(self, n: int) -> list:
         plan = self._plan(n)
@@ -1108,13 +1099,7 @@ class OuterArcChainFamily:
         return pts
 
     def tail_samples(self, n: int) -> list:
-        plan = self._plan(n)
-        u = plan.deep + plan.ov
-        out = []
-        while u <= plan.deep + 2:
-            out.append(CatalogPoint("wave", u))
-            u += plan.h / 4
-        return out
+        return _wave_tail_samples(self._plan(n))
 
 
 # -- S3: the forest of teeth ----------------------------------------------------
@@ -1248,7 +1233,7 @@ def _parse_s3_strand(name: str) -> tuple[str, int]:
 
 
 @dataclass(frozen=True)
-class ToothForestChainFamily:
+class ToothForestChainFamily(ChainFamily):
     """Chains on S3 walking tooth 1, gap 1, tooth 2, ... then one deep blob.
 
     Bit i of the prefix picks the walk direction through tooth i: bit 0
@@ -1257,50 +1242,42 @@ class ToothForestChainFamily:
     the single last link.
     """
 
+    SPACE: ClassVar[str] = "s3"
     bits: tuple[int, ...]
-    _levels: dict = field(default_factory=dict, compare=False, repr=False)
-    _plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.bits or any(b not in (0, 1) for b in self.bits):
             raise ValueError("the prefix must be a nonempty tuple of 0/1 bits")
 
-    @property
-    def space(self) -> StrandSpace:
-        return s3_space()
-
-    def _plan(self, m: int) -> _S3Plan:
-        _require_level(m)
+    def _build_plan(self, m: int) -> _S3Plan:
         if m > len(self.bits):
             raise ValueError(
                 f"prefix too short: level {m} needs {m} bits, got {len(self.bits)}"
             )
-        if m not in self._plans:
-            tooth_base: dict[int, int] = {}
-            tooth_slabs: dict[int, int] = {}
-            tooth_bt: dict[int, Fraction] = {}
-            gaps: dict[int, _GapPlan] = {}
-            off = 0
-            for i in range(1, m + 1):
-                slabs = _ceil(Fraction(4 * m, i))
-                tooth_base[i] = off
-                tooth_slabs[i] = slabs
-                tooth_bt[i] = Fraction(1, i) / slabs
-                off += slabs
-                gaps[i] = _build_gap(i, m, self.bits, off)
-                off += gaps[i].total
-            self._plans[m] = _S3Plan(
-                m=m,
-                bits=self.bits[:m],
-                tooth_base=tooth_base,
-                tooth_slabs=tooth_slabs,
-                tooth_bt=tooth_bt,
-                gaps=gaps,
-                blob=off + 1,
-                size=off + 1,
-                mesh=Fraction(4 * m + 1, 4 * m * (m + 1)),
-            )
-        return self._plans[m]
+        tooth_base: dict[int, int] = {}
+        tooth_slabs: dict[int, int] = {}
+        tooth_bt: dict[int, Fraction] = {}
+        gaps: dict[int, _GapPlan] = {}
+        off = 0
+        for i in range(1, m + 1):
+            slabs = _ceil(Fraction(4 * m, i))
+            tooth_base[i] = off
+            tooth_slabs[i] = slabs
+            tooth_bt[i] = Fraction(1, i) / slabs
+            off += slabs
+            gaps[i] = _build_gap(i, m, self.bits, off)
+            off += gaps[i].total
+        return _S3Plan(
+            m=m,
+            bits=self.bits[:m],
+            tooth_base=tooth_base,
+            tooth_slabs=tooth_slabs,
+            tooth_bt=tooth_bt,
+            gaps=gaps,
+            blob=off + 1,
+            size=off + 1,
+            mesh=Fraction(4 * m + 1, 4 * m * (m + 1)),
+        )
 
     def _tooth_index(self, plan: _S3Plan, i: int, y: Fraction) -> IndexRange:
         if i > plan.m:
@@ -1337,22 +1314,13 @@ class ToothForestChainFamily:
                 return IndexRange(lo, hi)
         raise AssertionError("gap legs must cover the span between the cuts")
 
-    def level(self, n: int) -> ChainLevel:
-        if n not in self._levels:
-            plan = self._plan(n)
-
-            def index_of(point: CatalogPoint, plan=plan) -> IndexRange:
-                kind, i = _parse_s3_strand(point.strand)
-                if kind == "origin":
-                    return IndexRange(plan.blob, plan.blob)
-                if kind == "tooth":
-                    return self._tooth_index(plan, i, point.param)
-                return self._gap_index(plan, i, point.param)
-
-            self._levels[n] = ChainLevel(
-                level=n, size=plan.size, mesh_bound=plan.mesh, index_fn=index_of
-            )
-        return self._levels[n]
+    def _index(self, plan: _S3Plan, point: CatalogPoint) -> IndexRange:
+        kind, i = _parse_s3_strand(point.strand)
+        if kind == "origin":
+            return IndexRange(plan.blob, plan.blob)
+        if kind == "tooth":
+            return self._tooth_index(plan, i, point.param)
+        return self._gap_index(plan, i, point.param)
 
     def _classify(self, plan: _S3Plan, p: CatalogPoint) -> str:
         kind, i = _parse_s3_strand(p.strand)
@@ -1383,9 +1351,6 @@ class ToothForestChainFamily:
             # parameters of its own strand.
             return x.strand != y.strand
         return False
-
-    def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
-        return _scan_certificate(self, x, y, depth)
 
     def walk_samples(self, n: int) -> list:
         plan = self._plan(n)
@@ -1461,7 +1426,7 @@ class _TPlan(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SpiralChainFamily:
+class SpiralChainFamily(ChainFamily):
     """Chains on T ordering the components as spiral, bar, oscillation (D)
     or bar, oscillation, spiral (E).
 
@@ -1471,69 +1436,58 @@ class SpiralChainFamily:
     spiral block trails the oscillation block instead.
     """
 
-    variant: str = "D"
-    _levels: dict = field(default_factory=dict, compare=False, repr=False)
-    _plans: dict = field(default_factory=dict, compare=False, repr=False)
+    SPACE: ClassVar[str] = "t"
+    VARIANTS: ClassVar[tuple[str, ...]] = ("D", "E")
+    variant: str
 
-    def __post_init__(self) -> None:
-        if self.variant not in ("D", "E"):
-            raise ValueError(f"unknown variant: {self.variant!r}")
-
-    @property
-    def space(self) -> StrandSpace:
-        return t_space()
-
-    def _plan(self, n: int) -> _TPlan:
-        _require_level(n)
-        if n not in self._plans:
-            c = 3 * (n + 3)
-            h = Fraction(1, c)
-            slabs = 4 * (n + 3)
-            band = Fraction(2, slabs)
-            is_d = self.variant == "D"
-            deep = 4 * n + 2 if is_d else 4 * n + 4
-            wave_count = deep * c
-            hs = h
-            data = _pass_data(n)
-            if is_d:
-                spiral_len = _prefix_total(n - 1) + data.cum[data.cut_index]
-            else:
-                spiral_len = _prefix_total(n - 1)
-            spiral_count = _ceil(spiral_len / hs)
-            if is_d:
-                off_spiral, off_bar, off_wave = 0, spiral_count, spiral_count + slabs
-            else:
-                off_bar, off_wave, off_spiral = 0, slabs, slabs + wave_count
-            e = _spiral_eps(n)
-            mesh = max(
-                h + h / 4 + 6 * e,
-                band + band / 4 + 2 * e,
-                _wave_point(deep - h / 8)[0] + 2 * e,
-                data.bar_x_max + 2 * e,
-                hs + hs / 4,
-            )
-            self._plans[n] = _TPlan(
-                n=n,
-                h=h,
-                ov=h / 8,
-                deep=deep,
-                ustar=deep - h / 8,
-                wave_count=wave_count,
-                slabs=slabs,
-                band=band,
-                ovb=band / 8,
-                hs=hs,
-                ovs=hs / 8,
-                spiral_count=spiral_count,
-                spiral_len=spiral_len,
-                off_spiral=off_spiral,
-                off_bar=off_bar,
-                off_wave=off_wave,
-                size=spiral_count + slabs + wave_count,
-                bottom_up=is_d,
-                mesh=mesh,
-            )
-        return self._plans[n]
+    def _build_plan(self, n: int) -> _TPlan:
+        c = 3 * (n + 3)
+        h = Fraction(1, c)
+        slabs = 4 * (n + 3)
+        band = Fraction(2, slabs)
+        is_d = self.variant == "D"
+        deep = 4 * n + 2 if is_d else 4 * n + 4
+        wave_count = deep * c
+        hs = h
+        data = _pass_data(n)
+        if is_d:
+            spiral_len = _prefix_total(n - 1) + data.cum[data.cut_index]
+        else:
+            spiral_len = _prefix_total(n - 1)
+        spiral_count = _ceil(spiral_len / hs)
+        if is_d:
+            off_spiral, off_bar, off_wave = 0, spiral_count, spiral_count + slabs
+        else:
+            off_bar, off_wave, off_spiral = 0, slabs, slabs + wave_count
+        e = _spiral_eps(n)
+        mesh = max(
+            h + h / 4 + 6 * e,
+            band + band / 4 + 2 * e,
+            _wave_point(deep - h / 8)[0] + 2 * e,
+            data.bar_x_max + 2 * e,
+            hs + hs / 4,
+        )
+        return _TPlan(
+            n=n,
+            h=h,
+            ov=h / 8,
+            deep=deep,
+            ustar=deep - h / 8,
+            wave_count=wave_count,
+            slabs=slabs,
+            band=band,
+            ovb=band / 8,
+            hs=hs,
+            ovs=hs / 8,
+            spiral_count=spiral_count,
+            spiral_len=spiral_len,
+            off_spiral=off_spiral,
+            off_bar=off_bar,
+            off_wave=off_wave,
+            size=spiral_count + slabs + wave_count,
+            bottom_up=is_d,
+            mesh=mesh,
+        )
 
     def _bar_index(self, plan: _TPlan, y: Fraction) -> IndexRange:
         o = (y + 1) if plan.bottom_up else (1 - y)
@@ -1572,23 +1526,14 @@ class SpiralChainFamily:
                 return IndexRange(plan.off_spiral, plan.off_spiral + 1)
         return self._spiral_host(plan, v)
 
-    def level(self, n: int) -> ChainLevel:
-        if n not in self._levels:
-            plan = self._plan(n)
-
-            def index_of(point: CatalogPoint, plan=plan) -> IndexRange:
-                if point.strand == "spiral":
-                    return self._spiral_index(plan, point.param)
-                if point.strand == "bar":
-                    return self._bar_index(plan, point.param)
-                if point.strand == "wave":
-                    return self._wave_index(plan, point.param)
-                raise ValueError(f"unknown point: {point}")
-
-            self._levels[n] = ChainLevel(
-                level=n, size=plan.size, mesh_bound=plan.mesh, index_fn=index_of
-            )
-        return self._levels[n]
+    def _index(self, plan: _TPlan, point: CatalogPoint) -> IndexRange:
+        if point.strand == "spiral":
+            return self._spiral_index(plan, point.param)
+        if point.strand == "bar":
+            return self._bar_index(plan, point.param)
+        if point.strand == "wave":
+            return self._wave_index(plan, point.param)
+        raise ValueError(f"unknown point: {point}")
 
     def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
         plan = self._plan(n)
@@ -1603,9 +1548,6 @@ class SpiralChainFamily:
             return _spiral_arclength(p.param) <= plan.spiral_len
 
         return settled(x) and settled(y)
-
-    def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
-        return _scan_certificate(self, x, y, depth)
 
     def _spiral_walk(self, plan: _TPlan, outward: bool) -> list:
         # Sample per window in the window coordinate so the terminal
@@ -1651,11 +1593,7 @@ class SpiralChainFamily:
 
     def tail_samples(self, n: int) -> list:
         plan = self._plan(n)
-        pts = []
-        u = plan.deep + plan.ov
-        while u <= plan.deep + 2:
-            pts.append(CatalogPoint("wave", u))
-            u += plan.h / 4
+        pts = _wave_tail_samples(plan)
         s = plan.spiral_len + plan.ovs
         stop = plan.spiral_len + 2
         while s <= stop:
@@ -1667,7 +1605,7 @@ class SpiralChainFamily:
         return pts
 
 
-# -- family factories and level facades -----------------------------------------
+# -- family factories -------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -1697,26 +1635,6 @@ def s3_family(bits) -> ToothForestChainFamily:
 @lru_cache(maxsize=None)
 def t_family(variant: str = "D") -> SpiralChainFamily:
     return SpiralChainFamily(variant)
-
-
-def arc_chain_family(variant: str, n: int) -> ChainLevel:
-    return arc_family(variant).level(n)
-
-
-def s1_chain_family(variant: str, n: int) -> ChainLevel:
-    return s1_family(variant).level(n)
-
-
-def s2_chain_family(variant: str, n: int) -> ChainLevel:
-    return s2_family(variant).level(n)
-
-
-def s3_chain_family(xprefix, n: int) -> ChainLevel:
-    return s3_family(xprefix).level(n)
-
-
-def t_chain_family(variant: str, n: int) -> ChainLevel:
-    return t_family(variant).level(n)
 
 
 # -- witnesses --------------------------------------------------------------------

@@ -16,11 +16,9 @@ from typing import Callable
 
 from .foundations import (
     EQ,
-    GE,
     LE,
     STABILIZED,
     ComparisonVerdict,
-    EventuallyPeriodicSet,
     IndexRange,
     rational,
     rational_str,
@@ -31,12 +29,16 @@ from .inverse_limit import (
     epsilon_map_modulus,
     fiber_diameter_bound,
     sign_certificate,
+    sign_verdict,
 )
 from .ultrafilter import SimulatedUltrafilter
 
 LE_ONLY = "le_only"
 GE_ONLY = "ge_only"
 BOTH = "both"
+
+# The coordinate sign a level relation stands for in a sign sequence.
+_SIGN_OF = {LE_ONLY: "LT", GE_ONLY: "GT", BOTH: "EQ"}
 
 
 class MeshBudgetError(ValueError):
@@ -143,10 +145,6 @@ class IntervalChain:
         return IndexRange(lo, hi)
 
 
-def canonical_interval_chain(k: int) -> IntervalChain:
-    return IntervalChain(k)
-
-
 def pullback_chain(system: InverseSystem, n: int, base: IntervalChain) -> ChainLevel:
     """Pull the base chain back through the level-n projection.
 
@@ -210,7 +208,7 @@ def _pullback_compare(
     seq: PullbackSequence,
     x: ThreadPoint,
     y: ThreadPoint,
-    ultrafilter: SimulatedUltrafilter,
+    ultrafilter: SimulatedUltrafilter | None,
     depth: int,
 ) -> ComparisonVerdict:
     if depth < 1:
@@ -224,7 +222,8 @@ def _pullback_compare(
 
     cert = sign_certificate(x, y)
     if set(cert.cycle) == {"EQ"}:
-        return ComparisonVerdict.stabilized(EQ, 1, depth, certificate=cert.as_dict())
+        # Equal tails leave no gap to dominate the mesh.
+        return sign_verdict((), cert.cycle, depth, ultrafilter, cert.as_dict(), first=1)
 
     # First level from which the coordinate signs are strict forever.
     strict_from = 0
@@ -247,40 +246,16 @@ def _pullback_compare(
         if T > 100_000:
             raise AssertionError("gap dominance search failed to terminate")
 
-    below = {n: seq.level(n).relation(x, y) for n in range(1, T)}
-    meta = {"sign": cert.as_dict(), "gap_dominance_level": T}
-
-    kinds = set(cert.cycle)
-    if kinds in ({"LT"}, {"GT"}):
-        target = LE_ONLY if kinds == {"LT"} else GE_ONLY
-        threshold = T
-        while threshold - 1 >= 1 and below.get(threshold - 1) == target:
-            threshold -= 1
-        if threshold > depth:
-            return ComparisonVerdict.unknown(depth)
-        direction = LE if kinds == {"LT"} else GE
-        return ComparisonVerdict.stabilized(direction, threshold, depth, certificate=meta)
-
-    # Mixed strict cycle: the level set {n : x <=_n y} is eventually
-    # periodic; levels below T are computed outright, levels from T on
-    # follow the certified coordinate signs.
+    # Level 0 is not a chain level; its placeholder never counts.  Below
+    # T the chain relations are computed outright, from T on they follow
+    # the certified coordinate signs.
     start = max(T, cert.cycle_start)
-    prefix_bits = [False]  # levels are 1-based; 0 is not a level
-    for n in range(1, start):
-        if n < T:
-            prefix_bits.append(relation_allows_le(below[n]))
-        else:
-            prefix_bits.append(cert.rel(n) != "GT")
-    pattern_bits = [cert.rel(start + j) != "GT" for j in range(len(cert.cycle))]
-    le_set = EventuallyPeriodicSet(tuple(prefix_bits), tuple(pattern_bits))
-    decision = ultrafilter.decide(le_set)
-    return ComparisonVerdict.ultrafilter_dependent(
-        le_set,
-        depth,
-        direction=LE if decision.value else GE,
-        tower_extended=decision.extended,
-        certificate=meta,
-    )
+    history = ["GT"]
+    history += [_SIGN_OF[seq.level(n).relation(x, y)] for n in range(1, T)]
+    history += [cert.rel(n) for n in range(T, start)]
+    cycle = tuple(cert.rel(start + j) for j in range(len(cert.cycle)))
+    meta = {"sign": cert.as_dict(), "gap_dominance_level": T}
+    return sign_verdict(tuple(history), cycle, depth, ultrafilter, meta, first=1)
 
 
 def _spot_check(seq, x, y, verdict: ComparisonVerdict, depth: int) -> None:
@@ -306,7 +281,9 @@ def _spot_check(seq, x, y, verdict: ComparisonVerdict, depth: int) -> None:
             )
 
 
-def chain_order_compare(seq, x, y, ultrafilter: SimulatedUltrafilter, depth: int) -> ComparisonVerdict:
+def chain_order_compare(
+    seq, x, y, ultrafilter: SimulatedUltrafilter | None, depth: int
+) -> ComparisonVerdict:
     """Compare two points in the order induced by a chain sequence.
 
     Sequences may certify verdicts themselves; certified claims are

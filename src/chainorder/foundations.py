@@ -20,7 +20,10 @@ def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a 'p/q' string, or a Fraction to an exact rational."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def rational_str(value: Fraction) -> str:
@@ -143,20 +146,11 @@ class EventuallyPeriodicSet:
         """Membership bits for 0..count-1."""
         return tuple(n in self for n in range(count))
 
-    def members_below(self, bound: int) -> tuple[int, ...]:
-        return tuple(n for n in range(bound) if n in self)
-
     def is_finite(self) -> bool:
         return not any(self.pattern)
 
     def is_cofinite(self) -> bool:
         return all(self.pattern)
-
-    def is_empty(self) -> bool:
-        return self.is_finite() and not any(self.prefix)
-
-    def is_full(self) -> bool:
-        return self.is_cofinite() and all(self.prefix)
 
     # -- algebra ----------------------------------------------------------
 

@@ -267,30 +267,6 @@ def compare_level(x: ThreadPoint, y: ThreadPoint, n: int) -> str:
     return EQL
 
 
-@dataclass(frozen=True)
-class LevelComparisonTrace:
-    outcomes: tuple[str, ...]
-
-    def __iter__(self):
-        return iter(self.outcomes)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __getitem__(self, i):
-        return self.outcomes[i]
-
-    def as_dict(self) -> dict:
-        return {"outcomes": list(self.outcomes)}
-
-
-def level_trace(x: ThreadPoint, y: ThreadPoint, depth: int) -> LevelComparisonTrace:
-    """Coordinatewise comparisons at levels 0..depth."""
-    if depth < 0:
-        raise ValueError("depth must be a natural")
-    return LevelComparisonTrace(tuple(compare_level(x, y, n) for n in range(depth + 1)))
-
-
 _ZERO_BAND, _ONE_BAND, _INT_BAND = 0, 1, 2
 
 
@@ -442,10 +418,52 @@ def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate:
     return cert
 
 
+def sign_verdict(
+    history: tuple[str, ...],
+    cycle: tuple[str, ...],
+    depth: int,
+    ultrafilter: SimulatedUltrafilter | None,
+    certificate: dict,
+    first: int,
+) -> ComparisonVerdict:
+    """Turn a certified relation sequence into a verdict.
+
+    ``history`` holds the signs at levels 0..len(history)-1 and ``cycle``
+    repeats forever from level len(history) on; ``first`` is the first
+    level that counts.  An all-EQ cycle is equality from ``first``.  A
+    one-sign cycle stabilizes from the start of its final run, found by
+    walking back over ``history``.  A mixed cycle gives the exact level
+    set where x <= y, voted on when an ultrafilter is given.
+    """
+    kinds = set(cycle)
+    if kinds == {EQL}:
+        return ComparisonVerdict.stabilized(EQ, first, depth, certificate=certificate)
+    if kinds in ({LT}, {GT}):
+        target = kinds.pop()
+        threshold = len(history)
+        while threshold > first and history[threshold - 1] == target:
+            threshold -= 1
+        if threshold > depth:
+            return ComparisonVerdict.unknown(depth)
+        direction = LE if target == LT else GE
+        return ComparisonVerdict.stabilized(direction, threshold, depth, certificate=certificate)
+
+    le_set = EventuallyPeriodicSet(
+        tuple(r != GT for r in history), tuple(r != GT for r in cycle)
+    )
+    direction, extended = None, False
+    if ultrafilter is not None:
+        decision = ultrafilter.decide(le_set)
+        direction, extended = (LE if decision.value else GE), decision.extended
+    return ComparisonVerdict.ultrafilter_dependent(
+        le_set, depth, direction=direction, tower_extended=extended, certificate=certificate
+    )
+
+
 def inverse_limit_order(
     x: ThreadPoint,
     y: ThreadPoint,
-    ultrafilter: SimulatedUltrafilter,
+    ultrafilter: SimulatedUltrafilter | None,
     depth: int,
 ) -> ComparisonVerdict:
     """Compare two threads in the chain-induced order voted by the ultrafilter.
@@ -453,8 +471,9 @@ def inverse_limit_order(
     Stabilized verdicts need the sign trace constant from a threshold at
     most `depth` and a recurrence certificate; genuinely alternating
     patterns are returned UltrafilterDependent together with the exact
-    eventually periodic set of levels where x <= y holds, and the
-    ultrafilter's verdict on that set.  Anything weaker is Unknown.
+    eventually periodic set of levels where x <= y holds, and, when an
+    ultrafilter is given, its verdict on that set.  Anything weaker is
+    Unknown.
     """
     if depth < 0:
         raise ValueError("depth must be a natural")
@@ -478,31 +497,10 @@ def inverse_limit_order(
         return ComparisonVerdict.unknown(depth)
 
     cert = sign_certificate(x, y)
-    kinds = set(cert.cycle)
-    if kinds == {EQL}:
-        if set(cert.history) != {EQL}:
-            raise AssertionError("equal tails must be equal at every level")
-        return ComparisonVerdict.stabilized(EQ, 0, depth, certificate=cert.as_dict())
-    if kinds in ({LT}, {GT}):
-        direction = LE if kinds == {LT} else GE
-        target = LT if kinds == {LT} else GT
-        threshold = cert.cycle_start
-        while threshold > 0 and cert.history[threshold - 1] == target:
-            threshold -= 1
-        if threshold > depth:
-            return ComparisonVerdict.unknown(depth)
-        return ComparisonVerdict.stabilized(direction, threshold, depth, certificate=cert.as_dict())
-
-    le_prefix = tuple(r != GT for r in cert.history[: cert.cycle_start])
-    le_pattern = tuple(r != GT for r in cert.cycle)
-    le_set = EventuallyPeriodicSet(le_prefix, le_pattern)
-    decision = ultrafilter.decide(le_set)
-    return ComparisonVerdict.ultrafilter_dependent(
-        le_set,
-        depth,
-        direction=LE if decision.value else GE,
-        tower_extended=decision.extended,
-        certificate=cert.as_dict(),
+    if set(cert.cycle) == {EQL} and set(cert.history) != {EQL}:
+        raise AssertionError("equal tails must be equal at every level")
+    return sign_verdict(
+        cert.history[: cert.cycle_start], cert.cycle, depth, ultrafilter, cert.as_dict(), first=0
     )
 
 

@@ -2,8 +2,8 @@
 
 A map is stored as its graph vertices: strictly increasing breakpoints
 b_0 = 0 < ... < b_k = 1 with values v_0..v_k in [0,1], interpolated
-linearly in between.  Evaluation, composition, preimage enumeration,
-and lap (monotone branch) analysis all stay in ``Fraction`` arithmetic.
+linearly in between.  Evaluation, preimage enumeration, and lap
+(monotone branch) analysis all stay in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -87,30 +87,6 @@ class PLMap:
             if lo <= y <= hi:
                 hits.add(b0 + (y - v0) * (b1 - b0) / (v1 - v0))
         return tuple(sorted(hits))
-
-    def iterated_preimage_set(self, seed: int | Fraction, i: int) -> tuple[Fraction, ...]:
-        """The i-fold preimage of the seed point, ascending."""
-        if i < 0:
-            raise ValueError("iteration count must be a natural")
-        frontier = {Fraction(seed)}
-        for _ in range(i):
-            frontier = {p for y in frontier for p in self.preimages(y)}
-        return tuple(sorted(frontier))
-
-    def compose(self, inner: PLMap) -> PLMap:
-        """The map t -> self(inner(t))."""
-        cuts = set(inner.breakpoints)
-        for b0, b1, v0, v1 in inner.segments():
-            if v0 == v1:
-                continue
-            lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
-            # Interior crossings of self's breakpoints refine the grid so
-            # every refined piece stays within one segment of self.
-            for c in self.breakpoints:
-                if lo < c < hi:
-                    cuts.add(b0 + (c - v0) * (b1 - b0) / (v1 - v0))
-        bps = tuple(sorted(cuts))
-        return PLMap(bps, tuple(self(inner(t)) for t in bps))
 
     def laps(self) -> tuple[Lap, ...]:
         """Maximal strictly monotone runs; rejects maps with flat segments."""

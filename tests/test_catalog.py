@@ -14,12 +14,10 @@ from chainorder.catalog import (
     S1_WITNESSES,
     S2_WITNESSES,
     T_REPRESENTATIVES,
-    arc_chain_family,
     arc_family,
     arc_space,
     catalog_spaces,
     component_of,
-    s1_chain_family,
     s1_family,
     s1_space,
     s2_family,
@@ -173,10 +171,10 @@ class TestSeparationData:
 
 class TestArcFamily:
     def test_frozen_endpoint_indices(self):
-        assert arc_chain_family("standard", 3).index_of(0) == IndexRange(1, 1)
-        assert arc_chain_family("standard", 3).index_of(1) == IndexRange(8, 8)
-        assert arc_chain_family("reversed", 3).index_of(0) == IndexRange(8, 8)
-        assert arc_chain_family("standard", 3).index_of(Fraction(1, 2)) == IndexRange(4, 5)
+        assert arc_family("standard").level(3).index_of(0) == IndexRange(1, 1)
+        assert arc_family("standard").level(3).index_of(1) == IndexRange(8, 8)
+        assert arc_family("reversed").level(3).index_of(0) == IndexRange(8, 8)
+        assert arc_family("standard").level(3).index_of(Fraction(1, 2)) == IndexRange(4, 5)
 
     def test_certificate_is_an_interval_gap(self):
         verdict = chain_order_compare(arc_family("standard"), 0, Fraction(1, 2), None, 10)
@@ -244,10 +242,10 @@ S1_RANKINGS = {
 
 class TestSineFamilies:
     def test_level_sizes_frozen(self):
-        assert s1_chain_family("D", 1).size == 88
-        assert s1_chain_family("D'", 1).size == 112
-        assert s1_chain_family("E", 1).size == 88
-        assert s1_chain_family("E'", 1).size == 112
+        assert s1_family("D").level(1).size == 88
+        assert s1_family("D'").level(1).size == 112
+        assert s1_family("E").level(1).size == 88
+        assert s1_family("E'").level(1).size == 112
 
     @pytest.mark.parametrize("variant", ["D", "D'", "E", "E'"])
     def test_displayed_inequalities(self, variant):

@@ -18,7 +18,6 @@ from chainorder.chains import (
     MeshBudgetError,
     NeverBetweenReport,
     PullbackSequence,
-    canonical_interval_chain,
     chain_order_compare,
     chain_trace,
     equal_or_opposite,
@@ -28,7 +27,16 @@ from chainorder.chains import (
     pullback_chain,
     reverse_range,
 )
-from chainorder.foundations import EQ, GE, LE, STABILIZED, ULTRAFILTER_DEPENDENT, UNKNOWN, IndexRange
+from chainorder.foundations import (
+    EQ,
+    GE,
+    LE,
+    STABILIZED,
+    ULTRAFILTER_DEPENDENT,
+    UNKNOWN,
+    EventuallyPeriodicSet,
+    IndexRange,
+)
 from chainorder.inverse_limit import (
     inverse_limit_order,
     tent_system,
@@ -44,25 +52,25 @@ def u_mod2(residue: int) -> SimulatedUltrafilter:
 
 class TestCanonicalChain:
     def test_links_frozen_for_k4(self):
-        chain = canonical_interval_chain(4)
+        chain = IntervalChain(4)
         assert chain.link(2) == (Fraction(3, 16), Fraction(9, 16))
         assert chain.link(1) == (Fraction(0), Fraction(5, 16))
         assert chain.link(4) == (Fraction(11, 16), Fraction(1))
         assert chain.mesh == Fraction(3, 8)
 
     def test_midpoint_lands_in_two_links(self):
-        chain = canonical_interval_chain(4)
+        chain = IntervalChain(4)
         assert chain.index_of(Fraction(1, 2)) == IndexRange(2, 3)
 
     def test_endpoints_land_in_one_link(self):
-        chain = canonical_interval_chain(4)
+        chain = IntervalChain(4)
         assert chain.index_of(0) == IndexRange(1, 1)
         assert chain.index_of(1) == IndexRange(4, 4)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            canonical_interval_chain(0)
-        chain = canonical_interval_chain(3)
+            IntervalChain(0)
+        chain = IntervalChain(3)
         with pytest.raises(ValueError):
             chain.link(0)
         with pytest.raises(ValueError):
@@ -72,7 +80,7 @@ class TestCanonicalChain:
 
     @pytest.mark.parametrize("k", list(range(1, 65)))
     def test_is_a_chain(self, k):
-        chain = canonical_interval_chain(k)
+        chain = IntervalChain(k)
         links = [chain.link(i) for i in range(1, k + 1)]
         for i in range(k):
             lo, hi = links[i]
@@ -86,7 +94,7 @@ class TestCanonicalChain:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_index_matches_membership_on_grid(self, k):
-        chain = canonical_interval_chain(k)
+        chain = IntervalChain(k)
         for num in range(8 * k + 1):
             t = Fraction(num, 8 * k)
             direct = {i for i in range(1, k + 1) if chain.contains(i, t)}
@@ -99,7 +107,7 @@ class TestCanonicalChain:
     )
     def test_index_matches_membership_random(self, k, num, den):
         t = Fraction(min(num, den), den)
-        chain = canonical_interval_chain(k)
+        chain = IntervalChain(k)
         direct = {i for i in range(1, k + 1) if chain.contains(i, t)}
         assert direct == set(chain.index_of(t).indices())
 
@@ -130,7 +138,7 @@ class TestLevelPreorder:
 
     def test_reversal_flips_strict_relations(self):
         flip = {LE_ONLY: GE_ONLY, GE_ONLY: LE_ONLY, BOTH: BOTH}
-        chain = canonical_interval_chain(6)
+        chain = IntervalChain(6)
         grid = [Fraction(n, 24) for n in range(25)]
         for t, s in itertools.product(grid, repeat=2):
             rx, ry = chain.index_of(t), chain.index_of(s)
@@ -262,6 +270,39 @@ class TestChainOrderCompare:
             direct = inverse_limit_order(x, y, u, 30)
             assert via_chain.kind == direct.kind
             assert via_chain.direction == direct.direction
+            if via_chain.kind == STABILIZED:
+                # The threshold is the first level of the final run.
+                target = {LE: LE_ONLY, GE: GE_ONLY, EQ: BOTH}[via_chain.direction]
+                t = via_chain.threshold
+                for n in range(t, t + 9):
+                    assert seq.level(n).relation(x, y) == target
+                if t > 1:
+                    assert seq.level(t - 1).relation(x, y) != target
+
+    def test_late_flip_threshold(self):
+        """Signs that settle on GT after an LT run: the threshold is the
+        first level of the GT run, not the gap-dominance level."""
+        sys = tent_system()
+        seq = PullbackSequence(sys)
+        x = thread_from_letters(sys, Fraction(1, 4), (0, 0, 0), cycle=(1,))
+        y = thread_from_letters(sys, Fraction(13, 16), (1, 1, 1, 1), cycle=(0,))
+        assert [seq.level(n).relation(x, y) for n in (1, 2, 3, 4)] == [LE_ONLY] * 3 + [GE_ONLY]
+        verdict = chain_order_compare(seq, x, y, u_mod2(0), 20)
+        assert (verdict.kind, verdict.direction, verdict.threshold) == (STABILIZED, GE, 4)
+
+    def test_mixed_cycle_without_ultrafilter(self):
+        """Both routes report the exact le_set and no direction."""
+        sys = tent_system()
+        x = thread_from_letters(sys, Fraction(1, 4), cycle=(1,))
+        y = thread_from_letters(sys, Fraction(3, 4), cycle=(1,))
+        via_chain = chain_order_compare(PullbackSequence(sys), x, y, None, 20)
+        direct = inverse_limit_order(x, y, None, 20)
+        assert via_chain.kind == direct.kind == ULTRAFILTER_DEPENDENT
+        assert via_chain.direction is direct.direction is None
+        assert not via_chain.tower_extended and not direct.tower_extended
+        # Coordinates compare LT at even levels; chain levels start at 1.
+        assert direct.le_set == EventuallyPeriodicSet.evens()
+        assert via_chain.le_set == EventuallyPeriodicSet((False,), (False, True))
 
     def test_trace_reports_relations(self):
         sys = tent_system()

@@ -78,6 +78,12 @@ class TestCompare:
         assert code == 2
         assert "unknown point" in err
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "compare", "--space", "arc", "--x", "1/0", "--y", "1/2")
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err
+
     def test_bad_point_syntax(self, capsys):
         code, out, err = run(capsys, "compare", "--space", "s1", "--x", "1/2", "--y", "bar:0")
         assert code == 2

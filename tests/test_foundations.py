@@ -93,14 +93,15 @@ class TestNormalization:
 
 class TestMembership:
     def test_constructors(self):
-        assert EventuallyPeriodicSet.evens().members_below(7) == (0, 2, 4, 6)
-        assert EventuallyPeriodicSet.odds().members_below(6) == (1, 3, 5)
-        assert EventuallyPeriodicSet.finite([4, 1]).members_below(99) == (1, 4)
-        assert EventuallyPeriodicSet.cofinite_from(3).members_below(6) == (3, 4, 5)
-        assert EventuallyPeriodicSet.residue_class(2, 5).members_below(13) == (2, 7, 12)
+        T, F = True, False
+        assert EventuallyPeriodicSet.evens().bits(7) == (T, F, T, F, T, F, T)
+        assert EventuallyPeriodicSet.odds().bits(6) == (F, T, F, T, F, T)
+        assert EventuallyPeriodicSet.finite([4, 1]).bits(7) == (F, T, F, F, T, F, F)
+        assert EventuallyPeriodicSet.cofinite_from(3).bits(6) == (F, F, F, T, T, T)
+        assert EventuallyPeriodicSet.residue_class(2, 5).bits(8) == (F, F, T, F, F, F, F, T)
         assert EventuallyPeriodicSet.residue_class(7, 5) == EventuallyPeriodicSet.residue_class(2, 5)
-        assert EventuallyPeriodicSet.empty().is_empty()
-        assert EventuallyPeriodicSet.full().is_full()
+        assert EventuallyPeriodicSet.finite([]) == EventuallyPeriodicSet.empty()
+        assert EventuallyPeriodicSet.cofinite_from(0) == EventuallyPeriodicSet.full()
 
     def test_negative_membership_rejected(self):
         with pytest.raises(ValueError):
@@ -141,8 +142,8 @@ class TestAlgebra:
 
     def test_operator_sugar(self):
         ev, od = EventuallyPeriodicSet.evens(), EventuallyPeriodicSet.odds()
-        assert (ev | od).is_full()
-        assert (ev & od).is_empty()
+        assert ev | od == EventuallyPeriodicSet.full()
+        assert ev & od == EventuallyPeriodicSet.empty()
         assert ~ev == od
         assert ev - od == ev
 

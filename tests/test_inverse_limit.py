@@ -20,7 +20,6 @@ from chainorder.inverse_limit import (
     epsilon_map_modulus,
     fiber_diameter_bound,
     inverse_limit_order,
-    level_trace,
     sign_certificate,
     tent_system,
     thread_from_letters,
@@ -113,9 +112,8 @@ class TestLevelComparison:
 
     def test_trace(self):
         x, y = alternating_pair()
-        trace = level_trace(x, y, 5)
-        assert tuple(trace) == ("EQ", "LT", "GT", "LT", "GT", "LT")
-        assert trace.as_dict() == {"outcomes": ["EQ", "LT", "GT", "LT", "GT", "LT"]}
+        trace = tuple(compare_level(x, y, n) for n in range(6))
+        assert trace == ("EQ", "LT", "GT", "LT", "GT", "LT")
 
 
 class TestSignCertificate:
