@@ -82,12 +82,18 @@ def _direction(family, x, y, depth):
 
 
 def _ranking(family, points, depth):
-    def cmp(a, b):
-        if a == b:
-            return 0
-        return -1 if _direction(family, a, b, depth) == LE else 1
+    """The points in the family's stabilized order.
 
-    return tuple(sorted(points, key=cmp_to_key(cmp)))
+    Pairs without a strict stabilized direction compare as ties, and the
+    points are first put in a canonical arrangement, so the ranking does
+    not depend on the order of ``points``.
+    """
+
+    def cmp(a, b):
+        direction = _direction(family, a, b, depth) if a != b else EQ
+        return -1 if direction == LE else 1 if direction == GE else 0
+
+    return tuple(sorted(sorted(points, key=repr), key=cmp_to_key(cmp)))
 
 
 # -- 1. arc ----------------------------------------------------------------
@@ -111,10 +117,10 @@ def arc_order_count(depth: int = 20) -> dict:
             if verdict.kind != STABILIZED:
                 late.append((str(x), str(y), "unstabilized"))
                 continue
+            # The first level fine enough to separate the pair may lie
+            # beyond depth; a threshold within depth is then early enough.
             gap = abs(x - y)
-            first = next(
-                n for n in range(1, depth + 1) if fam.level(n).mesh_bound < gap / 2
-            )
+            first = next(n for n in itertools.count(1) if fam.level(n).mesh_bound < gap / 2)
             if verdict.threshold > first:
                 late.append((str(x), str(y), verdict.threshold, first))
 

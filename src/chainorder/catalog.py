@@ -55,18 +55,20 @@ def _clamp(t: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return min(max(t, lo), hi)
 
 
-def _open_int_range(a: Fraction, b: Fraction) -> tuple[int, int]:
-    """Smallest and largest integers strictly between a and b."""
-    return _floor(a) + 1, _ceil(b) - 1
-
-
 def _window_range(t: Fraction, step: Fraction, overlap: Fraction, count: int) -> IndexRange:
     """Window i of a 1..count grid spans ((i-1)*step - overlap, i*step + overlap).
 
     With overlap < step/2 a point meets one window or two consecutive
     ones, which is exactly the IndexRange contract.
     """
-    lo, hi = _open_int_range((t - overlap) / step, (t + overlap) / step + 1)
+    # Floor and ceiling over one common denominator: every index lookup
+    # comes through here, and reduced Fractions would cost a gcd each.
+    a, b = t.numerator, t.denominator
+    c, e = overlap.numerator, overlap.denominator
+    q = step.denominator
+    den = b * e * step.numerator
+    lo = (a * e - c * b) * q // den + 1
+    hi = -(-(a * e + c * b) * q // den)
     return IndexRange(max(lo, 1), min(hi, count))
 
 
@@ -1114,8 +1116,9 @@ class _Leg(NamedTuple):
     link_base: int
 
 
-class _GapPlan(NamedTuple):
-    base: int
+class _GapShape(NamedTuple):
+    """A gap's links with indices counted from 0; a plan adds the gap's base."""
+
     legs: tuple[_Leg, ...]
     total: int
     cut_r_w: Fraction
@@ -1131,6 +1134,7 @@ class _S3Plan(NamedTuple):
     tooth_base: dict
     tooth_slabs: dict
     tooth_bt: dict
+    gap_base: dict
     gaps: dict
     blob: int
     size: int
@@ -1159,11 +1163,18 @@ def _cut_depth(i: int, side: int, kind: str, m: int, tooth: int) -> int:
         k += 1
 
 
-def _build_gap(i: int, m: int, bits: tuple[int, ...], base: int) -> _GapPlan:
-    kind_r = "z" if bits[i - 1] == 1 else "p"
+# One shape per (i, m, bit pair): the memo grows with depth², not with prefixes.
+@lru_cache(maxsize=None)
+def _gap_shape(i: int, m: int, bit_r: int, bit_l: int | None) -> _GapShape:
+    """Gap i at level m, between teeth walked by ``bit_r`` and ``bit_l``.
+
+    ``bit_l`` is bit i + 1 of the prefix, or None for the last gap,
+    whose left end dives into the blob.
+    """
+    kind_r = "z" if bit_r == 1 else "p"
     k_r = _cut_depth(i, 1, kind_r, m, i)
-    if i < m:
-        kind_l = "p" if bits[i] == 1 else "z"
+    if bit_l is not None:
+        kind_l = "p" if bit_l == 1 else "z"
         k_l = _cut_depth(i, -1, kind_l, m, i + 1)
     else:
         kind_l = "blob"
@@ -1190,7 +1201,7 @@ def _build_gap(i: int, m: int, bits: tuple[int, ...], base: int) -> _GapPlan:
 
     eta = Fraction(1, 4 * m)
     legs: list[_Leg] = []
-    link = base
+    link = 0
     for (wa, pa), (wb, pb) in zip(anchors, anchors[1:]):
         dy = abs(pb[1] - pa[1])
         count = max(1, _ceil(dy / eta))
@@ -1211,10 +1222,9 @@ def _build_gap(i: int, m: int, bits: tuple[int, ...], base: int) -> _GapPlan:
             if deficit > slab / 2:
                 raise AssertionError("cut deficit escapes the entry slab")
 
-    return _GapPlan(
-        base=base,
+    return _GapShape(
         legs=tuple(legs),
-        total=link - base,
+        total=link,
         cut_r_w=anchors[0][0],
         marg_r=legs[0].ovw,
         kind_l=kind_l,
@@ -1257,7 +1267,8 @@ class ToothForestChainFamily(ChainFamily):
         tooth_base: dict[int, int] = {}
         tooth_slabs: dict[int, int] = {}
         tooth_bt: dict[int, Fraction] = {}
-        gaps: dict[int, _GapPlan] = {}
+        gap_base: dict[int, int] = {}
+        gaps: dict[int, _GapShape] = {}
         off = 0
         for i in range(1, m + 1):
             slabs = _ceil(Fraction(4 * m, i))
@@ -1265,7 +1276,8 @@ class ToothForestChainFamily(ChainFamily):
             tooth_slabs[i] = slabs
             tooth_bt[i] = Fraction(1, i) / slabs
             off += slabs
-            gaps[i] = _build_gap(i, m, self.bits, off)
+            gap_base[i] = off
+            gaps[i] = _gap_shape(i, m, self.bits[i - 1], self.bits[i] if i < m else None)
             off += gaps[i].total
         return _S3Plan(
             m=m,
@@ -1273,6 +1285,7 @@ class ToothForestChainFamily(ChainFamily):
             tooth_base=tooth_base,
             tooth_slabs=tooth_slabs,
             tooth_bt=tooth_bt,
+            gap_base=gap_base,
             gaps=gaps,
             blob=off + 1,
             size=off + 1,
@@ -1290,14 +1303,14 @@ class ToothForestChainFamily(ChainFamily):
     def _gap_index(self, plan: _S3Plan, i: int, w: Fraction) -> IndexRange:
         if i > plan.m:
             return IndexRange(plan.blob, plan.blob)
-        g = plan.gaps[i]
+        g, base = plan.gaps[i], plan.gap_base[i]
         if w > g.cut_r_w:
             if w < g.cut_r_w + g.marg_r:
-                return IndexRange(g.base, g.base + 1)
+                return IndexRange(base, base + 1)
             return self._tooth_index(plan, i, _gap_point(i, w)[1])
         if w < g.cut_l_w:
             if w > g.cut_l_w - g.marg_l:
-                last = g.base + g.total
+                last = base + g.total
                 return IndexRange(last, last + 1)
             if g.kind_l == "blob":
                 return IndexRange(plan.blob, plan.blob)
@@ -1306,11 +1319,12 @@ class ToothForestChainFamily(ChainFamily):
             if w >= leg.w_lo:
                 d = leg.w_hi - w
                 r = _window_range(d, leg.step, leg.ovw, leg.count)
-                lo, hi = r.lo + leg.link_base, r.hi + leg.link_base
-                if d < leg.ovw and leg.link_base > g.base:
-                    lo = leg.link_base
-                elif d > leg.count * leg.step - leg.ovw and leg.link_base + leg.count < g.base + g.total:
-                    hi = leg.link_base + leg.count + 1
+                first = base + leg.link_base
+                lo, hi = r.lo + first, r.hi + first
+                if d < leg.ovw and leg.link_base > 0:
+                    lo = first
+                elif d > leg.count * leg.step - leg.ovw and leg.link_base + leg.count < g.total:
+                    hi = first + leg.count + 1
                 return IndexRange(lo, hi)
         raise AssertionError("gap legs must cover the span between the cuts")
 
@@ -1623,7 +1637,8 @@ def s2_family(variant: str = "standard") -> OuterArcChainFamily:
     return OuterArcChainFamily(variant)
 
 
-@lru_cache(maxsize=None)
+# Keyed by user bit strings, so bounded; gap shapes make a rebuilt plan cheap.
+@lru_cache(maxsize=128)
 def _s3_family_cached(bits: tuple[int, ...]) -> ToothForestChainFamily:
     return ToothForestChainFamily(bits)
 

@@ -19,9 +19,13 @@ from fractions import Fraction
 
 from . import acceptance
 from .catalog import (
+    ArcChainFamily,
     CatalogPoint,
+    OuterArcChainFamily,
     S1_WITNESSES,
     S2_WITNESSES,
+    SineChainFamily,
+    SpiralChainFamily,
     T_REPRESENTATIVES,
     arc_family,
     catalog_spaces,
@@ -46,11 +50,11 @@ from .ultrafilter import SimulatedUltrafilter
 SCHEMA = "chainorder-report/1"
 
 _VARIANTS = {
-    "arc": ("standard", "reversed"),
-    "s1": ("D", "D'", "E", "E'"),
-    "s2": ("standard", "reversed"),
+    **{
+        cls.SPACE: cls.VARIANTS
+        for cls in (ArcChainFamily, SineChainFamily, OuterArcChainFamily, SpiralChainFamily)
+    },
     "s3": ("binary prefix via --bits",),
-    "t": ("D", "E"),
 }
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -14,6 +17,10 @@ from chainorder.catalog import (
     S1_WITNESSES,
     S2_WITNESSES,
     T_REPRESENTATIVES,
+    ToothForestChainFamily,
+    _gap_shape,
+    _s3_family_cached,
+    _window_range,
     arc_family,
     arc_space,
     catalog_spaces,
@@ -118,6 +125,19 @@ class TestSpaces:
         elif w > 0:
             assert a[0] > b[0]
         assert Fraction(1, 3) < a[0] < Fraction(1, 2)
+
+
+@given(
+    small_fractions,
+    small_fractions.filter(lambda f: f > 0),
+    st.sampled_from([3, 5, 8]),
+    st.integers(min_value=1, max_value=40),
+)
+def test_window_range_matches_the_fraction_formula(where, step, part, count):
+    t, overlap = where * count * step, step / part
+    lo = math.floor((t - overlap) / step) + 1
+    hi = math.ceil((t + overlap) / step)
+    assert _window_range(t, step, overlap, count) == IndexRange(max(lo, 1), min(hi, count))
 
 
 class TestSeparationData:
@@ -372,6 +392,40 @@ class TestToothForestFamilies:
         assert level.index_of(CatalogPoint("origin", 0)) == IndexRange(last, last)
         assert level.index_of(CatalogPoint("tooth_9", Fraction(1, 18))) == IndexRange(last, last)
 
+    def test_gap_shapes_are_shared_by_prefixes(self):
+        # A gap's shape depends on its index, the level and the two bits
+        # around it: 4 shapes per inner gap and 2 for the last, 72 in all.
+        _gap_shape.cache_clear()
+        for bits in itertools.product((0, 1), repeat=6):
+            family = ToothForestChainFamily(bits)
+            for m in range(1, 7):
+                family.level(m)
+        info = _gap_shape.cache_info()
+        assert (info.currsize, info.misses) == (72, 72)
+
+    def test_gap_index_shifts_with_the_gap_base(self):
+        rng = random.Random(3)
+        for _ in range(12):
+            m = rng.randint(2, 6)
+            i = rng.randint(1, m - 1)
+            one = [rng.randrange(2) for _ in range(m)]
+            other = [rng.randrange(2) for _ in range(m)]
+            other[i - 1 : i + 1] = one[i - 1 : i + 1]
+            families = s3_family(one), s3_family(other)
+            shift = families[1]._plan(m).gap_base[i] - families[0]._plan(m).gap_base[i]
+            samples = families[0].walk_samples(m) + families[0].tail_samples(m)
+            on_gap = [p for p in samples if p.strand == f"gap_{i}"]
+            assert on_gap
+            for p in on_gap:
+                r = families[0].level(m).index_of(p)
+                assert families[1].level(m).index_of(p) == IndexRange(r.lo + shift, r.hi + shift)
+
+    def test_family_cache_is_bounded(self):
+        for k in range(1, 10_001):
+            s3_family(format(k, "b"))
+        info = _s3_family_cached.cache_info()
+        assert info.currsize == info.maxsize >= 64
+
 
 T_EXPECTED = {"D": ("T3", "T1", "T2"), "E": ("T1", "T2", "T3")}
 
@@ -460,6 +514,12 @@ class TestValidator:
             report = validate_level(family, n)
             assert report["ok"], report
             assert report["samples"] >= 8 * report["links"]
+
+    def test_random_s3_prefixes_pass(self):
+        prefixes = random.Random(5).sample(list(itertools.product((0, 1), repeat=4)), 3)
+        for bits in prefixes:
+            for n in range(1, 5):
+                assert validate_level(s3_family(bits), n)["ok"], (bits, n)
 
     def test_density_failure_is_reported(self):
         report = validate_level(arc_family("standard"), 2, min_samples_per_link=1000)

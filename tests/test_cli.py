@@ -130,6 +130,13 @@ class TestOrdersCount:
         assert report["distinct_orders"] == expected
         assert report["expected"] == expected
 
+    @pytest.mark.parametrize("depth", ["1", "3", "6"])
+    def test_arc_below_the_grid_mesh(self, capsys, depth):
+        # No arc level up to depth 6 has mesh below half the grid gap 1/24.
+        code, report = run_json(capsys, "orders-count", "--space", "arc", "--depth", depth)
+        assert code == (0 if depth == "6" else 1)
+        assert bool(report["detail"]["violations"]) == (depth != "6")
+
 
 class TestKnasterWitness:
     def test_evens_split(self, capsys):
