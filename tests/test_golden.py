@@ -29,9 +29,16 @@ CASES = {
         "compare", "--space", "s1", "--variant", "E",
         "--x", "bar:1/2", "--y", "bar:-1/2", "--depth", "8",
     ],
+    "compare-s1-Dprime": [
+        "compare", "--space", "s1", "--variant", "D'",
+        "--x", "bar:1/2", "--y", "bar:-1/2", "--depth", "8",
+    ],
     "compare-s2-reversed": [
         "compare", "--space", "s2", "--variant", "reversed",
         "--x", "ell:3", "--y", "wave:4", "--depth", "10",
+    ],
+    "compare-s2-standard": [
+        "compare", "--space", "s2", "--x", "ell:3", "--y", "wave:4", "--depth", "10",
     ],
     "compare-s3-011": [
         "compare", "--space", "s3", "--bits", "011",
