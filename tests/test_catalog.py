@@ -525,3 +525,62 @@ class TestValidator:
         report = validate_level(arc_family("standard"), 2, min_samples_per_link=1000)
         assert not report["ok"]
         assert report["reason"] == "links sampled too thinly"
+
+
+# -- checked persistence ----------------------------------------------------------
+
+
+def _points_on(strand, lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=24).map(
+        lambda t: CatalogPoint(strand, t)
+    )
+
+
+_SINE_WAVE = _points_on("wave", 0, 40)
+
+
+@st.composite
+def _s3_points(draw):
+    i = draw(st.integers(min_value=1, max_value=10))
+    kind = draw(st.sampled_from(["tooth", "gap", "origin"]))
+    if kind == "origin":
+        return CatalogPoint("origin", 0)
+    if kind == "tooth":
+        return draw(_points_on(f"tooth_{i}", 0, Fraction(1, i)))
+    return draw(_points_on(f"gap_{i}", -1, 1).filter(lambda p: abs(p.param) < 1))
+
+
+# The S3 prefix is drawn per example, at least 8 bits longer than the depth.
+_PERSISTENCE_CASES = {
+    **{f"arc-{v}": (lambda v=v: arc_family(v), small_fractions) for v in ("standard", "reversed")},
+    **{
+        f"s1-{v}": (lambda v=v: s1_family(v), st.one_of(_SINE_WAVE, _points_on("bar", -1, 1)))
+        for v in ("D", "D'", "E", "E'")
+    },
+    **{
+        f"s2-{v}": (lambda v=v: s2_family(v), st.one_of(_SINE_WAVE, _points_on("ell", 0, 5)))
+        for v in ("standard", "reversed")
+    },
+    "s3": (None, _s3_points()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PERSISTENCE_CASES))
+@given(data=st.data(), depth=st.integers(min_value=1, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_stabilized_verdicts_persist(case, data, depth):
+    """A stabilized verdict at depth d keeps its strict relation through level d + 8."""
+    make, points = _PERSISTENCE_CASES[case]
+    if make is None:
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=depth + 8, max_size=depth + 10))
+        family = s3_family(bits)
+    else:
+        family = make()
+    x = data.draw(points)
+    y = data.draw(points.filter(lambda p: p != x))
+    verdict = chain_order_compare(family, x, y, None, depth)
+    if verdict.kind != "stabilized" or verdict.direction not in ("le", "ge"):
+        return
+    strict = LE_ONLY if verdict.direction == "le" else GE_ONLY
+    for n in range(depth + 1, depth + 9):
+        assert family.level(n).relation(x, y) == strict, (x, y, depth, n, verdict)
