@@ -5,7 +5,10 @@ parameterized strands: the arc, the closed sine curve S1 (oscillating
 strand plus its limit interval), the variant S2 whose limit interval is
 extended by an outer arc, the forest S3 of sine-approached teeth, and
 the space T whose limit interval is replaced by a spiral strand that
-accumulates on the whole closed sine curve.
+accumulates on the whole closed sine curve.  S1, S2 and T share one
+sine curve and one walk along it: the S2 family is the S1 family with
+the outer arc as its limit strand, and T covers its bar and oscillation
+with a reversed S1 level.
 
 Every chain family assigns link indices combinatorially, as exact
 rational functions of strand parameters, so level relations and the
@@ -883,17 +886,7 @@ class ArcChainFamily(ChainFamily):
         return []
 
 
-# -- the closed sine curve S1 --------------------------------------------------
-
-
-def _wave_tail_samples(plan) -> list:
-    """Wave points beyond a level's deep cutoff, which its last links absorb."""
-    pts = []
-    u = plan.deep + plan.ov
-    while u <= plan.deep + 2:
-        pts.append(CatalogPoint("wave", u))
-        u += plan.h / 4
-    return pts
+# -- the sine curve: S1, and S2 with its outer arc --------------------------------
 
 
 class _SinePlan(NamedTuple):
@@ -907,7 +900,8 @@ class _SinePlan(NamedTuple):
     band: Fraction
     ovb: Fraction
     size: int
-    top_first: bool
+    entry: Fraction
+    sense: int
     flip: bool
     mesh: Fraction
 
@@ -919,20 +913,41 @@ class SineChainFamily(ChainFamily):
     Variant D cuts the oscillation at a peak and enters the bar from the
     top; D' cuts at a trough and enters from the bottom; E and E' are
     the reversely numbered copies.
+
+    The walk covers the oscillation in windows up to the cut, hands
+    over through one margin link, and runs the whole limit strand
+    ``LIMIT`` in slabs; the slabs also absorb the oscillation's tail
+    beyond the cut.  S2 and the bar-and-oscillation block of T reuse
+    this walk.
     """
 
     SPACE: ClassVar[str] = "s1"
     VARIANTS: ClassVar[tuple[str, ...]] = ("D", "D'", "E", "E'")
+    LIMIT: ClassVar[str] = "bar"
+    PEAK_CUT: ClassVar[tuple[str, ...]] = ("D", "E")
+    REVERSED: ClassVar[tuple[str, ...]] = ("E", "E'")
     variant: str
+
+    def _limit_at_height(self, y: Fraction) -> Fraction:
+        """The limit-strand parameter that the deep oscillation hugs at height y."""
+        return y
+
+    def _mesh(self, h: Fraction, band: Fraction, reach: Fraction) -> Fraction:
+        # reach: x of the oscillation where the windows stop; the tail
+        # beyond it, which the slabs absorb, stays within that x
+        return max(h + h / 4, band + band / 4, reach)
 
     def _build_plan(self, n: int) -> _SinePlan:
         c = 3 * (n + 3)
         h = Fraction(1, c)
-        peak_cut = self.variant in ("D", "E")
+        peak_cut = self.variant in self.PEAK_CUT
         deep = 4 * n + 2 if peak_cut else 4 * n + 4
         windows = deep * c
-        slabs = 4 * (n + 3)
-        band = Fraction(2, slabs)
+        limit = self.space.strand(self.LIMIT)
+        slabs = 2 * int(limit.hi - limit.lo) * (n + 3)
+        band = Fraction(1, 2 * (n + 3))
+        # The walk enters the limit strand where the cut's height meets it.
+        entry = self._limit_at_height(_ONE if peak_cut else Fraction(-1))
         plan = _SinePlan(
             n=n,
             h=h,
@@ -944,17 +959,18 @@ class SineChainFamily(ChainFamily):
             band=band,
             ovb=band / 8,
             size=windows + slabs,
-            top_first=peak_cut,
-            flip=self.variant in ("E", "E'"),
-            mesh=max(h + h / 4, band + band / 4, _wave_point(deep - h / 8)[0]),
+            entry=entry,
+            sense=1 if entry == limit.lo else -1,
+            flip=self.variant in self.REVERSED,
+            mesh=self._mesh(h, band, _wave_point(deep - h / 8)[0]),
         )
         # The walk enters from the free end: the outermost trough is in
-        # the first link, and the bar is first met by its entry slab.
+        # the first link, and the limit strand is first met by its entry slab.
         if self._base_index(plan, CatalogPoint("wave", 0)) != IndexRange(1, 1):
             raise AssertionError("free end must open the walk")
-        entry = CatalogPoint("bar", 1 if plan.top_first else -1)
-        if self._base_index(plan, entry) != IndexRange(plan.windows + 1, plan.windows + 1):
-            raise AssertionError("bar entry must follow the last window")
+        entry_link = IndexRange(plan.windows + 1, plan.windows + 1)
+        if self._base_index(plan, CatalogPoint(self.LIMIT, entry)) != entry_link:
+            raise AssertionError("limit entry must follow the last window")
         return plan
 
     def _base_index(self, plan: _SinePlan, point: CatalogPoint) -> IndexRange:
@@ -964,25 +980,24 @@ class SineChainFamily(ChainFamily):
                 return _window_range(u, plan.h, plan.ov, plan.windows)
             if u < plan.deep + plan.ov:
                 return IndexRange(plan.windows, plan.windows + 1)
-            y = _clamp(_wave_point(u)[1], Fraction(-1), _ONE)
-        elif point.strand == "bar":
-            y = point.param
+            t = self._limit_at_height(_clamp(_wave_point(u)[1], Fraction(-1), _ONE))
+        elif point.strand == self.LIMIT:
+            t = point.param
         else:
             raise ValueError(f"unknown point: {point}")
-        o = (1 - y) if plan.top_first else (y + 1)
+        o = t - plan.entry if plan.sense > 0 else plan.entry - t
         return _shift(_window_range(o, plan.band, plan.ovb, plan.slabs), plan.windows)
 
     def _index(self, plan: _SinePlan, point: CatalogPoint) -> IndexRange:
         r = self._base_index(plan, point)
         return reverse_range(plan.size, r) if plan.flip else r
 
+    def _settled(self, plan: _SinePlan, p: CatalogPoint) -> bool:
+        return p.strand == self.LIMIT or p.param <= plan.ustar
+
     def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
         plan = self._plan(n)
-
-        def settled(p: CatalogPoint) -> bool:
-            return p.strand == "bar" or p.param <= plan.ustar
-
-        return settled(x) and settled(y)
+        return self._settled(plan, x) and self._settled(plan, y)
 
     def walk_samples(self, n: int) -> list:
         plan = self._plan(n)
@@ -993,34 +1008,22 @@ class SineChainFamily(ChainFamily):
         pts.append(CatalogPoint("wave", plan.deep + plan.ov / 2))
         for k in range(8 * plan.slabs + 1):
             o = Fraction(k) * plan.band / 8
-            y = (1 - o) if plan.top_first else (o - 1)
-            pts.append(CatalogPoint("bar", y))
+            pts.append(CatalogPoint(self.LIMIT, plan.entry + plan.sense * o))
         return pts
 
     def tail_samples(self, n: int) -> list:
-        return _wave_tail_samples(self._plan(n))
-
-
-# -- S2: the sine curve with an outer arc --------------------------------------
-
-
-class _S2Plan(NamedTuple):
-    n: int
-    h: Fraction
-    ov: Fraction
-    deep: int
-    ustar: Fraction
-    windows: int
-    slabs: int
-    eta: Fraction
-    ovp: Fraction
-    size: int
-    flip: bool
-    mesh: Fraction
+        """Wave points beyond the cut, which the last links absorb."""
+        plan = self._plan(n)
+        pts = []
+        u = plan.deep + plan.ov
+        while u <= plan.deep + 2:
+            pts.append(CatalogPoint("wave", u))
+            u += plan.h / 4
+        return pts
 
 
 @dataclass(frozen=True)
-class OuterArcChainFamily(ChainFamily):
+class OuterArcChainFamily(SineChainFamily):
     """Chains on S2 walking the oscillation, then the outer arc end to end.
 
     The oscillation is cut at a peak, so the walk always enters the
@@ -1030,78 +1033,17 @@ class OuterArcChainFamily(ChainFamily):
 
     SPACE: ClassVar[str] = "s2"
     VARIANTS: ClassVar[tuple[str, ...]] = ("standard", "reversed")
-    variant: str
+    LIMIT: ClassVar[str] = "ell"
+    PEAK_CUT: ClassVar[tuple[str, ...]] = VARIANTS
+    REVERSED: ClassVar[tuple[str, ...]] = ("reversed",)
 
-    def _build_plan(self, n: int) -> _S2Plan:
-        c = 3 * (n + 3)
-        h = Fraction(1, c)
-        deep = 4 * n + 2
-        windows = deep * c
-        eta = Fraction(1, 2 * (n + 3))
-        slabs = 10 * (n + 3)
-        plan = _S2Plan(
-            n=n,
-            h=h,
-            ov=h / 8,
-            deep=deep,
-            ustar=deep - h / 8,
-            windows=windows,
-            slabs=slabs,
-            eta=eta,
-            ovp=eta / 8,
-            size=windows + slabs,
-            flip=self.variant == "reversed",
-            mesh=max(h + h / 4, eta + eta / 4 + _wave_point(deep - h / 8)[0]),
-        )
-        if self._base_index(plan, CatalogPoint("wave", 0)) != IndexRange(1, 1):
-            raise AssertionError("free end must open the walk")
-        corner = self._base_index(plan, CatalogPoint("ell", 0))
-        if corner != IndexRange(plan.windows + 1, plan.windows + 1):
-            raise AssertionError("outer arc must start right after the windows")
-        return plan
+    def _limit_at_height(self, y: Fraction) -> Fraction:
+        # The tail hugs the inner wall of the outer arc.
+        return 1 - y
 
-    def _base_index(self, plan: _S2Plan, point: CatalogPoint) -> IndexRange:
-        if point.strand == "wave":
-            u = point.param
-            if u <= plan.ustar:
-                return _window_range(u, plan.h, plan.ov, plan.windows)
-            if u < plan.deep + plan.ov:
-                return IndexRange(plan.windows, plan.windows + 1)
-            # The tail hugs the inner wall of the outer arc.
-            p = 1 - _clamp(_wave_point(u)[1], Fraction(-1), _ONE)
-        elif point.strand == "ell":
-            p = point.param
-        else:
-            raise ValueError(f"unknown point: {point}")
-        return _shift(_window_range(p, plan.eta, plan.ovp, plan.slabs), plan.windows)
-
-    def _index(self, plan: _S2Plan, point: CatalogPoint) -> IndexRange:
-        r = self._base_index(plan, point)
-        return reverse_range(plan.size, r) if plan.flip else r
-
-    def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
-        plan = self._plan(n)
-
-        def settled(p: CatalogPoint) -> bool:
-            return p.strand == "ell" or p.param <= plan.ustar
-
-        return settled(x) and settled(y)
-
-    def walk_samples(self, n: int) -> list:
-        plan = self._plan(n)
-        pts = [
-            CatalogPoint("wave", Fraction(k) * plan.h / 8)
-            for k in range(8 * plan.windows + 1)
-        ]
-        pts.append(CatalogPoint("wave", plan.deep + plan.ov / 2))
-        pts += [
-            CatalogPoint("ell", Fraction(k) * plan.eta / 8)
-            for k in range(8 * plan.slabs + 1)
-        ]
-        return pts
-
-    def tail_samples(self, n: int) -> list:
-        return _wave_tail_samples(self._plan(n))
+    def _mesh(self, h: Fraction, band: Fraction, reach: Fraction) -> Fraction:
+        # Slabs turning the floor corners also span the tail's width.
+        return max(h + h / 4, band + band / 4 + reach)
 
 
 # -- S3: the forest of teeth ----------------------------------------------------
@@ -1419,23 +1361,14 @@ class ToothForestChainFamily(ChainFamily):
 
 class _TPlan(NamedTuple):
     n: int
-    h: Fraction
-    ov: Fraction
-    deep: int
-    ustar: Fraction
-    wave_count: int
-    slabs: int
-    band: Fraction
-    ovb: Fraction
+    sine: _SinePlan
+    off_sine: int
     hs: Fraction
     ovs: Fraction
     spiral_count: int
     spiral_len: Fraction
     off_spiral: int
-    off_bar: int
-    off_wave: int
     size: int
-    bottom_up: bool
     mesh: Fraction
 
 
@@ -1447,22 +1380,25 @@ class SpiralChainFamily(ChainFamily):
     Variant D covers the spiral from its free end down to the cut vertex
     of circuit n and hands over to the bar's bottom slab; variant E
     covers the circuits outward from the gate of circuit n, so its
-    spiral block trails the oscillation block instead.
+    spiral block trails the oscillation block instead.  The bar and the
+    oscillation are walked as in the reversed S1 level of the same
+    depth: S1's variant E for D, and E' for E.
     """
 
     SPACE: ClassVar[str] = "t"
     VARIANTS: ClassVar[tuple[str, ...]] = ("D", "E")
     variant: str
 
+    @property
+    def _sine(self) -> SineChainFamily:
+        return s1_family("E" if self.variant == "D" else "E'")
+
     def _build_plan(self, n: int) -> _TPlan:
-        c = 3 * (n + 3)
-        h = Fraction(1, c)
-        slabs = 4 * (n + 3)
-        band = Fraction(2, slabs)
-        is_d = self.variant == "D"
-        deep = 4 * n + 2 if is_d else 4 * n + 4
-        wave_count = deep * c
+        # The S1 plan, not its level: T builds no S1 level of its own.
+        sine = self._sine._plan(n)
+        h, band = sine.h, sine.band
         hs = h
+        is_d = self.variant == "D"
         data = _pass_data(n)
         if is_d:
             spiral_len = _prefix_total(n - 1) + data.cum[data.cut_index]
@@ -1470,60 +1406,41 @@ class SpiralChainFamily(ChainFamily):
             spiral_len = _prefix_total(n - 1)
         spiral_count = _ceil(spiral_len / hs)
         if is_d:
-            off_spiral, off_bar, off_wave = 0, spiral_count, spiral_count + slabs
+            off_spiral, off_sine = 0, spiral_count
         else:
-            off_bar, off_wave, off_spiral = 0, slabs, slabs + wave_count
+            off_sine, off_spiral = 0, sine.size
         e = _spiral_eps(n)
         mesh = max(
             h + h / 4 + 6 * e,
             band + band / 4 + 2 * e,
-            _wave_point(deep - h / 8)[0] + 2 * e,
+            _wave_point(sine.ustar)[0] + 2 * e,
             data.bar_x_max + 2 * e,
             hs + hs / 4,
         )
         return _TPlan(
             n=n,
-            h=h,
-            ov=h / 8,
-            deep=deep,
-            ustar=deep - h / 8,
-            wave_count=wave_count,
-            slabs=slabs,
-            band=band,
-            ovb=band / 8,
+            sine=sine,
+            off_sine=off_sine,
             hs=hs,
             ovs=hs / 8,
             spiral_count=spiral_count,
             spiral_len=spiral_len,
             off_spiral=off_spiral,
-            off_bar=off_bar,
-            off_wave=off_wave,
-            size=spiral_count + slabs + wave_count,
-            bottom_up=is_d,
+            size=spiral_count + sine.size,
             mesh=mesh,
         )
 
-    def _bar_index(self, plan: _TPlan, y: Fraction) -> IndexRange:
-        o = (y + 1) if plan.bottom_up else (1 - y)
-        return _shift(_window_range(o, plan.band, plan.ovb, plan.slabs), plan.off_bar)
-
-    def _wave_index(self, plan: _TPlan, u: Fraction) -> IndexRange:
-        # Windows run from the deep cutoff outward to the free end.
-        if u <= plan.ustar:
-            r = _window_range(plan.deep - u, plan.h, plan.ov, plan.wave_count)
-            return _shift(r, plan.off_wave)
-        if u < plan.deep + plan.ov:
-            return IndexRange(plan.off_wave, plan.off_wave + 1)
-        return self._bar_index(plan, _clamp(_wave_point(u)[1], Fraction(-1), _ONE))
+    def _sine_index(self, plan: _TPlan, point: CatalogPoint) -> IndexRange:
+        return _shift(self._sine._index(plan.sine, point), plan.off_sine)
 
     def _spiral_host(self, plan: _TPlan, v: Fraction) -> IndexRange:
         data, i, t = _spiral_locate(v)
         tag = data.tags[i]
         if tag[0] == "bar":
-            y = _clamp(_spiral_point(v)[1], Fraction(-1), _ONE)
-            return self._bar_index(plan, y)
-        u = tag[1] + t * (tag[2] - tag[1])
-        return self._wave_index(plan, u)
+            host = CatalogPoint("bar", _clamp(_spiral_point(v)[1], Fraction(-1), _ONE))
+        else:
+            host = CatalogPoint("wave", tag[1] + t * (tag[2] - tag[1]))
+        return self._sine_index(plan, host)
 
     def _spiral_index(self, plan: _TPlan, v: Fraction) -> IndexRange:
         s = _spiral_arclength(v)
@@ -1543,20 +1460,14 @@ class SpiralChainFamily(ChainFamily):
     def _index(self, plan: _TPlan, point: CatalogPoint) -> IndexRange:
         if point.strand == "spiral":
             return self._spiral_index(plan, point.param)
-        if point.strand == "bar":
-            return self._bar_index(plan, point.param)
-        if point.strand == "wave":
-            return self._wave_index(plan, point.param)
-        raise ValueError(f"unknown point: {point}")
+        return self._sine_index(plan, point)
 
     def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
         plan = self._plan(n)
 
         def settled(p: CatalogPoint) -> bool:
-            if p.strand == "bar":
-                return True
-            if p.strand == "wave":
-                return p.param <= plan.ustar
+            if p.strand != "spiral":
+                return self._sine._settled(plan.sine, p)
             if plan.spiral_count == 0:
                 return False
             return _spiral_arclength(p.param) <= plan.spiral_len
@@ -1583,21 +1494,15 @@ class SpiralChainFamily(ChainFamily):
 
     def walk_samples(self, n: int) -> list:
         plan = self._plan(n)
+        # The reversed S1 walk runs from the bar's far end out to the free end.
+        sine = self._sine.walk_samples(n)[::-1]
         pts: list[CatalogPoint] = []
-        bar = []
-        for k in range(8 * plan.slabs + 1):
-            o = Fraction(k) * plan.band / 8
-            y = o - 1 if plan.bottom_up else 1 - o
-            bar.append(CatalogPoint("bar", y))
-        wave = [CatalogPoint("wave", plan.deep + plan.ov / 2)]
-        for k in range(8 * plan.wave_count + 1):
-            wave.append(CatalogPoint("wave", plan.deep - Fraction(k) * plan.h / 8))
         if self.variant == "D":
             pts += self._spiral_walk(plan, outward=False)
             pts.append(CatalogPoint("spiral", _spiral_param_at(plan.spiral_len + plan.ovs / 2)))
-            pts += bar + wave
+            pts += sine
         else:
-            pts += bar + wave
+            pts += sine
             if plan.spiral_count > 0:
                 pts.append(
                     CatalogPoint("spiral", _spiral_param_at(plan.spiral_len + plan.ovs / 2))
@@ -1607,7 +1512,7 @@ class SpiralChainFamily(ChainFamily):
 
     def tail_samples(self, n: int) -> list:
         plan = self._plan(n)
-        pts = _wave_tail_samples(plan)
+        pts = self._sine.tail_samples(n)
         s = plan.spiral_len + plan.ovs
         stop = plan.spiral_len + 2
         while s <= stop:
