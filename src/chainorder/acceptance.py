@@ -107,15 +107,14 @@ def arc_order_count(depth: int = 20) -> dict:
     grid = [Fraction(k, 24) for k in range(25)]
     families = {v: arc_family(v) for v in ("standard", "reversed")}
 
-    orders = {v: _ranking(fam, grid, depth) for v, fam in families.items()}
-    distinct = len(set(orders.values()))
-
     late = []
-    for fam in families.values():
+    unsettled = set()
+    for v, fam in families.items():
         for x, y in itertools.combinations(grid, 2):
             verdict = chain_order_compare(fam, x, y, None, depth)
             if verdict.kind != STABILIZED:
                 late.append((str(x), str(y), "unstabilized"))
+                unsettled.add(v)
                 continue
             # The first level fine enough to separate the pair may lie
             # beyond depth; a threshold within depth is then early enough.
@@ -123,6 +122,9 @@ def arc_order_count(depth: int = 20) -> dict:
             first = next(n for n in itertools.count(1) if fam.level(n).mesh_bound < gap / 2)
             if verdict.threshold > first:
                 late.append((str(x), str(y), verdict.threshold, first))
+    # A family with undecided grid pairs ranks ties, not a stabilized order.
+    orders = {_ranking(fam, grid, depth) for v, fam in families.items() if v not in unsettled}
+    distinct = len(orders)
 
     passed = distinct == 2 and not late
     return _report(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -262,6 +263,57 @@ def _cmd_knaster_witness(args) -> tuple[dict, bool]:
     return report, bool(demo["distinct"])
 
 
+# Orientation reports whose estimated cost exceeds 2^23 bit steps are
+# refused; at that size a report takes one to three seconds (Python 3.11,
+# one core of a 2-vCPU virtual machine), and each further bit of depth
+# doubles it.
+ORIENTATION_BUDGET_LOG2 = 23
+
+
+def _log2_steps(*terms: tuple[int, int]) -> float:
+    """log2 of the sum of ``factor * 2**exponent`` over the terms.
+
+    Logarithms keep absurd inputs such as ``--depth 10**9`` from
+    building huge integers just to be refused.
+    """
+    logs = [math.log2(max(factor, 1)) + exponent for factor, exponent in terms]
+    top = max(logs)
+    return top + math.log2(sum(2.0 ** (x - top) for x in logs))
+
+
+def reach_log2_steps(src_len: int, tgt_len: int, depth: int) -> float:
+    """Upper bound, in log2 bit steps, on the work of ``orientation reach``.
+
+    The search may visit every (prefix, parity) state of the working
+    length, trying each flip on a word of that length.  The check maps
+    every tail of the source cylinder through at most 2 * (tgt_len + 2)
+    flips and lists every tail of the image cylinder.
+    """
+    length = max(src_len, tgt_len)
+    return _log2_steps(
+        ((length + 1) * length, length + 1),
+        (depth * (2 * tgt_len + 6), depth - length),
+    )
+
+
+def decompose_log2_steps(n: int) -> float:
+    """Upper bound, in log2 bit steps, on the work of ``orientation decompose``.
+
+    The check maps every tail of the cylinder through the composition,
+    which has at most 2n + 1 flips.
+    """
+    depth = max(n + 4, 8)
+    return _log2_steps((depth * (2 * n + 2), depth - n))
+
+
+def _within_budget(command: str, log2_steps: float) -> None:
+    if log2_steps > ORIENTATION_BUDGET_LOG2:
+        raise UsageError(
+            f"{command} needs up to 2^{math.ceil(log2_steps * 10) / 10} bit steps, "
+            f"over the budget of 2^{ORIENTATION_BUDGET_LOG2}"
+        )
+
+
 def _tails(length: int):
     for value in range(2**length):
         yield tuple((value >> (length - 1 - k)) & 1 for k in range(length))
@@ -271,6 +323,7 @@ def _cmd_orientation_decompose(args) -> tuple[dict, bool]:
     prefix = parse_word(args.prefix) if args.prefix else ()
     if len(prefix) != args.n:
         raise UsageError(f"--prefix must be a binary word of length {args.n}")
+    _within_budget("orientation decompose", decompose_log2_steps(args.n))
     composition = decompose_on_cylinder(args.n, prefix)
     depth = max(args.n + 4, 8)
     verified = all(
@@ -290,6 +343,7 @@ def _cmd_orientation_decompose(args) -> tuple[dict, bool]:
 def _cmd_orientation_reach(args) -> tuple[dict, bool]:
     src = parse_word(args.src) if args.src else ()
     tgt = parse_word(args.to) if args.to else ()
+    _within_budget("orientation reach", reach_log2_steps(len(src), len(tgt), args.depth))
     result = reach_with_parity(src, tgt, args.parity, args.depth)
     image = {
         apply_composition(result.composition, result.source + tail)

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from chainorder.cli import main
+from chainorder.cli import (
+    ORIENTATION_BUDGET_LOG2,
+    decompose_log2_steps,
+    main,
+    reach_log2_steps,
+)
 
 
 def run(capsys, *argv):
@@ -136,6 +141,8 @@ class TestOrdersCount:
         code, report = run_json(capsys, "orders-count", "--space", "arc", "--depth", depth)
         assert code == (0 if depth == "6" else 1)
         assert bool(report["detail"]["violations"]) == (depth != "6")
+        # Only families whose grid pairs all stabilized count as orders.
+        assert report["distinct_orders"] == (2 if depth == "6" else 0)
 
 
 class TestKnasterWitness:
@@ -221,6 +228,37 @@ class TestOrientation:
         )
         assert code == 2
         assert "too shallow" in err
+
+    def test_reach_estimate_doubles_per_level(self):
+        steps = [reach_log2_steps(1, 2, depth) for depth in range(12, 31)]
+        assert all(1 <= b - a < 1.15 for a, b in zip(steps, steps[1:]))
+        # The search bound grows with the working length, not the depth.
+        assert reach_log2_steps(16, 16, 18) > reach_log2_steps(14, 14, 16) + 2
+        assert reach_log2_steps(1, 2, 8) < ORIENTATION_BUDGET_LOG2 < reach_log2_steps(1, 2, 30)
+
+    def test_decompose_estimate_is_quadratic_in_n(self):
+        assert abs(decompose_log2_steps(800) - decompose_log2_steps(400) - 2) < 0.05
+        assert decompose_log2_steps(3) < ORIENTATION_BUDGET_LOG2 < decompose_log2_steps(1000)
+
+    @pytest.mark.parametrize(
+        "argv,estimate",
+        [
+            (["reach", "--from", "0", "--to", "11", "--parity", "odd", "--depth", "30"],
+             "2^36.3"),
+            (["reach", "--from", "0", "--to", "11", "--parity", "odd",
+              "--depth", "1000000000"], "2^1000000031.3"),
+            (["reach", "--from", "", "--to", "1" * 40, "--parity", "odd", "--depth", "42"],
+             "2^51.7"),
+            (["decompose", "--n", "1000", "--prefix", "1" * 1000], "2^25.0"),
+        ],
+        ids=["reach-depth-30", "reach-depth-1e9", "reach-long-target", "decompose-1000"],
+    )
+    def test_over_budget_is_refused(self, capsys, argv, estimate):
+        code, out, err = run(capsys, "orientation", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"needs up to {estimate} bit steps" in err
+        assert f"budget of 2^{ORIENTATION_BUDGET_LOG2}" in err
 
 
 class TestSuite:
