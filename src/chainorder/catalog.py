@@ -943,9 +943,10 @@ class SineChainFamily(ChainFamily):
         peak_cut = self.variant in self.PEAK_CUT
         deep = 4 * n + 2 if peak_cut else 4 * n + 4
         windows = deep * c
+        # Slabs of width band cover the whole limit strand.
         limit = self.space.strand(self.LIMIT)
-        slabs = 2 * int(limit.hi - limit.lo) * (n + 3)
         band = Fraction(1, 2 * (n + 3))
+        slabs = 2 * int(limit.hi - limit.lo) * (n + 3)
         # The walk enters the limit strand where the cut's height meets it.
         entry = self._limit_at_height(_ONE if peak_cut else Fraction(-1))
         plan = _SinePlan(

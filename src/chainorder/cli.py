@@ -281,7 +281,7 @@ def _log2_steps(*terms: tuple[int, int]) -> float:
     return top + math.log2(sum(2.0 ** (x - top) for x in logs))
 
 
-def reach_log2_steps(src_len: int, tgt_len: int, depth: int) -> float:
+def _reach_log2_steps(src_len: int, tgt_len: int, depth: int) -> float:
     """Upper bound, in log2 bit steps, on the work of ``orientation reach``.
 
     The search may visit every (prefix, parity) state of the working
@@ -296,7 +296,7 @@ def reach_log2_steps(src_len: int, tgt_len: int, depth: int) -> float:
     )
 
 
-def decompose_log2_steps(n: int) -> float:
+def _decompose_log2_steps(n: int) -> float:
     """Upper bound, in log2 bit steps, on the work of ``orientation decompose``.
 
     The check maps every tail of the cylinder through the composition,
@@ -323,7 +323,7 @@ def _cmd_orientation_decompose(args) -> tuple[dict, bool]:
     prefix = parse_word(args.prefix) if args.prefix else ()
     if len(prefix) != args.n:
         raise UsageError(f"--prefix must be a binary word of length {args.n}")
-    _within_budget("orientation decompose", decompose_log2_steps(args.n))
+    _within_budget("orientation decompose", _decompose_log2_steps(args.n))
     composition = decompose_on_cylinder(args.n, prefix)
     depth = max(args.n + 4, 8)
     verified = all(
@@ -343,7 +343,7 @@ def _cmd_orientation_decompose(args) -> tuple[dict, bool]:
 def _cmd_orientation_reach(args) -> tuple[dict, bool]:
     src = parse_word(args.src) if args.src else ()
     tgt = parse_word(args.to) if args.to else ()
-    _within_budget("orientation reach", reach_log2_steps(len(src), len(tgt), args.depth))
+    _within_budget("orientation reach", _reach_log2_steps(len(src), len(tgt), args.depth))
     result = reach_with_parity(src, tgt, args.parity, args.depth)
     image = {
         apply_composition(result.composition, result.source + tail)

@@ -6,9 +6,9 @@ import pytest
 
 from chainorder.cli import (
     ORIENTATION_BUDGET_LOG2,
-    decompose_log2_steps,
+    _decompose_log2_steps,
+    _reach_log2_steps,
     main,
-    reach_log2_steps,
 )
 
 
@@ -230,15 +230,15 @@ class TestOrientation:
         assert "too shallow" in err
 
     def test_reach_estimate_doubles_per_level(self):
-        steps = [reach_log2_steps(1, 2, depth) for depth in range(12, 31)]
+        steps = [_reach_log2_steps(1, 2, depth) for depth in range(12, 31)]
         assert all(1 <= b - a < 1.15 for a, b in zip(steps, steps[1:]))
         # The search bound grows with the working length, not the depth.
-        assert reach_log2_steps(16, 16, 18) > reach_log2_steps(14, 14, 16) + 2
-        assert reach_log2_steps(1, 2, 8) < ORIENTATION_BUDGET_LOG2 < reach_log2_steps(1, 2, 30)
+        assert _reach_log2_steps(16, 16, 18) > _reach_log2_steps(14, 14, 16) + 2
+        assert _reach_log2_steps(1, 2, 8) < ORIENTATION_BUDGET_LOG2 < _reach_log2_steps(1, 2, 30)
 
     def test_decompose_estimate_is_quadratic_in_n(self):
-        assert abs(decompose_log2_steps(800) - decompose_log2_steps(400) - 2) < 0.05
-        assert decompose_log2_steps(3) < ORIENTATION_BUDGET_LOG2 < decompose_log2_steps(1000)
+        assert abs(_decompose_log2_steps(800) - _decompose_log2_steps(400) - 2) < 0.05
+        assert _decompose_log2_steps(3) < ORIENTATION_BUDGET_LOG2 < _decompose_log2_steps(1000)
 
     @pytest.mark.parametrize(
         "argv,estimate",
