@@ -550,18 +550,28 @@ def _s3_points(draw):
     return draw(_points_on(f"gap_{i}", -1, 1).filter(lambda p: abs(p.param) < 1))
 
 
-# The S3 prefix is drawn per example, at least 8 bits longer than the depth.
+def _fixed(factory, variant):
+    return lambda depth: st.just(factory(variant))
+
+
+def _s3_prefixes(depth):
+    # At least 8 bits longer than the depth, so levels up to d + 8 exist.
+    bits = st.lists(st.integers(0, 1), min_size=depth + 8, max_size=depth + 10)
+    return bits.map(s3_family)
+
+
+# case -> (families for a depth, points)
 _PERSISTENCE_CASES = {
-    **{f"arc-{v}": (lambda v=v: arc_family(v), small_fractions) for v in ("standard", "reversed")},
+    **{f"arc-{v}": (_fixed(arc_family, v), small_fractions) for v in ("standard", "reversed")},
     **{
-        f"s1-{v}": (lambda v=v: s1_family(v), st.one_of(_SINE_WAVE, _points_on("bar", -1, 1)))
+        f"s1-{v}": (_fixed(s1_family, v), st.one_of(_SINE_WAVE, _points_on("bar", -1, 1)))
         for v in ("D", "D'", "E", "E'")
     },
     **{
-        f"s2-{v}": (lambda v=v: s2_family(v), st.one_of(_SINE_WAVE, _points_on("ell", 0, 5)))
+        f"s2-{v}": (_fixed(s2_family, v), st.one_of(_SINE_WAVE, _points_on("ell", 0, 5)))
         for v in ("standard", "reversed")
     },
-    "s3": (None, _s3_points()),
+    "s3": (_s3_prefixes, _s3_points()),
 }
 
 
@@ -570,12 +580,8 @@ _PERSISTENCE_CASES = {
 @settings(max_examples=60, deadline=None)
 def test_stabilized_verdicts_persist(case, data, depth):
     """A stabilized verdict at depth d keeps its strict relation through level d + 8."""
-    make, points = _PERSISTENCE_CASES[case]
-    if make is None:
-        bits = data.draw(st.lists(st.integers(0, 1), min_size=depth + 8, max_size=depth + 10))
-        family = s3_family(bits)
-    else:
-        family = make()
+    families, points = _PERSISTENCE_CASES[case]
+    family = data.draw(families(depth))
     x = data.draw(points)
     y = data.draw(points.filter(lambda p: p != x))
     verdict = chain_order_compare(family, x, y, None, depth)
