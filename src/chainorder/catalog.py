@@ -749,7 +749,8 @@ def _scan_certificate(family, x, y, depth: int) -> ComparisonVerdict:
 
     The scan finds the earliest level from which the computed relation
     is strict and constant through ``depth``; the verdict is only issued
-    from a level where both points are in settled zones, where the walk
+    from a level where both points are in settled zones and, on one
+    strand, farther apart than any link there spans, where the walk
     layout pins their relative order at every finer level as well.
     """
     if x == y:
@@ -996,9 +997,17 @@ class SineChainFamily(ChainFamily):
     def _settled(self, plan: _SinePlan, p: CatalogPoint) -> bool:
         return p.strand == self.LIMIT or p.param <= plan.ustar
 
+    def _apart(self, plan: _SinePlan, x: CatalogPoint, y: CatalogPoint) -> bool:
+        """Settled points of one strand farther apart than any of its links
+        spans, so no level from this one on (links only shrink) shares a link."""
+        if x.strand != y.strand:
+            return True
+        span = plan.h + 2 * plan.ov if x.strand == "wave" else plan.band + 2 * plan.ovb
+        return abs(x.param - y.param) > span
+
     def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
         plan = self._plan(n)
-        return self._settled(plan, x) and self._settled(plan, y)
+        return self._settled(plan, x) and self._settled(plan, y) and self._apart(plan, x, y)
 
     def walk_samples(self, n: int) -> list:
         plan = self._plan(n)
@@ -1064,6 +1073,7 @@ class _GapShape(NamedTuple):
 
     legs: tuple[_Leg, ...]
     total: int
+    span: Fraction  # the longest stretch of w any link between the cuts covers
     cut_r_w: Fraction
     marg_r: Fraction
     kind_l: str
@@ -1168,6 +1178,8 @@ def _gap_shape(i: int, m: int, bit_r: int, bit_l: int | None) -> _GapShape:
     return _GapShape(
         legs=tuple(legs),
         total=link,
+        # A link at a leg boundary reaches ovw into the neighbouring leg.
+        span=max(leg.step + 2 * leg.ovw for leg in legs),
         cut_r_w=anchors[0][0],
         marg_r=legs[0].ovw,
         kind_l=kind_l,
@@ -1299,7 +1311,14 @@ class ToothForestChainFamily(ChainFamily):
         plan = self._plan(n)
         cx, cy = self._classify(plan, x), self._classify(plan, y)
         if {cx, cy} == {"pure"}:
-            return True
+            if x.strand != y.strand:
+                return True
+            # Both on one tooth or one gap: farther apart than any of its
+            # links spans, which no later level widens.
+            kind, i = _parse_s3_strand(x.strand)
+            bt = plan.tooth_bt[i]
+            span = bt + bt / 4 if kind == "tooth" else plan.gaps[i].span
+            return abs(x.param - y.param) > span
         if {cx, cy} == {"pure", "blob"}:
             return True
         if {cx, cy} == {"pure", "blob-partial"}:
@@ -1473,7 +1492,12 @@ class SpiralChainFamily(ChainFamily):
                 return False
             return _spiral_arclength(p.param) <= plan.spiral_len
 
-        return settled(x) and settled(y)
+        if not (settled(x) and settled(y)):
+            return False
+        if x.strand == y.strand == "spiral":
+            gap = abs(_spiral_arclength(x.param) - _spiral_arclength(y.param))
+            return gap > plan.hs + 2 * plan.ovs
+        return self._sine._apart(plan.sine, x, y)
 
     def _spiral_walk(self, plan: _TPlan, outward: bool) -> list:
         # Sample per window in the window coordinate so the terminal

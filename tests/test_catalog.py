@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainorder.catalog import (
@@ -575,6 +575,21 @@ _PERSISTENCE_CASES = {
 }
 
 
+def _near(data, family, x, depth):
+    """A point of x's strand a few link spans from x, on scales from the
+    depth's mesh down to 1/64 of it."""
+    scale = family.level(depth).mesh_bound / 2 ** data.draw(st.integers(0, 6))
+    offset = scale * Fraction(data.draw(st.integers(1, 16)), 4)
+    offset *= data.draw(st.sampled_from((1, -1)))
+    if isinstance(x, CatalogPoint):
+        y = CatalogPoint(x.strand, x.param + offset)
+        assume(family.space.strand(x.strand).contains_param(y.param))
+    else:
+        y = x + offset
+        assume(0 <= y <= 1)
+    return y
+
+
 @pytest.mark.parametrize("case", sorted(_PERSISTENCE_CASES))
 @given(data=st.data(), depth=st.integers(min_value=1, max_value=8))
 @settings(max_examples=60, deadline=None)
@@ -583,10 +598,46 @@ def test_stabilized_verdicts_persist(case, data, depth):
     families, points = _PERSISTENCE_CASES[case]
     family = data.draw(families(depth))
     x = data.draw(points)
-    y = data.draw(points.filter(lambda p: p != x))
+    if data.draw(st.booleans()):
+        y = _near(data, family, x, depth)
+    else:
+        y = data.draw(points.filter(lambda p: p != x))
     verdict = chain_order_compare(family, x, y, None, depth)
     if verdict.kind != "stabilized" or verdict.direction not in ("le", "ge"):
         return
     strict = LE_ONLY if verdict.direction == "le" else GE_ONLY
     for n in range(depth + 1, depth + 9):
         assert family.level(n).relation(x, y) == strict, (x, y, depth, n, verdict)
+
+
+# Close pairs on one strand that were once certified too early: a later,
+# finer level put both points in one link.  (family, x, y, depth, a depth
+# whose links on that strand are shorter than the pair's distance)
+_CLOSE_PAIRS = {
+    "s1-E-wave": (lambda: s1_family("E"), "wave", "11/15", "10/13", 1, 9),
+    "s2-standard-wave": (lambda: s2_family("standard"), "wave", "11/15", "10/13", 4, 9),
+    "s1-E-bar": (lambda: s1_family("E"), "bar", "207/520", "91443/202280", 4, 9),
+    "s3-gap": (
+        lambda: s3_family([int(b) for b in "0110101101001101"]),
+        "gap_1", "-23/210", "-7267/81690", 5, 16,
+    ),
+    "t-D-wave": (lambda: t_family("D"), "wave", "5/2", "1981/778", 2, 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLOSE_PAIRS))
+def test_close_pairs_on_one_strand(case):
+    """Their verdict persists through 8 more levels, and stabilizes once
+    the strand's links are shorter than the distance between them."""
+    factory, strand, a, b, depth, later = _CLOSE_PAIRS[case]
+    family = factory()
+    x, y = CatalogPoint(strand, Fraction(a)), CatalogPoint(strand, Fraction(b))
+    verdict = chain_order_compare(family, x, y, None, depth)
+    if verdict.kind == "stabilized":
+        strict = LE_ONLY if verdict.direction == "le" else GE_ONLY
+        for n in range(verdict.threshold, depth + 9):
+            assert family.level(n).relation(x, y) == strict, (n, verdict)
+    late = chain_order_compare(family, x, y, None, later)
+    assert late.kind == "stabilized", late
+    strict = LE_ONLY if late.direction == "le" else GE_ONLY
+    assert family.level(later).relation(x, y) == strict
