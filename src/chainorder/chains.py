@@ -80,15 +80,30 @@ class ChainLevel:
     mesh_bound: Fraction
     index_fn: Callable = field(compare=False, repr=False)
     base_mesh: Fraction | None = None
+    # (x, y, range of x, range of y) for the last pair related here: one
+    # comparison's certificate, spot check and trace then place each point
+    # once per level.  Points are immutable, so the same objects have the
+    # same ranges; one entry per level keeps memory flat.
+    _last_pair: list = field(
+        default_factory=lambda: [None], init=False, compare=False, repr=False
+    )
 
     def index_of(self, point) -> IndexRange:
         return self.index_fn(point)
 
+    def _ranges(self, x, y) -> tuple[IndexRange, IndexRange]:
+        last = self._last_pair[0]
+        if last is not None and last[0] is x and last[1] is y:
+            return last[2], last[3]
+        rx, ry = self.index_of(x), self.index_of(y)
+        self._last_pair[0] = (x, y, rx, ry)
+        return rx, ry
+
     def relation(self, x, y) -> str:
-        return level_preorder(self.index_of(x), self.index_of(y))
+        return level_preorder(*self._ranges(x, y))
 
     def trace_entry(self, x, y) -> dict:
-        rx, ry = self.index_of(x), self.index_of(y)
+        rx, ry = self._ranges(x, y)
         return {
             "level": self.level,
             "k": self.size,

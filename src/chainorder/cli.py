@@ -11,6 +11,7 @@ experiment embeds holds, 1 when one fails, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -387,6 +388,9 @@ def _suite_lines(report: dict) -> list[str]:
 # -- argument parsing ----------------------------------------------------------
 
 
+# Built once per process on the first ``main`` call: parsing leaves the
+# parser unchanged, so repeated in-process calls share it.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainorder",

@@ -14,6 +14,7 @@ from chainorder.chains import (
     BOTH,
     GE_ONLY,
     LE_ONLY,
+    ChainLevel,
     IntervalChain,
     MeshBudgetError,
     NeverBetweenReport,
@@ -147,6 +148,24 @@ class TestLevelPreorder:
                 reverse_range(6, rx), reverse_range(6, ry)
             )
             assert reversed_rel == flip[rel]
+
+    def test_level_places_a_pair_once(self):
+        chain = IntervalChain(8)
+        placed = []
+
+        def index_of(t):
+            placed.append(t)
+            return chain.index_of(t)
+
+        level = ChainLevel(1, 8, chain.mesh, index_of)
+        x, y = Fraction(1, 8), Fraction(3, 4)
+        assert level.relation(x, y) == LE_ONLY
+        assert level.trace_entry(x, y)["relation"] == LE_ONLY
+        assert placed == [x, y]
+        # Another pair, or the same pair swapped, is placed afresh.
+        assert level.relation(y, x) == GE_ONLY
+        assert level.relation(x, Fraction(3, 16)) == BOTH
+        assert placed == [x, y, y, x, x, Fraction(3, 16)]
 
 
 class TestPullbackChain:

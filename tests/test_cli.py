@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point, in process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +304,32 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "--bits" in err
+
+
+class TestRepeatedCalls:
+    """Every main call in one process shares one parser; none leaves state behind."""
+
+    GOLDEN = ["compare", "--space", "s1", "--variant", "E",
+              "--x", "bar:1/2", "--y", "bar:-1/2", "--depth", "8"]
+
+    def test_errors_and_flags_do_not_leak(self, capsys, monkeypatch):
+        monkeypatch.delenv("CHAINORDER_REPORT_DIR", raising=False)
+        golden = (Path(__file__).with_name("golden") / "compare-s1-E.json").read_text(
+            encoding="utf-8"
+        )
+        assert run(capsys, *self.GOLDEN) == (0, golden, "")
+
+        code, _, err = run(capsys, "compare", "--space", "arc", "--x", "1/0", "--y", "1/2")
+        assert code == 2
+        assert err.startswith("error:")
+
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--space", "arc", "--x", "1/4"])
+        assert exc.value.code == 2
+        assert "--y" in capsys.readouterr().err
+
+        code, out, _ = run(capsys, "--format", "text", "--timing", *self.GOLDEN)
+        assert code == 0
+        assert "elapsed_s:" in out and not out.startswith("{")
+
+        assert run(capsys, *self.GOLDEN) == (0, golden, "")
