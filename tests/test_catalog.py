@@ -610,9 +610,10 @@ def test_stabilized_verdicts_persist(case, data, depth):
         assert family.level(n).relation(x, y) == strict, (x, y, depth, n, verdict)
 
 
-# Close pairs on one strand that were once certified too early: a later,
-# finer level put both points in one link.  (family, x, y, depth, a depth
-# whose links on that strand are shorter than the pair's distance)
+# Close pairs on one strand whose relation is strict at the given depth
+# while a finer level still puts both points in one link.  (family, strand,
+# x, y, depth, a depth whose links on that strand are shorter than the
+# distance between x and y)
 _CLOSE_PAIRS = {
     "s1-E-wave": (lambda: s1_family("E"), "wave", "11/15", "10/13", 1, 9),
     "s2-standard-wave": (lambda: s2_family("standard"), "wave", "11/15", "10/13", 4, 9),
