@@ -19,6 +19,7 @@ sampled validator checks against exact L-infinity diameters.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -461,8 +462,34 @@ def _wave_wall_x(u_zero: int, toward: int, y: Fraction) -> Fraction:
     return a0 - y * (_wave_anchor_x(u_zero - toward) - a0)
 
 
+# Circuits from here on take seconds each (level 11 about 1.7 s, level 12
+# about 4 s): past the depths `compare --space t` answers promptly.
+_DEEP_CIRCUIT = 11
+
+
 @lru_cache(maxsize=None)
 def _pass_data(p: int) -> _PassData:
+    """Circuit p; deep circuits are traced with the cyclic collector paused.
+
+    A circuit is an acyclic heap of tuples and Fractions, about 100,000
+    objects at circuit 10 and twice that at 11.  Collections while a deep
+    one grows free nothing and walk the growing heap again, and since how
+    many run depends on how far the build gets, a build cut short by a
+    caller's time budget would leave the collector at an arbitrary point
+    of its schedule, shifting the cost of the caller's next operations.
+    """
+    if p < _DEEP_CIRCUIT:
+        return _trace_pass(p)
+    enabled = gc.isenabled()
+    try:
+        gc.disable()
+        return _trace_pass(p)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _trace_pass(p: int) -> _PassData:
     """One full circuit of the spiral at offset e_p = 2^(-2p-3).
 
     The circuit traces the outline of the e_p-neighborhood of the closed

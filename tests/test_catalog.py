@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chainorder import catalog
 from chainorder.catalog import (
     CatalogPoint,
     S1_WITNESSES,
@@ -19,6 +21,7 @@ from chainorder.catalog import (
     T_REPRESENTATIVES,
     ToothForestChainFamily,
     _gap_shape,
+    _pass_data,
     _s3_family_cached,
     _window_range,
     arc_family,
@@ -436,6 +439,34 @@ class TestSpiralFamilies:
         assert t_family("D").level(2).size == 423
         assert t_family("E").level(1).size == 112
         assert t_family("E").level(2).size == 332
+
+    def test_deep_circuits_are_traced_with_the_collector_paused(self, monkeypatch):
+        trace, enabled = catalog._trace_pass, []
+
+        def traced(p):
+            enabled.append(gc.isenabled())
+            return trace(p)
+
+        monkeypatch.setattr(catalog, "_trace_pass", traced)
+        _pass_data.cache_clear()
+        _pass_data(2)
+        assert enabled == [True, True]
+        # Circuits 2 and 1 (its predecessor's check) as if they were deep.
+        monkeypatch.setattr(catalog, "_DEEP_CIRCUIT", 1)
+        _pass_data.cache_clear()
+        _pass_data(2)
+        assert enabled[2:] == [False, False] and gc.isenabled()
+        with pytest.raises(ValueError, match="passes start at 1"):
+            _pass_data(0)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            _pass_data.cache_clear()
+            _pass_data(2)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        _pass_data.cache_clear()
 
     @pytest.mark.parametrize("variant", ["D", "E"])
     def test_component_order_on_representatives(self, variant):
