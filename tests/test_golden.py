@@ -1,9 +1,12 @@
-"""Golden reports: the JSON the CLI prints must stay byte-identical.
+"""Golden reports: the JSON and text the CLI prints must stay byte-identical.
 
 Each case runs one command in process through ``cli.main`` and compares
 its standard output with ``tests/golden/<name>.json``.  The cases are
 the README examples plus a few comparisons that exercise reversed
-numberings and the deeper catalog spaces.  To record the files again
+numberings and the deeper catalog spaces.  The text cases run with
+``--format text`` and compare with ``tests/golden/<name>.txt``; between
+them they print nested dicts and lists, ``None`` and ``True``, rationals
+and objects expanded through ``as_dict``.  To record the files again
 after a deliberate report change, run ``python tests/test_golden.py``
 from the repository root with ``src`` on ``PYTHONPATH``.
 """
@@ -62,6 +65,14 @@ CASES = {
     "suite": ["suite"],
 }
 
+TEXT_CASES = {
+    "catalog-list": CASES["catalog-list"],
+    "compare-s1-D": [
+        "compare", "--space", "s1", "--x", "bar:1/2", "--y", "bar:-1/2", "--depth", "8",
+    ],
+    "knaster-witness-even": CASES["knaster-witness-even"],
+}
+
 
 def render(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
@@ -78,11 +89,23 @@ def test_report_matches_golden(name, monkeypatch):
     assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_text_report_matches_golden(name, monkeypatch):
+    monkeypatch.delenv("CHAINORDER_REPORT_DIR", raising=False)
+    code, out = render(["--format", "text", *TEXT_CASES[name]])
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     os.environ.pop("CHAINORDER_REPORT_DIR", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    recordings = [(f"{name}.json", argv) for name, argv in CASES.items()]
+    recordings += [
+        (f"{name}.txt", ["--format", "text", *argv]) for name, argv in TEXT_CASES.items()
+    ]
+    for filename, argv in recordings:
         code, out = render(argv)
         if code != 0:
-            raise SystemExit(f"{name}: exit code {code}")
-        (GOLDEN_DIR / f"{name}.json").write_text(out, encoding="utf-8")
+            raise SystemExit(f"{filename}: exit code {code}")
+        (GOLDEN_DIR / filename).write_text(out, encoding="utf-8")
