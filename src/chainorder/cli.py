@@ -1,23 +1,25 @@
 """Command-line front end: named experiments with reproducible reports.
 
-Reports are plain dicts rendered as JSON (stable key order, rationals as
-"p/q", a schema version field) or as indented text.  Identical
-invocations produce byte-identical JSON; wall-clock readings only enter
-with --timing.  Set CHAINORDER_REPORT_DIR to also write each JSON
-report into that directory.  Exit codes: 0 when every assertion the
-experiment embeds holds, 1 when one fails, 2 on usage or input errors.
+Reports are plain dicts rendered in one walk as JSON (``json.dumps``
+with indent=2 and ASCII escapes: stable key order, rationals as "p/q", a
+schema version field) or as indented text; golden files pin both.
+Identical invocations produce byte-identical JSON; wall-clock readings
+only enter with --timing.  Set CHAINORDER_REPORT_DIR to also write the
+JSON bytes of each report into that directory.  Exit codes: 0 when
+every assertion the experiment embeds holds, 1 when one fails, 2 on
+usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import acceptance
 from .catalog import (
@@ -64,21 +66,6 @@ class UsageError(ValueError):
     """Bad selector or malformed input; maps to exit code 2."""
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in items]
-    if hasattr(value, "as_dict"):
-        return _jsonable(value.as_dict())
-    return str(value)
-
-
 def _family(space: str, variant: str | None, bits: str | None):
     if space == "s3":
         if not bits:
@@ -110,38 +97,84 @@ def _parse_point(space: str, text: str):
     return point
 
 
-def _text_lines(payload, indent: str = ""):
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            if isinstance(value, (dict, list)):
-                yield f"{indent}{key}:"
-                yield from _text_lines(value, indent + "  ")
-            else:
-                yield f"{indent}{key}: {value}"
-    elif isinstance(payload, list):
-        for value in payload:
-            if isinstance(value, (dict, list)):
-                yield from _text_lines(value, indent + "  ")
-            else:
-                yield f"{indent}- {value}"
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 
-def _emit(report: dict, fmt: str, experiment: str, lines: list[str] | None = None) -> None:
-    payload = _jsonable(report)
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif lines is not None:
-        for line in lines:
-            print(line)
+def _render(value, out: list[str], text: bool, indent: str = "", label: str | None = None):
+    """Append a report value to ``out`` in one walk, as JSON or as text lines.
+
+    The JSON is ``json.dumps(indent=2)`` with ASCII escapes, after
+    rationals become "p/q", tuples lists, sets sorted lists, ``as_dict``
+    objects dicts and anything else its ``str``.  Text prints a scalar as
+    ``label: value`` in a dict and ``- value`` in a list, a container's
+    ``label:`` line first, each level two spaces deeper.
+    """
+    if isinstance(value, str):
+        scalar = value if text else _quote(value)
+    elif value is None or value is True or value is False:
+        scalar = str(value) if text else _JSON_WORDS[value]
+    elif isinstance(value, (int, float)):
+        scalar = repr(value)
+    elif isinstance(value, (dict, list, tuple, set, frozenset)):
+        keyed = isinstance(value, dict)
+        if isinstance(value, (set, frozenset)):
+            value = sorted(value)
+        inner = indent + "  "
+        if text:
+            if label is not None:
+                out.append(f"{indent[:-2]}{label}:\n")
+            for key, item in value.items() if keyed else enumerate(value):
+                _render(item, out, True, inner, str(key) if keyed else None)
+        elif not value:
+            out.append("{}" if keyed else "[]")
+        elif keyed:
+            separator = "{\n" + inner
+            for key, item in value.items():
+                out.append(f"{separator}{_quote(str(key))}: ")
+                _render(item, out, False, inner)
+                separator = ",\n" + inner
+            out.append(f"\n{indent}}}")
+        else:
+            separator = "[\n" + inner
+            for item in value:
+                out.append(separator)
+                _render(item, out, False, inner)
+                separator = ",\n" + inner
+            out.append(f"\n{indent}]")
+        return
+    elif isinstance(value, Fraction):
+        # Tested after the common types: Fraction's metaclass is ABCMeta, so
+        # this check costs several times a plain isinstance check.
+        scalar = rational_str(value) if text else _quote(rational_str(value))
+    elif hasattr(value, "as_dict"):
+        _render(value.as_dict(), out, text, indent, label)
+        return
     else:
-        for line in _text_lines(payload):
-            print(line)
+        scalar = str(value) if text else _quote(str(value))
+    if text:
+        scalar = f"{indent[:-2]}{'- ' if label is None else label + ': '}{scalar}\n"
+    out.append(scalar)
+
+
+def _emit(report: dict, fmt: str, experiment: str) -> None:
     directory = os.environ.get("CHAINORDER_REPORT_DIR")
+    if fmt == "json" or directory:
+        parts: list[str] = []
+        _render(report, parts, False)
+        document = "".join(parts) + "\n"
+    if fmt == "json":
+        print(document, end="")
+    elif experiment == "suite":
+        print("\n".join(_suite_lines(report)))
+    else:
+        parts = []
+        _render(report, parts, True)
+        print("".join(parts), end="")
     if directory:
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{experiment}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            fh.write(document)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -460,35 +493,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+_COMMANDS = {
+    "catalog-list": _cmd_catalog_list,
+    "compare": _cmd_compare,
+    "orders-count": _cmd_orders_count,
+    "knaster-witness": _cmd_knaster_witness,
+    "orientation-decompose": _cmd_orientation_decompose,
+    "orientation-reach": _cmd_orientation_reach,
+    "suite": _cmd_suite,
+}
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+
+    experiment = args.command + (f"-{args.subcommand}" if "subcommand" in args else "")
     started = time.perf_counter()
-    lines = None
     try:
-        if args.command == "catalog":
-            experiment = "catalog-list"
-            body, passed = _cmd_catalog_list(args)
-        elif args.command == "compare":
-            experiment = "compare"
-            body, passed = _cmd_compare(args)
-        elif args.command == "orders-count":
-            experiment = "orders-count"
-            body, passed = _cmd_orders_count(args)
-        elif args.command == "knaster-witness":
-            experiment = "knaster-witness"
-            body, passed = _cmd_knaster_witness(args)
-        elif args.command == "orientation":
-            experiment = f"orientation-{args.subcommand}"
-            if args.subcommand == "decompose":
-                body, passed = _cmd_orientation_decompose(args)
-            else:
-                body, passed = _cmd_orientation_reach(args)
-        else:
-            experiment = "suite"
-            body, passed = _cmd_suite(args)
-            lines = _suite_lines(body)
+        body, passed = _COMMANDS[experiment](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -497,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     report.update(body)
     if args.timing:
         report["elapsed_s"] = round(time.perf_counter() - started, 4)
-    _emit(report, args.format, experiment, lines)
+    _emit(report, args.format, experiment)
     return 0 if passed else 1
 
 

@@ -1,16 +1,21 @@
 """End-to-end runs of the command-line entry point, in process."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainorder.cli import (
     ORIENTATION_BUDGET_LOG2,
     _decompose_log2_steps,
     _reach_log2_steps,
+    _render,
     main,
 )
+from chainorder.foundations import rational_str
 
 
 def run(capsys, *argv):
@@ -282,14 +287,104 @@ class TestSuite:
 
 
 class TestReportDir:
+    ARGV = ("compare", "--space", "arc", "--x", "0", "--y", "1/2")
+
     def test_report_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CHAINORDER_REPORT_DIR", str(tmp_path / "out"))
-        code, report = run_json(
-            capsys, "compare", "--space", "arc", "--x", "0", "--y", "1/2"
-        )
+        code, out, err = run(capsys, *self.ARGV)
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out" / "compare.json").read_bytes() == out.encode("utf-8")
+
+    def test_text_format_still_writes_json(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("CHAINORDER_REPORT_DIR", raising=False)
+        _, printed, _ = run(capsys, *self.ARGV)
+        monkeypatch.setenv("CHAINORDER_REPORT_DIR", str(tmp_path / "out"))
+        code, text, _ = run(capsys, "--format", "text", *self.ARGV)
         assert code == 0
-        on_disk = json.loads((tmp_path / "out" / "compare.json").read_text())
-        assert on_disk == report
+        assert text.startswith("schema: chainorder-report/1\n")
+        assert (tmp_path / "out" / "compare.json").read_text(encoding="utf-8") == printed
+
+
+def convert(value):
+    """The conversion the CLI ran before ``json.dumps`` until the one-pass renderer."""
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): convert(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = sorted(value) if isinstance(value, (set, frozenset)) else value
+        return [convert(v) for v in items]
+    if hasattr(value, "as_dict"):
+        return convert(value.as_dict())
+    return str(value)
+
+
+def text_lines(payload, indent=""):
+    """The text layout the CLI printed from ``convert``'s output until the one-pass renderer."""
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            if isinstance(value, (dict, list)):
+                yield f"{indent}{key}:"
+                yield from text_lines(value, indent + "  ")
+            else:
+                yield f"{indent}{key}: {value}"
+    elif isinstance(payload, list):
+        for value in payload:
+            if isinstance(value, (dict, list)):
+                yield from text_lines(value, indent + "  ")
+            else:
+                yield f"{indent}- {value}"
+
+
+class Reported:
+    """A value the CLI expands through ``as_dict``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def as_dict(self):
+        return self.value
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+    st.fractions(),
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+)
+reports = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.sets(st.integers(), max_size=4),
+        st.frozensets(st.fractions(), max_size=4),
+        st.sets(st.text(max_size=4), max_size=4),
+        children.map(Reported),
+    ),
+    max_leaves=30,
+)
+
+
+class TestRenderer:
+    @given(reports)
+    def test_json_matches_json_dumps(self, value):
+        out = []
+        _render(value, out, False)
+        assert "".join(out) == json.dumps(convert(value), indent=2)
+
+    @given(st.dictionaries(st.text(max_size=6), reports, max_size=4))
+    def test_text_matches_the_line_layout(self, value):
+        out = []
+        _render(value, out, True)
+        assert "".join(out) == "".join(line + "\n" for line in text_lines(convert(value)))
 
 
 class TestUsageErrors:
