@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainorder.cli import (
+    KNASTER_LEVEL_BUDGET,
     ORIENTATION_BUDGET_LOG2,
     _decompose_log2_steps,
     _reach_log2_steps,
@@ -187,6 +188,25 @@ class TestKnasterWitness:
         )
         assert code == 2
         assert "unknown level set" in err
+
+    # Each input is refused before any level is built, so none of these
+    # costs more than parsing its arguments.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--set", "even", "--depth", "100000"], "--depth 100000 is over"),
+            (["--set", "even", "--depth", str(10**12)], f"--depth {10**12} is over"),
+            (["--set", f"mod:{10**9},1"], f"modulus {10**9} is over"),
+            (["--set", f"cofinite:{10**9}"], f"cofinite start {10**9} is over"),
+        ],
+        ids=["depth-1e5", "depth-1e12", "modulus-1e9", "cofinite-1e9"],
+    )
+    def test_over_budget_is_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "knaster-witness", *argv, "--u1", "r2=0", "--u2", "r2=1")
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert f"budget of {KNASTER_LEVEL_BUDGET} levels" in err
 
 
 class TestOrientation:
