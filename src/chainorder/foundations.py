@@ -146,12 +146,6 @@ class EventuallyPeriodicSet:
         """Membership bits for 0..count-1."""
         return tuple(n in self for n in range(count))
 
-    def is_finite(self) -> bool:
-        return not any(self.pattern)
-
-    def is_cofinite(self) -> bool:
-        return all(self.pattern)
-
     # -- algebra ----------------------------------------------------------
 
     def _combine(

@@ -112,12 +112,6 @@ class TestMembership:
         s = EventuallyPeriodicSet(prefix, pattern)
         assert (n in s) == raw_member(prefix, pattern, n)
 
-    def test_finiteness_flags(self):
-        assert EventuallyPeriodicSet.finite([0, 9]).is_finite()
-        assert EventuallyPeriodicSet.cofinite_from(4).is_cofinite()
-        assert not EventuallyPeriodicSet.evens().is_finite()
-        assert not EventuallyPeriodicSet.evens().is_cofinite()
-
 
 class TestAlgebra:
     @given(epsets, epsets, st.integers(min_value=0, max_value=60))
