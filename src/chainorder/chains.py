@@ -167,10 +167,18 @@ def pullback_chain(system: InverseSystem, n: int, base: IntervalChain) -> ChainL
     eps_n = (fiber diameter bound) + 1/n, provided the base mesh fits
     under the continuity modulus for eps_n.
     """
+    return _pullback(n, base, *_pullback_budget(system, n))
+
+
+def _pullback_budget(system: InverseSystem, n: int) -> tuple[Fraction, Fraction]:
+    """eps_n and the continuity modulus a level-n base mesh must stay below."""
     if n < 1:
         raise ValueError("pullback levels start at 1")
     eps_n = fiber_diameter_bound(system, n) + Fraction(1, n)
-    delta = epsilon_map_modulus(system, n, eps_n)
+    return eps_n, epsilon_map_modulus(system, n, eps_n)
+
+
+def _pullback(n: int, base: IntervalChain, eps_n: Fraction, delta: Fraction) -> ChainLevel:
     if base.mesh >= delta:
         raise MeshBudgetError(
             f"base mesh {base.mesh} not below the modulus {delta} for level {n}"
@@ -197,11 +205,10 @@ class PullbackSequence:
 
     def level(self, n: int) -> ChainLevel:
         if n not in self._levels:
-            eps_n = fiber_diameter_bound(self.system, n) + Fraction(1, n)
-            delta = epsilon_map_modulus(self.system, n, eps_n)
+            eps_n, delta = _pullback_budget(self.system, n)
             # Smallest canonical chain fitting under the modulus.
             k = 3 * delta.denominator // (2 * delta.numerator) + 1
-            self._levels[n] = pullback_chain(self.system, n, IntervalChain(k))
+            self._levels[n] = _pullback(n, IntervalChain(k), eps_n, delta)
         return self._levels[n]
 
 

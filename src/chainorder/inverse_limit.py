@@ -29,7 +29,7 @@ from .foundations import (
     rational,
     rational_str,
 )
-from .plmaps import PLMap, tent
+from .plmaps import PLMap, band_of, tent
 from .ultrafilter import SimulatedUltrafilter
 
 LT = "LT"
@@ -128,7 +128,9 @@ class ThreadPoint:
     system: InverseSystem
     stem: tuple[Fraction, ...]
     tail: Tail
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # Coordinates 0..len-1 known so far: the stem, then each tail
+    # coordinate as it is first computed.
+    _coords: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         stem = tuple(rational(v) for v in self.stem)
@@ -147,6 +149,7 @@ class ThreadPoint:
             if self.system.bonding(n)(Fraction(0)) != stem[-1]:
                 raise ValueError("zero tail does not extend the stem")
         object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "_coords", list(stem))
 
     @property
     def max_level(self) -> int | None:
@@ -176,37 +179,27 @@ class ThreadPoint:
     def coordinate(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("levels are naturals")
-        if n < len(self.stem):
-            return self.stem[n]
+        coords = self._coords
+        if n < len(coords):
+            return coords[n]
         if isinstance(self.tail, ZeroTail):
             return Fraction(0)
-        if n in self._cache:
-            return self._cache[n]
         max_level = self.max_level
         if max_level is not None and n > max_level:
             raise DepthExceededError(
                 f"coordinate {n} exceeds the branch word (max level {max_level})"
             )
-        start = len(self.stem) - 1
-        value = self.stem[start]
-        j = start
-        while j < n:
-            nxt = j + 1
-            if nxt in self._cache:
-                value = self._cache[nxt]
-                j = nxt
-                continue
-            letter = self.letter_for_step(nxt)
-            preimages = self.system.bonding(j).preimages(value)
+        for j in range(len(coords), n + 1):
+            letter = self.letter_for_step(j)
+            value = coords[-1]
+            preimages = self.system.bonding(j - 1).preimages(value)
             if letter >= len(preimages):
                 raise ValueError(
-                    f"letter {letter} invalid at level {nxt}: "
+                    f"letter {letter} invalid at level {j}: "
                     f"{value} has {len(preimages)} preimages"
                 )
-            value = preimages[letter]
-            self._cache[nxt] = value
-            j = nxt
-        return value
+            coords.append(preimages[letter])
+        return coords[n]
 
     def has_periodic_certificate(self) -> bool:
         return isinstance(self.tail, (ZeroTail, PeriodicTail))
@@ -260,14 +253,12 @@ def thread_from_letters(
 
 def compare_level(x: ThreadPoint, y: ThreadPoint, n: int) -> str:
     a, b = x.coordinate(n), y.coordinate(n)
-    if a < b:
+    lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+    if lhs < rhs:
         return LT
-    if a > b:
+    if lhs > rhs:
         return GT
     return EQL
-
-
-_ZERO_BAND, _ONE_BAND, _INT_BAND = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -295,47 +286,6 @@ class SignCertificate:
         }
 
 
-def _band_of(v: Fraction) -> int:
-    if v == 0:
-        return _ZERO_BAND
-    if v == 1:
-        return _ONE_BAND
-    return _INT_BAND
-
-
-class _LapGeometry:
-    """Combinatorial data of a full-lap map used by the sign machine.
-
-    Positions live on a scale where lap k's interior is 2k+1 and the
-    boundary knot to its right is 2k+2; the left endpoint of [0,1] is 0.
-    """
-
-    def __init__(self, f: PLMap) -> None:
-        if not f.is_full_lap():
-            raise ValueError("sign machine needs a full-lap bonding map")
-        self.laps = f.laps()
-        self.knot_scale: dict[Fraction, int] = {f.breakpoints[self.laps[0].start]: 0}
-        for k, lap in enumerate(self.laps):
-            self.knot_scale[f.breakpoints[lap.stop]] = 2 * (k + 1)
-        self.zero_knots = f.preimages(Fraction(0))
-        self.one_knots = f.preimages(Fraction(1))
-        for t in self.zero_knots + self.one_knots:
-            if t not in self.knot_scale:
-                raise AssertionError("extreme preimage not at a lap boundary")
-
-    def step_point(self, band: int, letter: int) -> tuple[int, int, Fraction | None]:
-        """(new band, scale position, knot value if at a knot) after one letter."""
-        if band == _INT_BAND:
-            if letter >= len(self.laps):
-                raise ValueError(f"letter {letter} exceeds the {len(self.laps)} laps")
-            return _INT_BAND, 2 * letter + 1, None
-        knots = self.zero_knots if band == _ZERO_BAND else self.one_knots
-        if letter >= len(knots):
-            raise ValueError(f"letter {letter} exceeds {len(knots)} boundary preimages")
-        t = knots[letter]
-        return _band_of(t), self.knot_scale[t], t
-
-
 def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate:
     """Certify the full coordinatewise sign pattern of (x, y).
 
@@ -350,15 +300,14 @@ def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate:
         raise ValueError("sign machine needs a constant system")
     if not (x.has_periodic_certificate() and y.has_periodic_certificate()):
         raise ValueError("both points need periodic branch representations")
-    f = x.system.bonding(0)
-    geo = _LapGeometry(f)
+    geo = x.system.bonding(0).lap_geometry()
 
     start = max(x.certificate_start(), y.certificate_start())
     cyc_x, cyc_y = x.letter_cycle(), y.letter_cycle()
     history = [compare_level(x, y, n) for n in range(start + 1)]
 
-    band_x = _band_of(x.coordinate(start))
-    band_y = _band_of(y.coordinate(start))
+    band_x = band_of(x.coordinate(start))
+    band_y = band_of(y.coordinate(start))
     rel = history[start]
     # Positions of the letters that will produce coordinate start+1.
     pos_x = (start + 1 - x.certificate_start()) % len(cyc_x)
@@ -373,8 +322,8 @@ def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate:
         seen[state] = level
         pos_x, pos_y, band_x, band_y, rel = state
         lx, ly = cyc_x[pos_x], cyc_y[pos_y]
-        new_band_x, scale_x, _ = geo.step_point(band_x, lx)
-        new_band_y, scale_y, _ = geo.step_point(band_y, ly)
+        new_band_x, scale_x = geo.step_point(band_x, lx)
+        new_band_y, scale_y = geo.step_point(band_y, ly)
         if scale_x < scale_y:
             new_rel = LT
         elif scale_x > scale_y:

@@ -3,20 +3,47 @@
 A map is stored as its graph vertices: strictly increasing breakpoints
 b_0 = 0 < ... < b_k = 1 with values v_0..v_k in [0,1], interpolated
 linearly in between.  Evaluation, preimage enumeration, and lap
-(monotone branch) analysis all stay in ``Fraction`` arithmetic.
+(monotone branch) analysis are all exact.
+
+Each map compiles its segments into tables of integer numerators and
+denominators the first time it is evaluated or inverted, and keeps its
+laps, Lipschitz constant and lap geometry once computed.  All of it is
+stored on the map object, so it lives exactly as long as the map does.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
+from math import lcm
 
 from .foundations import Rational
 
 
 class PreimageError(ValueError):
     """Raised when a level set contains a whole segment (flat at the value)."""
+
+
+def _per_map(method):
+    """Compute a no-argument method once per map and keep the result on it."""
+    key = "_per_map_" + method.__name__
+
+    @wraps(method)
+    def cached(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = method(self)
+            return value
+
+    return cached
+
+
+def _over_common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(a', b', d) with a = a'/d and b = b'/d."""
+    d = lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
 
 
 @dataclass(frozen=True)
@@ -30,6 +57,43 @@ class Lap:
     start: int
     stop: int
     increasing: bool
+
+
+# Bands of a value for the sign machine: the preimages of 0 and of 1
+# under a full-lap map sit at lap boundaries, every other value has one
+# preimage inside each lap.
+_ZERO_BAND, _ONE_BAND, _INT_BAND = 0, 1, 2
+
+
+def band_of(v: Fraction) -> int:
+    if v == 0:
+        return _ZERO_BAND
+    if v == 1:
+        return _ONE_BAND
+    return _INT_BAND
+
+
+@dataclass(frozen=True)
+class LapGeometry:
+    """Combinatorial data of a full-lap map used by the sign machine.
+
+    Positions live on a scale where lap k's interior is 2k+1 and the
+    boundary knot to its right is 2k+2; the left endpoint of [0,1] is 0.
+    ``steps[band][letter]`` is the (band, position) of the preimage that
+    the letter picks for a value in that band.
+    """
+
+    laps: tuple[Lap, ...]
+    steps: tuple[tuple[tuple[int, int], ...], ...]
+
+    def step_point(self, band: int, letter: int) -> tuple[int, int]:
+        """(new band, scale position) after one letter."""
+        steps = self.steps[band]
+        if letter >= len(steps):
+            if band == _INT_BAND:
+                raise ValueError(f"letter {letter} exceeds the {len(self.laps)} laps")
+            raise ValueError(f"letter {letter} exceeds {len(steps)} boundary preimages")
+        return steps[letter]
 
 
 @dataclass(frozen=True)
@@ -61,33 +125,68 @@ class PLMap:
                 self.values[i + 1],
             )
 
+    @_per_map
+    def _forward(self) -> tuple[tuple[int, ...], ...]:
+        """Per segment, its right end r_n/r_d and f(t) = (c + m*t)/d on
+        it, all as integers (r_n, r_d, c, m, d)."""
+        table = []
+        for b0, b1, v0, v1 in self.segments():
+            slope = (v1 - v0) / (b1 - b0)
+            c, m, d = _over_common_denominator(v0 - b0 * slope, slope)
+            table.append((b1.numerator, b1.denominator, c, m, d))
+        return tuple(table)
+
+    @_per_map
+    def _inverse(self) -> tuple[tuple, ...]:
+        """Per segment, its value range [lo_n/lo_d, hi_n/hi_d] and either
+        the segment's domain (flat) or its inverse t = (c + s*y)/d as
+        integers (c, s, d)."""
+        table = []
+        for b0, b1, v0, v1 in self.segments():
+            lo, hi = (v0, v1) if v0 <= v1 else (v1, v0)
+            if v0 == v1:
+                branch = (b0, b1)
+            else:
+                slope = (b1 - b0) / (v1 - v0)
+                branch = _over_common_denominator(b0 - v0 * slope, slope)
+            table.append((lo.numerator, lo.denominator, hi.numerator, hi.denominator, branch))
+        return tuple(table)
+
     def __call__(self, t: int | Fraction) -> Fraction:
-        t = Fraction(t)
-        if not 0 <= t <= 1:
+        if type(t) is not Fraction:
+            t = Fraction(t)
+        p, q = t.numerator, t.denominator
+        if not 0 <= p <= q:
             raise ValueError(f"argument outside [0,1]: {t}")
-        i = bisect_right(self.breakpoints, t) - 1
-        if i == len(self.breakpoints) - 1:
-            i -= 1  # t == 1 falls into the last segment
-        b0, b1 = self.breakpoints[i], self.breakpoints[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (v1 - v0) * (t - b0) / (b1 - b0)
+        # The first segment ending right of t; t == 1 falls into the last.
+        for r_n, r_d, c, m, d in self._forward():
+            if p * r_d < r_n * q:
+                break
+        return Fraction(c * q + m * p, d * q)
 
     def preimages(self, y: int | Fraction) -> tuple[Fraction, ...]:
         """All solutions of f(t) = y, ascending and exact."""
-        y = Fraction(y)
-        if not 0 <= y <= 1:
+        if type(y) is not Fraction:
+            y = Fraction(y)
+        p, q = y.numerator, y.denominator
+        if not 0 <= p <= q:
             raise ValueError(f"value outside [0,1]: {y}")
-        hits: set[Fraction] = set()
-        for b0, b1, v0, v1 in self.segments():
-            if v0 == v1:
-                if v0 == y:
-                    raise PreimageError(f"level set of {y} contains [{b0}, {b1}]")
-                continue
-            lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
-            if lo <= y <= hi:
-                hits.add(b0 + (y - v0) * (b1 - b0) / (v1 - v0))
-        return tuple(sorted(hits))
+        hits = []
+        last_num, last_den = -1, 1
+        for lo_n, lo_d, hi_n, hi_d, branch in self._inverse():
+            if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q:
+                if len(branch) == 2:  # a flat segment, at the value y
+                    raise PreimageError(f"level set of {y} contains [{branch[0]}, {branch[1]}]")
+                c, s, d = branch
+                num, den = c * q + s * p, d * q
+                # Segments run left to right, so a hit can only repeat
+                # the previous one, at the breakpoint the two share.
+                if num * last_den != last_num * den:
+                    hits.append(Fraction(num, den))
+                    last_num, last_den = num, den
+        return tuple(hits)
 
+    @_per_map
     def laps(self) -> tuple[Lap, ...]:
         """Maximal strictly monotone runs; rejects maps with flat segments."""
         dirs = []
@@ -104,6 +203,7 @@ class PLMap:
         laps.append(Lap(start, len(dirs), dirs[start]))
         return tuple(laps)
 
+    @_per_map
     def is_full_lap(self) -> bool:
         """True when every monotone branch maps onto all of [0,1]."""
         try:
@@ -115,22 +215,28 @@ class PLMap:
             for lap in laps
         )
 
-    def branch(self, lap: Lap, y: int | Fraction) -> Fraction:
-        """The unique t in the lap's domain with f(t) = y."""
-        y = Fraction(y)
-        if not 0 <= y <= 1:
-            raise ValueError(f"value outside [0,1]: {y}")
-        for i in range(lap.start, lap.stop):
-            v0, v1 = self.values[i], self.values[i + 1]
-            lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
-            if lo <= y <= hi:
-                b0, b1 = self.breakpoints[i], self.breakpoints[i + 1]
-                return b0 + (y - v0) * (b1 - b0) / (v1 - v0)
-        raise ValueError(f"value {y} outside the lap's range")
-
+    @_per_map
     def lipschitz(self) -> Fraction:
         """The least Lipschitz constant (max absolute slope)."""
         return max(abs((v1 - v0) / (b1 - b0)) for b0, b1, v0, v1 in self.segments())
+
+    @_per_map
+    def lap_geometry(self) -> LapGeometry:
+        """The sign machine's view of a full-lap map."""
+        if not self.is_full_lap():
+            raise ValueError("sign machine needs a full-lap bonding map")
+        laps = self.laps()
+        knot_scale = {self.breakpoints[laps[0].start]: 0}
+        for k, lap in enumerate(laps):
+            knot_scale[self.breakpoints[lap.stop]] = 2 * (k + 1)
+        boundary = []
+        for y in (Fraction(0), Fraction(1)):
+            knots = self.preimages(y)
+            if any(t not in knot_scale for t in knots):
+                raise AssertionError("extreme preimage not at a lap boundary")
+            boundary.append(tuple((band_of(t), knot_scale[t]) for t in knots))
+        interior = tuple((_INT_BAND, 2 * k + 1) for k in range(len(laps)))
+        return LapGeometry(laps, (boundary[0], boundary[1], interior))
 
 
 _TENT = None

@@ -39,11 +39,13 @@ from chainorder.foundations import (
     IndexRange,
 )
 from chainorder.inverse_limit import (
+    InverseSystem,
     inverse_limit_order,
     tent_system,
     thread_from_letters,
     zero_thread,
 )
+from chainorder.plmaps import PLMap
 from chainorder.ultrafilter import SimulatedUltrafilter
 
 
@@ -334,6 +336,97 @@ class TestChainOrderCompare:
         assert trace[1]["relation"] == LE_ONLY
         assert trace[0]["k"] == 4
         assert set(trace[0]) == {"level", "k", "mesh", "idx_x", "idx_y", "relation"}
+
+
+ZIGZAG = PLMap(
+    (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)),
+    (Fraction(0), Fraction(1), Fraction(0), Fraction(1)),
+)
+
+
+def zigzag_preimages(v: Fraction) -> tuple[Fraction, ...]:
+    """The zigzag's branches v/3, (2-v)/3 and (2+v)/3, merged and sorted."""
+    return tuple(sorted({v / 3, (2 - v) / 3, (2 + v) / 3}))
+
+
+def zigzag_coordinates(x0, prefix, cycle, count) -> list[Fraction]:
+    coords = [Fraction(x0)]
+    for j in range(count - 1):
+        letter = prefix[j] if j < len(prefix) else cycle[(j - len(prefix)) % len(cycle)]
+        coords.append(zigzag_preimages(coords[-1])[letter])
+    return coords
+
+
+def expected_verdict(signs: list[str], first: int, depth: int):
+    """(kind, direction, threshold, le bits) read off a window of signs
+    that ends well inside their periodic part."""
+    tail = set(signs[len(signs) // 2 :])
+    if tail == {"EQ"}:
+        return STABILIZED, EQ, first, None
+    if tail in ({"LT"}, {"GT"}):
+        (target,) = tail
+        t = len(signs)
+        while t > first and signs[t - 1] == target:
+            t -= 1
+        if t > depth:
+            return UNKNOWN, None, None, None
+        return STABILIZED, LE if target == "LT" else GE, t, None
+    bits = tuple(n >= first and s != "GT" for n, s in enumerate(signs))
+    return ULTRAFILTER_DEPENDENT, None, None, bits
+
+
+class TestNonTentSystem:
+    """The three-lap zigzag as a constant system: both comparison routes
+    must match coordinate signs expanded from the zigzag's own formulas,
+    so nothing in the sign machine or gap dominance may assume the tent."""
+
+    WINDOW = 90
+    DEPTH = 40
+
+    def spec(self, rng):
+        if rng.random() < 0.25:
+            # Starts at 0 or 1 walk through the boundary preimages.
+            return rng.choice([(0, (), (0,)), (0, (), (1,)), (1, (), (1,)), (1, (0,), (2,))])
+        x0 = Fraction(rng.choice(["1/2", "1/4", "3/4", "1/3", "2/5"]))
+        prefix = tuple(rng.randrange(3) for _ in range(rng.randrange(4)))
+        return x0, prefix, tuple(rng.randrange(3) for _ in range(rng.randrange(1, 4)))
+
+    def test_both_routes_follow_expanded_signs(self):
+        system = InverseSystem("zigzag", True, lambda n: ZIGZAG)
+        seq = PullbackSequence(system)
+        towers = [None, u_mod2(0), u_mod2(1), SimulatedUltrafilter.parse("r3=1")]
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(60):
+            specs = [self.spec(rng), self.spec(rng)]
+            x, y = (thread_from_letters(system, *spec) for spec in specs)
+            cx, cy = (zigzag_coordinates(*spec, self.WINDOW) for spec in specs)
+            assert [x.coordinate(n) for n in range(self.WINDOW)] == cx
+            signs = ["EQ" if a == b else ("LT" if a < b else "GT") for a, b in zip(cx, cy)]
+            # Chain relations at pullback levels, placed from the expanded
+            # coordinates; level 0 is no chain level and never counts.
+            chain_signs = ["GT"]
+            for n in range(1, self.WINDOW):
+                chain = IntervalChain(seq.level(n).size)
+                relation = level_preorder(chain.index_of(cx[n]), chain.index_of(cy[n]))
+                chain_signs.append({LE_ONLY: "LT", GE_ONLY: "GT", BOTH: "EQ"}[relation])
+            u = rng.choice(towers)
+            for verdict, route_signs, first in (
+                (inverse_limit_order(x, y, u, self.DEPTH), signs, 0),
+                (chain_order_compare(seq, x, y, u, self.DEPTH), chain_signs, 1),
+            ):
+                kind, direction, threshold, bits = expected_verdict(route_signs, first, self.DEPTH)
+                kinds.add(kind)
+                assert verdict.kind == kind
+                if kind == ULTRAFILTER_DEPENDENT:
+                    assert verdict.le_set.bits(self.WINDOW) == bits
+                    if u is None:
+                        assert verdict.direction is None
+                    else:
+                        assert verdict.direction == (LE if u.decides(verdict.le_set) else GE)
+                else:
+                    assert (verdict.direction, verdict.threshold) == (direction, threshold)
+        assert kinds == {STABILIZED, ULTRAFILTER_DEPENDENT}
 
 
 class TestNeverBetween:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -139,15 +140,6 @@ class TestLaps:
         assert laps == (Lap(0, 1, True), Lap(1, 2, False))
         assert tent().is_full_lap()
 
-    def test_branch_inverts_each_lap(self):
-        up, down = tent().laps()
-        assert tent().branch(up, F(1, 2)) == F(1, 4)
-        assert tent().branch(down, F(1, 2)) == F(3, 4)
-        for num in range(0, 9):
-            y = F(num, 8)
-            for lap in (up, down):
-                assert tent()(tent().branch(lap, y)) == y
-
     def test_three_lap_map(self):
         zigzag = PLMap(
             (F(0), F(1, 3), F(2, 3), F(1)),
@@ -165,7 +157,7 @@ unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
 @st.composite
-def pl_maps(draw):
+def pl_maps(draw, values=unit_fractions):
     interior = draw(
         st.lists(
             st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12),
@@ -173,7 +165,7 @@ def pl_maps(draw):
         )
     )
     bps = sorted({F(0), F(1), *interior})
-    vals = [draw(unit_fractions) for _ in bps]
+    vals = [draw(values) for _ in bps]
     return PLMap(tuple(bps), tuple(vals))
 
 
@@ -187,3 +179,105 @@ class TestCompose:
         assert list(pts) == sorted(pts)
         for p in pts:
             assert f(p) == y
+
+
+def formula_preimages(f: PLMap, y) -> tuple[Fraction, ...]:
+    """Oracle: every segment solved in Fraction arithmetic, then a set
+    sorted (the formula the compiled inverse replaced)."""
+    y = Fraction(y)
+    if not 0 <= y <= 1:
+        raise ValueError(f"value outside [0,1]: {y}")
+    hits = set()
+    for b0, b1, v0, v1 in f.segments():
+        if v0 == v1:
+            if v0 == y:
+                raise PreimageError(f"level set of {y} contains [{b0}, {b1}]")
+            continue
+        lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
+        if lo <= y <= hi:
+            hits.add(b0 + (y - v0) * (b1 - b0) / (v1 - v0))
+    return tuple(sorted(hits))
+
+
+def formula_value(f: PLMap, t) -> Fraction:
+    """Oracle: Fraction interpolation on the segment bisect finds."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"argument outside [0,1]: {t}")
+    i = bisect_right(f.breakpoints, t) - 1
+    if i == len(f.breakpoints) - 1:
+        i -= 1
+    b0, b1 = f.breakpoints[i], f.breakpoints[i + 1]
+    v0, v1 = f.values[i], f.values[i + 1]
+    return v0 + (v1 - v0) * (t - b0) / (b1 - b0)
+
+
+def outcome(fn, *args):
+    """A result, or the type and message of the ValueError raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Values from a coarse grid make flat segments and full laps common.
+any_pl_maps = st.one_of(pl_maps(), pl_maps(st.sampled_from([F(0), F(1, 2), F(1)])))
+
+
+class TestCompiledAgainstFormulas:
+    @given(any_pl_maps, st.data())
+    def test_preimages(self, f, data):
+        y = data.draw(
+            st.one_of(
+                unit_fractions,
+                st.sampled_from(f.values),  # the value at a breakpoint
+                st.sampled_from([0, 1, F(0), F(1)]),
+                st.fractions(min_value=-1, max_value=2, max_denominator=6),
+            )
+        )
+        got = outcome(f.preimages, y)
+        assert got == outcome(formula_preimages, f, y)
+        if isinstance(got, tuple) and got and isinstance(got[0], Fraction):
+            assert all(type(t) is Fraction for t in got)
+
+    @given(any_pl_maps, st.data())
+    def test_values(self, f, data):
+        t = data.draw(
+            st.one_of(
+                unit_fractions,
+                st.sampled_from(f.breakpoints),
+                st.sampled_from([0, 1]),
+                st.fractions(min_value=-1, max_value=2, max_denominator=6),
+            )
+        )
+        got = outcome(f, t)
+        assert got == outcome(formula_value, f, t)
+        if not isinstance(got, tuple):
+            assert type(got) is Fraction
+
+    @given(any_pl_maps)
+    def test_lap_data_is_computed_once(self, f):
+        for name in ("laps", "is_full_lap", "lipschitz"):
+            method = getattr(f, name)
+            uncached = outcome(getattr(PLMap, name).__wrapped__, f)
+            try:
+                first = method()
+            except ValueError as exc:
+                assert (type(exc), str(exc)) == uncached
+                continue
+            assert first == uncached
+            assert method() is first
+
+    def test_lap_geometry_is_kept_on_the_map(self):
+        zigzag = PLMap((F(0), F(1, 3), F(2, 3), F(1)), (F(0), F(1), F(0), F(1)))
+        geometry = zigzag.lap_geometry()
+        assert zigzag.lap_geometry() is geometry
+        # Preimages of 0 sit at 0 and 2/3, of 1 at 1/3 and 1; interior
+        # values have one preimage inside each of the three laps.
+        assert geometry.steps == (((0, 0), (2, 4)), ((2, 2), (1, 6)), ((2, 1), (2, 3), (2, 5)))
+        with pytest.raises(ValueError, match="exceeds the 3 laps"):
+            geometry.step_point(2, 3)
+        with pytest.raises(ValueError, match="exceeds 2 boundary preimages"):
+            geometry.step_point(0, 2)
+        with pytest.raises(ValueError, match="full-lap"):
+            PLMap((F(0), F(1)), (F(0), F(1, 2))).lap_geometry()
