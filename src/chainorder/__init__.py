@@ -12,7 +12,6 @@ from .catalog import (
     CatalogPoint,
     arc_family,
     catalog_spaces,
-    component_of,
     s1_family,
     s2_family,
     s3_family,
@@ -26,7 +25,6 @@ from .chains import (
     chain_trace,
     equal_or_opposite,
     never_between_after,
-    orders_never_mix,
     pullback_chain,
     PullbackSequence,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "catalog_spaces",
     "chain_order_compare",
     "chain_trace",
-    "component_of",
     "decompose_on_cylinder",
     "demonstrate_distinct_orders",
     "equal_or_opposite",
@@ -71,7 +68,6 @@ __all__ = [
     "in_A_n",
     "inverse_limit_order",
     "never_between_after",
-    "orders_never_mix",
     "pullback_chain",
     "rational",
     "rational_str",

@@ -14,7 +14,8 @@ Every chain family assigns link indices combinatorially, as exact
 rational functions of strand parameters, so level relations and the
 orders they stabilize to are computed without any floating point.  The
 planar geometry enters only through the declared mesh bounds, which the
-sampled validator checks against exact L-infinity diameters.
+validator checks against exact L-infinity diameters computed from each
+family's link windows.
 """
 
 from __future__ import annotations
@@ -134,10 +135,13 @@ def _wave_point(u: Fraction) -> Point2:
     parameter and sweep y through a full -1,0,1,0 cycle, so the strand
     alternates troughs and peaks while x decreases to 0.
     """
-    j = _floor(u)
-    s = u - j
-    x = (1 - s) * _wave_anchor_x(j) + s * _wave_anchor_x(j + 1)
-    y = (1 - s) * _WAVE_Y[j % 4] + s * _WAVE_Y[(j + 1) % 4]
+    # With u = j + r/b, x = 2(b(j+4) - r) / (b(j+3)(j+4)) and y moves
+    # from the anchor's height by r/b: one gcd per coordinate.
+    a, b = u.numerator, u.denominator
+    j, r = divmod(a, b)
+    x = Fraction(2 * (b * (j + 4) - r), b * (j + 3) * (j + 4))
+    y0 = _WAVE_Y[j % 4]
+    y = Fraction(y0.numerator * b + r * (_WAVE_Y[(j + 1) % 4] - y0).numerator, b)
     return x, y
 
 
@@ -242,11 +246,6 @@ class StrandSpace:
             if s.component not in seen:
                 seen.append(s.component)
         return tuple(seen)
-
-
-def component_of(space: StrandSpace, point: CatalogPoint) -> str:
-    """The arc component containing the point, per the declared partition."""
-    return space.validate(point).component
 
 
 # -- space registry ----------------------------------------------------------
@@ -659,7 +658,7 @@ def _spiral_point(v: Fraction) -> Point2:
 
 
 def _spiral_param_at(s: Fraction) -> Fraction:
-    """Inverse of the arclength map, for building walk samples."""
+    """Inverse of the arclength map, for window ends and tail samples."""
     if s < 0:
         raise ValueError("arclength must be nonnegative")
     p = 1
@@ -768,6 +767,97 @@ def separation_data(
     return arc, distance / 2
 
 
+# -- link windows -----------------------------------------------------------------
+
+Box = tuple[Fraction, Fraction, Fraction, Fraction]  # x_lo, x_hi, y_lo, y_hi
+
+
+class Window(NamedTuple):
+    """The parameters lo..hi of one strand that lie in link ``link``.
+
+    The interval is open except at an end flagged closed.  A window with
+    a ``box`` stands for an absorbed tail: the box encloses every point
+    of the tail in the link, not just those of the window.  Without one,
+    the strand's polyline over the window bounds the link's points there.
+    """
+
+    link: int
+    strand: str
+    lo: Fraction
+    hi: Fraction
+    lo_closed: bool = False
+    hi_closed: bool = False
+    box: Box | None = None
+
+    def contains(self, t: Fraction) -> bool:
+        if self.lo < t < self.hi:
+            return True
+        return (t == self.lo and self.lo_closed) or (t == self.hi and self.hi_closed)
+
+
+def _grid_windows(
+    strand: str,
+    step: Fraction,
+    overlap: Fraction,
+    count: int,
+    first: int,
+    lo: Fraction,
+    hi: Fraction,
+    param: Callable = lambda o: o,
+    decreasing: bool = False,
+    ends_closed: bool = True,
+) -> list[Window]:
+    """The windows of a `_window_range` grid over the coordinate stretch lo..hi.
+
+    Window i of the grid is link first + i; the first and last windows
+    reach the ends of the stretch, which are closed or open together.
+    ``param`` maps the grid coordinate to the strand parameter, and is
+    ``decreasing`` or increasing.
+    """
+    out = []
+    for i in range(1, count + 1):
+        a, ca = (i - 1) * step - overlap, False
+        if i == 1 or a < lo:
+            a, ca = lo, ends_closed
+        b, cb = i * step + overlap, False
+        if i == count or b > hi:
+            b, cb = hi, ends_closed
+        if a > b or (a == b and not (ca and cb)):
+            continue
+        pa, pb = param(a), param(b)
+        if decreasing:
+            pa, pb, ca, cb = pb, pa, cb, ca
+        out.append(Window(first + i, strand, pa, pb, ca, cb))
+    return out
+
+
+def _pull_back(strand: str, knots: list, host: list[Window], box: Callable) -> list[Window]:
+    """Windows on a tail whose point at u lies in the host windows holding f(u).
+
+    f is linear between consecutive knots (u, f(u)), given in increasing
+    u, and never constant on a piece.  ``box(lo, hi, host_window)`` gives
+    each window's tail box.
+    """
+    out = []
+    for (u0, f0), (u1, f1) in zip(knots, knots[1:]):
+        slope = (u1 - u0) / (f1 - f0)
+        f_lo, f_hi = min(f0, f1), max(f0, f1)
+        for h in host:
+            if h.hi < f_lo or h.lo > f_hi:
+                continue
+            a, b = u0 + (h.lo - f0) * slope, u0 + (h.hi - f0) * slope
+            ca, cb = h.lo_closed, h.hi_closed
+            if slope < 0:
+                a, b, ca, cb = b, a, cb, ca
+            if a <= u0:
+                a, ca = u0, ca or a < u0
+            if b >= u1:
+                b, cb = u1, cb or b > u1
+            if a < b or (a == b and ca and cb):
+                out.append(Window(h.link, strand, a, b, ca, cb, box(a, b, h)))
+    return out
+
+
 # -- the shared chain-family protocol -------------------------------------------
 
 
@@ -814,8 +904,9 @@ class ChainFamily:
     a record with the link count ``size`` and the mesh bound ``mesh``,
     and ``_index(plan, point)`` places a point on that level's links.
     Comparisons are certified by ``_certify``, which by default scans
-    the levels and needs ``_pair_settled``; the sampled validator reads
-    ``walk_samples`` and ``tail_samples``.
+    the levels and needs ``_pair_settled``.  The validator reads
+    ``link_windows(n)``, the inverse of ``_index``, and the points of
+    ``sampled_parts(n)``, which stand for what no window lists.
     """
 
     SPACE: ClassVar[str]
@@ -853,6 +944,9 @@ class ChainFamily:
 
     def _certify(self, x, y, depth: int) -> ComparisonVerdict:
         return _scan_certificate(self, x, y, depth)
+
+    def sampled_parts(self, n: int) -> dict[str, list[CatalogPoint]]:
+        return {}
 
 
 # -- the arc ------------------------------------------------------------------
@@ -906,12 +1000,14 @@ class ArcChainFamily(ChainFamily):
                 return ComparisonVerdict.stabilized(forward, n, depth, certificate=certificate)
         return ComparisonVerdict.unknown(depth)
 
-    def walk_samples(self, n: int) -> list:
-        k = 2**n
-        return [CatalogPoint("segment", Fraction(i, 8 * k)) for i in range(8 * k + 1)]
-
-    def tail_samples(self, n: int) -> list:
-        return []
+    def link_windows(self, n: int) -> list[Window]:
+        chain = self._plan(n).chain
+        windows = []
+        for i in range(1, chain.k + 1):
+            lo, hi = chain.link(i)
+            link = chain.k + 1 - i if self.variant == "reversed" else i
+            windows.append(Window(link, "segment", lo, hi, lo == 0, hi == 1))
+        return windows
 
 
 # -- the sine curve: S1, and S2 with its outer arc --------------------------------
@@ -1036,27 +1132,45 @@ class SineChainFamily(ChainFamily):
         plan = self._plan(n)
         return self._settled(plan, x) and self._settled(plan, y) and self._apart(plan, x, y)
 
-    def walk_samples(self, n: int) -> list:
+    def link_windows(self, n: int) -> list[Window]:
         plan = self._plan(n)
-        pts = [
-            CatalogPoint("wave", Fraction(k) * plan.h / 8)
-            for k in range(8 * plan.windows + 1)
-        ]
-        pts.append(CatalogPoint("wave", plan.deep + plan.ov / 2))
-        for k in range(8 * plan.slabs + 1):
-            o = Fraction(k) * plan.band / 8
-            pts.append(CatalogPoint(self.LIMIT, plan.entry + plan.sense * o))
-        return pts
+        limit = self.space.strand(self.LIMIT)
+        slabs = _grid_windows(
+            self.LIMIT,
+            plan.band,
+            plan.ovb,
+            plan.slabs,
+            plan.windows,
+            _ZERO,
+            limit.hi - limit.lo,
+            lambda o: plan.entry + plan.sense * o,
+            plan.sense < 0,
+        )
+        wave = _grid_windows("wave", plan.h, plan.ov, plan.windows, 0, _ZERO, plan.ustar)
+        # The handover: the last window and the entry slab share (ustar, deep + ov).
+        cut = plan.deep + plan.ov
+        wave += [Window(link, "wave", plan.ustar, cut) for link in (plan.windows, plan.windows + 1)]
+        windows = wave + self._tail_windows(plan, cut, slabs) + slabs
+        if plan.flip:
+            windows = [w._replace(link=plan.size + 1 - w.link) for w in windows]
+        return windows
 
-    def tail_samples(self, n: int) -> list:
-        """Wave points beyond the cut, which the last links absorb."""
-        plan = self._plan(n)
-        pts = []
-        u = plan.deep + plan.ov
-        while u <= plan.deep + 2:
-            pts.append(CatalogPoint("wave", u))
-            u += plan.h / 4
-        return pts
+    def _tail_windows(self, plan: _SinePlan, cut: Fraction, slabs: list[Window]) -> list[Window]:
+        """The wave from the cut on, placed by height in the slabs, over one period.
+
+        The height is periodic in u with period 4, so one period meets the
+        slabs at every height the tail does; the tail stays within x in
+        (0, x(cut)], which each window's box spans at the window's heights.
+        """
+        reach = _wave_point(cut)[0]
+        us = [cut] + [Fraction(u) for u in range(plan.deep + 1, plan.deep + 5)] + [cut + 4]
+        knots = [(u, self._limit_at_height(_wave_point(u)[1])) for u in us]
+
+        def box(lo: Fraction, hi: Fraction, slab: Window) -> Box:
+            y_lo, y_hi = sorted((_wave_point(lo)[1], _wave_point(hi)[1]))
+            return (_ZERO, reach, y_lo, y_hi)
+
+        return _pull_back("wave", knots, slabs, box)
 
 
 @dataclass(frozen=True)
@@ -1355,52 +1469,104 @@ class ToothForestChainFamily(ChainFamily):
             return x.strand != y.strand
         return False
 
-    def walk_samples(self, n: int) -> list:
-        plan = self._plan(n)
-        pts: list[CatalogPoint] = []
-        for i in range(1, plan.m + 1):
-            bt = plan.tooth_bt[i]
-            top = Fraction(1, i)
-            for k in range(8 * plan.tooth_slabs[i] + 1):
-                o = Fraction(k) * bt / 8
-                y = top - o if plan.bits[i - 1] == 1 else o
-                pts.append(CatalogPoint(f"tooth_{i}", y))
-            g = plan.gaps[i]
-            pts.append(CatalogPoint(f"gap_{i}", g.cut_r_w + g.marg_r / 2))
-            for leg in g.legs:
-                for k in range(8 * leg.count + 1):
-                    pts.append(CatalogPoint(f"gap_{i}", leg.w_hi - Fraction(k) * leg.step / 8))
-            pts.append(CatalogPoint(f"gap_{i}", g.cut_l_w - g.marg_l / 2))
-        blob_gap = plan.gaps[plan.m]
-        deep = plan.m + 1
-        pts += [
-            CatalogPoint(f"gap_{plan.m}", (blob_gap.cut_l_w - 1) / 2),
-            CatalogPoint(f"tooth_{deep}", 0),
-            CatalogPoint(f"tooth_{deep}", Fraction(1, 2 * deep)),
-            CatalogPoint(f"tooth_{deep}", Fraction(1, deep)),
-            CatalogPoint(f"gap_{deep}", Fraction(-1, 2)),
-            CatalogPoint(f"gap_{deep}", _ZERO),
-            CatalogPoint(f"gap_{deep}", Fraction(1, 2)),
-            CatalogPoint(f"tooth_{deep + 1}", 0),
-            CatalogPoint("origin", 0),
-        ]
-        return pts
+    def link_windows(self, m: int) -> list[Window]:
+        """Teeth and gaps up to m as walked, then the blob.
 
-    def tail_samples(self, n: int) -> list:
-        plan = self._plan(n)
-        pts: list[CatalogPoint] = []
-        for i in range(1, plan.m + 1):
-            g = plan.gaps[i]
-            for lo, hi in (
-                (g.cut_r_w + g.marg_r, (g.cut_r_w + 3) / 4),
-                ((g.cut_l_w - 1) / 2, g.cut_l_w - g.marg_l),
-            ):
-                span = hi - lo
-                if span <= 0:
-                    continue
-                for k in range(33):
-                    pts.append(CatalogPoint(f"gap_{i}", lo + span * Fraction(k, 32)))
-        return pts
+        The blob holds the left tail of gap m and every strand beyond it:
+        teeth and gaps past m, which run in x below 1/(m + 1) and never
+        rise above it, and the origin.  It is listed on the declared
+        strands past m and on tooth and gap m + 1.
+        """
+        plan = self._plan(m)
+        teeth = {i: self._tooth_windows(plan, i) for i in range(1, m + 1)}
+        g = plan.gaps[m]
+        blob_cut = g.cut_l_w - g.marg_l
+        blob_box = (_ZERO, _gap_point(m, blob_cut)[0], _ZERO, Fraction(1, m + 1))
+        windows: list[Window] = []
+        for i in range(1, m + 1):
+            windows += teeth[i] + self._gap_windows(plan, i, teeth)
+        windows.append(Window(plan.blob, f"gap_{m}", Fraction(-1), blob_cut, False, True, blob_box))
+        for i in range(m + 1, max(m + 1, 8) + 1):
+            windows.append(Window(plan.blob, f"tooth_{i}", _ZERO, Fraction(1, i), True, True, blob_box))
+            windows.append(Window(plan.blob, f"gap_{i}", Fraction(-1), _ONE, box=blob_box))
+        windows.append(Window(plan.blob, "origin", _ZERO, _ZERO, True, True, blob_box))
+        return windows
+
+    def _tooth_windows(self, plan: _S3Plan, i: int) -> list[Window]:
+        bt, top = plan.tooth_bt[i], Fraction(1, i)
+        down = plan.bits[i - 1] == 1
+        return _grid_windows(
+            f"tooth_{i}",
+            bt,
+            bt / 8,
+            plan.tooth_slabs[i],
+            plan.tooth_base[i],
+            _ZERO,
+            top,
+            (lambda o: top - o) if down else (lambda o: o),
+            down,
+        )
+
+    def _gap_windows(self, plan: _S3Plan, i: int, teeth: dict) -> list[Window]:
+        """Gap i's legs and margins, and its flanks' tails placed by height."""
+        name, g, base = f"gap_{i}", plan.gaps[i], plan.gap_base[i]
+        windows: list[Window] = []
+        for k, leg in enumerate(g.legs):
+            # A leg's end links reach into the neighbouring leg or margin
+            # by that one's overlap.
+            ov_prev = g.legs[k - 1].ovw if k else leg.ovw
+            ov_next = g.legs[k + 1].ovw if k + 1 < len(g.legs) else leg.ovw
+            windows += _grid_windows(
+                name,
+                leg.step,
+                leg.ovw,
+                leg.count,
+                base + leg.link_base,
+                -ov_prev,
+                leg.count * leg.step + ov_next,
+                lambda d, leg=leg: leg.w_hi - d,
+                True,
+                ends_closed=False,
+            )
+        right = g.cut_r_w + g.marg_r
+        windows.append(Window(base, name, g.cut_r_w, right))
+        windows += _flank_tail(i, 1, right, teeth[i])
+        left = g.cut_l_w - g.marg_l
+        windows.append(Window(base + g.total + 1, name, left, g.cut_l_w))
+        if g.kind_l != "blob":
+            windows += _flank_tail(i, -1, left, teeth[i + 1])
+        return windows
+
+
+def _flank_tail(i: int, side: int, start: Fraction, host: list[Window]) -> list[Window]:
+    """Gap i's flank on ``side`` from ``start`` outward, placed by height on
+    the adjoining tooth's windows ``host``.
+
+    Each cycle of the flank runs from a zero (height 0) over a peak and
+    back; the peaks climb toward the tooth's top.  Once a peak lies in
+    the top link alone, every later cycle meets the same links in the
+    same order, so the windows stop one cycle after that.  Their boxes
+    span the whole flank's x-range at the host window's heights.
+    """
+    top = Fraction(1, i) if side > 0 else Fraction(1, i + 1)
+    top_links = {h.link for h in host if h.contains(top)}
+    x_start = _gap_point(i, start)[0]
+    knots = [(start, _gap_point(i, start)[1])]
+    settled, k = 0, 0
+    while settled < 2:
+        for kind in ("z", "p"):
+            w = side * _anchor_abs(kind, k)
+            if abs(w) > abs(start):
+                y = _gap_point(i, w)[1]
+                knots.append((w, y))
+                if kind == "p" and {h.link for h in host if h.contains(y)} == top_links:
+                    settled += 1
+        k += 1
+    knots.append((side * _anchor_abs("z", k), _ZERO))
+    knots.sort()
+    # A tooth stands at x equal to its height.
+    x_lo, x_hi = sorted((x_start, top))
+    return _pull_back(f"gap_{i}", knots, host, lambda lo, hi, h: (x_lo, x_hi, h.lo, h.hi))
 
 
 # -- space T ---------------------------------------------------------------------
@@ -1526,54 +1692,93 @@ class SpiralChainFamily(ChainFamily):
             return gap > plan.hs + 2 * plan.ovs
         return self._sine._apart(plan.sine, x, y)
 
-    def _spiral_walk(self, plan: _TPlan, outward: bool) -> list:
-        # Sample per window in the window coordinate so the terminal
-        # partial window still receives a full grid; window boundaries
-        # land exactly on the overlap and witness adjacency.
-        if plan.spiral_count == 0 or plan.spiral_len == 0:
-            return []
-        ts: list[Fraction] = []
-        for i in range(1, plan.spiral_count + 1):
-            lo = plan.hs * (i - 1)
-            hi = min(plan.hs * i, plan.spiral_len)
-            step = (hi - lo) / 8
-            for k in range(9):
-                t = lo + step * k
-                if not ts or t > ts[-1]:
-                    ts.append(t)
-        ss = [plan.spiral_len - t for t in ts] if outward else ts
-        return [CatalogPoint("spiral", _spiral_param_at(s)) for s in ss]
-
-    def walk_samples(self, n: int) -> list:
+    def link_windows(self, n: int) -> list[Window]:
         plan = self._plan(n)
-        # The reversed S1 walk runs from the bar's far end out to the free end.
-        sine = self._sine.walk_samples(n)[::-1]
-        pts: list[CatalogPoint] = []
+        sine = [w._replace(link=w.link + plan.off_sine) for w in self._sine.link_windows(n)]
+        if plan.spiral_count == 0:
+            return sine
+        # Windows in arclength s first: the spiral runs from its free end
+        # at s = 0, v = 1 inward.
         if self.variant == "D":
-            pts += self._spiral_walk(plan, outward=False)
-            pts.append(CatalogPoint("spiral", _spiral_param_at(plan.spiral_len + plan.ovs / 2)))
-            pts += sine
+            spiral = _grid_windows("spiral", plan.hs, plan.ovs, plan.spiral_count, 0, _ZERO, plan.spiral_len)
+            handover = (plan.spiral_count, plan.spiral_count + 1)
         else:
-            pts += sine
-            if plan.spiral_count > 0:
-                pts.append(
-                    CatalogPoint("spiral", _spiral_param_at(plan.spiral_len + plan.ovs / 2))
-                )
-            pts += self._spiral_walk(plan, outward=True)
-        return pts
+            spiral = _grid_windows(
+                "spiral",
+                plan.hs,
+                plan.ovs,
+                plan.spiral_count,
+                plan.off_spiral,
+                _ZERO,
+                plan.spiral_len,
+                lambda o: plan.spiral_len - o,
+                True,
+            )
+            handover = (plan.off_spiral, plan.off_spiral + 1)
+        end = plan.spiral_len + plan.ovs
+        spiral += [Window(link, "spiral", plan.spiral_len, end) for link in handover]
+        spiral.sort(key=lambda w: w.lo)
+        boxes = _spiral_boxes(spiral, end)
+        return sine + [
+            Window(w.link, "spiral", _spiral_param_at(w.hi), _spiral_param_at(w.lo), w.hi_closed, w.lo_closed, box)
+            for w, box in zip(spiral, boxes)
+        ]
 
-    def tail_samples(self, n: int) -> list:
+    def sampled_parts(self, n: int) -> dict[str, list[CatalogPoint]]:
+        """The spiral beyond its windows, which circles on forever."""
         plan = self._plan(n)
-        pts = self._sine.tail_samples(n)
-        s = plan.spiral_len + plan.ovs
-        stop = plan.spiral_len + 2
-        while s <= stop:
+        pts = []
+        s = plan.spiral_len + plan.ovs if plan.spiral_count else _ZERO
+        while s <= plan.spiral_len + 2:
             pts.append(CatalogPoint("spiral", _spiral_param_at(s)))
             s += plan.hs / 3
         deep_pass = Fraction(1, 2**n)
         for k in range(1, 17):
             pts.append(CatalogPoint("spiral", deep_pass - deep_pass / 2 * Fraction(k, 17)))
-        return pts
+        return {"spiral tail": pts}
+
+
+def _spiral_boxes(windows: list[Window], end: Fraction) -> list[Box]:
+    """Bounding boxes of the spiral over arclength windows sorted by start.
+
+    The circuits' vertices up to arclength ``end`` are laid out once, and
+    one pointer moves forward through them as the windows' starts do.
+    """
+    ss: list[Fraction] = []
+    verts: list[Point2] = []
+    base, p = _ZERO, 1
+    while True:
+        data = _pass_data(p)
+        # A circuit starts where the previous one ends.
+        skip = 1 if p > 1 else 0
+        ss += [base + c for c in data.cum[skip:]]
+        verts += data.verts[skip:]
+        base += data.total
+        if base >= end:
+            break
+        p += 1
+
+    def at(k: int, s: Fraction) -> Point2:
+        # The point at arclength s on the segment ending at vertex k.
+        (ax, ay), (bx, by) = verts[k - 1], verts[k]
+        t = (s - ss[k - 1]) / (ss[k] - ss[k - 1])
+        return (ax + t * (bx - ax), ay + t * (by - ay))
+
+    boxes = []
+    j = 1
+    for w in windows:
+        while ss[j] <= w.lo:
+            j += 1
+        pts = [at(j, w.lo)]
+        k = j
+        while ss[k] < w.hi:
+            pts.append(verts[k])
+            k += 1
+        pts.append(at(k, w.hi))
+        xs = [q[0] for q in pts]
+        ys = [q[1] for q in pts]
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+    return boxes
 
 
 # -- family factories -------------------------------------------------------------
@@ -1641,69 +1846,56 @@ def s3_witness_pair(i: int) -> tuple[CatalogPoint, CatalogPoint]:
     return CatalogPoint(f"tooth_{i}", 0), CatalogPoint(f"tooth_{i}", Fraction(1, i))
 
 
-# -- sampled validator --------------------------------------------------------------
+# -- validator ----------------------------------------------------------------------
 
 
-def validate_level(family, n: int, *, min_samples_per_link: int = 8) -> dict:
-    """Check a generated level against the chain axioms by dense sampling.
+def validate_level(family, n: int) -> dict:
+    """Check a generated level against the chain axioms from its link windows.
 
-    Along the family's covered walk the index ranges must grow
-    monotonically without skipping a link, every consecutive pair of
-    links must be witnessed by a shared sample, and every link's sampled
-    point set (walk plus absorbed-tail samples) must fit in the declared
-    mesh bound.
+    On every strand the windows must cover the strand, overlap only for
+    adjacent links, and agree with ``index_of``: at each window end and
+    between consecutive ends, ``index_of`` returns exactly the links
+    whose windows hold the point.  Every pair of consecutive links must
+    share a point, and every link's bounding box (its windows' polyline
+    vertices, the tail boxes, and the family's sampled points) must fit
+    in the declared mesh bound.  All of it is exact; only what the
+    family lists in ``sampled_parts`` rests on samples.
     """
     level = family.level(n)
     size = level.size
-    walk = family.walk_samples(n)
-    ranges = [level.index_of(p) for p in walk]
-    if ranges and ranges[0].lo > ranges[-1].lo:
-        walk.reverse()
-        ranges.reverse()
+    windows = family.link_windows(n)
+    sampled = family.sampled_parts(n)
 
     def failure(reason: str, **extra) -> dict:
         return {"ok": False, "level": n, "links": size, "reason": reason, **extra}
 
-    if ranges[0].lo != 1:
-        return failure("walk must open at link 1")
-    if ranges[-1].hi != size:
-        return failure("walk must close at the last link")
-    shared: set[int] = set()
-    for prev, cur in zip(ranges, ranges[1:]):
-        if cur.lo < prev.lo or cur.hi < prev.hi:
-            return failure("walk indices must be monotone")
-        if cur.lo > prev.hi + 1:
-            return failure("walk skipped a link", at=[prev.hi, cur.lo])
-    for r in ranges:
-        if r.width == 2:
-            shared.add(r.lo)
-    missing = [i for i in range(1, size) if i not in shared]
-    if missing:
-        return failure("adjacent links without a shared sample", links=missing[:5])
-
+    by_strand: dict[str, list[Window]] = {}
+    for w in windows:
+        by_strand.setdefault(w.strand, []).append(w)
+    sampled_strands = {p.strand for pts in sampled.values() for p in pts}
     space = family.space
-    buckets: dict[int, list[Point2]] = {}
-    for p, r in zip(walk, ranges):
-        pos = space.position(p)
-        for i in r.indices():
-            buckets.setdefault(i, []).append(pos)
-    for p in family.tail_samples(n):
-        pos = space.position(p)
-        for i in level.index_of(p).indices():
-            buckets.setdefault(i, []).append(pos)
+    shared: set[int] = set()
+    for name, ws in by_strand.items():
+        ws.sort(key=lambda w: (w.lo, not w.lo_closed))
+        strand = space.strand(name)
+        problem = _strand_axioms(strand, ws, name in sampled_strands, shared)
+        problem = problem or _index_agreement(level, strand, ws)
+        if problem:
+            return failure(problem[0], **problem[1])
+    missing = sorted(set(range(1, size + 1)) - {w.link for w in windows})
+    if missing:
+        return failure("links without a window", links=missing[:5])
+    unshared = [i for i in range(1, size) if i not in shared]
+    if unshared:
+        return failure("adjacent links share no point", links=unshared[:5])
 
-    thin = [i for i in range(1, size + 1) if len(buckets.get(i, ())) < min_samples_per_link]
-    if thin:
-        return failure("links sampled too thinly", links=thin[:5])
     worst = _ZERO
-    for i, pts in buckets.items():
-        xs = [q[0] for q in pts]
-        ys = [q[1] for q in pts]
-        diam = max(max(xs) - min(xs), max(ys) - min(ys))
+    for link, (x0, x1, y0, y1) in sorted(_link_boxes(family, level, windows, sampled).items()):
+        diam = max(x1 - x0, y1 - y0)
         if diam > level.mesh_bound:
             return failure(
-                "sampled diameter exceeds the mesh bound",
-                link=i,
+                "diameter exceeds the mesh bound",
+                link=link,
                 diameter=rational_str(diam),
                 mesh=rational_str(level.mesh_bound),
             )
@@ -1712,7 +1904,99 @@ def validate_level(family, n: int, *, min_samples_per_link: int = 8) -> dict:
         "ok": True,
         "level": n,
         "links": size,
-        "max_sampled_diameter": rational_str(worst),
+        "windows": len(windows),
+        "max_diameter": rational_str(worst),
         "mesh_bound": rational_str(level.mesh_bound),
-        "samples": sum(len(v) for v in buckets.values()),
+        "sampled": sorted(sampled),
     }
+
+
+def _strand_axioms(strand: Strand, ws: list[Window], sampled: bool, shared: set[int]):
+    """Cover and overlap on one strand, with windows sorted by start.
+
+    Windows may stop short of an end the strand only approaches (open or
+    unbounded) if a tail box or the sampled points take over there.
+    Adjacent links whose windows meet are added to ``shared``.
+    """
+    first, last = ws[0], max(ws, key=lambda w: (w.hi, w.hi_closed))
+    if first.lo > strand.lo or (
+        first.lo == strand.lo and not (first.lo_closed or strand.lo_open)
+    ):
+        if not (strand.lo_open and (first.box is not None or sampled)):
+            return ("windows do not cover the strand", {"strand": strand.name, "at": rational_str(strand.lo)})
+    if strand.hi is None or last.hi < strand.hi or (
+        last.hi == strand.hi and not (last.hi_closed or strand.hi_open)
+    ):
+        if not ((strand.hi is None or strand.hi_open) and (last.box is not None or sampled)):
+            return ("windows do not cover the strand", {"strand": strand.name, "at": rational_str(last.hi)})
+    reach, reach_closed = first.lo, True
+    active: list[Window] = []
+    for w in ws:
+        if w.lo > reach or (w.lo == reach and not (reach_closed or w.lo_closed)):
+            return ("windows do not cover the strand", {"strand": strand.name, "at": rational_str(reach)})
+        if (w.hi, w.hi_closed) > (reach, reach_closed):
+            reach, reach_closed = w.hi, w.hi_closed
+        active = [a for a in active if a.hi > w.lo or (a.hi == w.lo and a.hi_closed and w.lo_closed)]
+        for a in active:
+            if abs(a.link - w.link) > 1:
+                return (
+                    "windows of non-adjacent links overlap",
+                    {"strand": strand.name, "links": sorted((a.link, w.link))},
+                )
+            if a.link != w.link:
+                shared.add(min(a.link, w.link))
+        active.append(w)
+    return None
+
+
+def _index_agreement(level: ChainLevel, strand: Strand, ws: list[Window]):
+    """``index_of`` against the windows at every window end and between
+    consecutive ends; ``index_of`` is constant between consecutive ends,
+    so this checks every point the windows list."""
+    ends = sorted({w.lo for w in ws} | {w.hi for w in ws})
+    # Slot 2k is end k, slot 2k + 1 the stretch between ends k and k + 1.
+    slot = {t: 2 * k for k, t in enumerate(ends)}
+    held: list[set[int]] = [set() for _ in range(2 * len(ends) - 1)]
+    for w in ws:
+        for k in range(slot[w.lo] + (not w.lo_closed), slot[w.hi] - (not w.hi_closed) + 1):
+            held[k].add(w.link)
+    for k, links in enumerate(held):
+        # The outer ends of the listed stretch may lie off the strand or
+        # in a sampled tail.
+        if not links and k in (0, len(held) - 1):
+            continue
+        t = ends[k // 2] if k % 2 == 0 else (ends[k // 2] + ends[k // 2 + 1]) / 2
+        got = level.index_of(CatalogPoint(strand.name, t)).indices()
+        if got != tuple(sorted(links)):
+            return (
+                "index_of disagrees with the windows",
+                {"strand": strand.name, "param": rational_str(t), "index_of": list(got), "windows": sorted(links)},
+            )
+    return None
+
+
+def _link_boxes(family, level: ChainLevel, windows: list[Window], sampled: dict) -> dict[int, Box]:
+    """Each link's bounding box over its windows and sampled points."""
+    space = family.space
+    boxes: dict[int, Box] = {}
+
+    def grow(link: int, box: Box) -> None:
+        old = boxes.get(link)
+        if old is not None:
+            box = (min(old[0], box[0]), max(old[1], box[1]), min(old[2], box[2]), max(old[3], box[3]))
+        boxes[link] = box
+
+    for w in windows:
+        box = w.box
+        if box is None:
+            pts = space.strand(w.strand).polyline(w.lo, w.hi)
+            xs = [q[0] for q in pts]
+            ys = [q[1] for q in pts]
+            box = (min(xs), max(xs), min(ys), max(ys))
+        grow(w.link, box)
+    for pts in sampled.values():
+        for p in pts:
+            x, y = space.position(p)
+            for link in level.index_of(p).indices():
+                grow(link, (x, x, y, y))
+    return boxes

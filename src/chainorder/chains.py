@@ -391,20 +391,3 @@ def equal_or_opposite(first, second) -> str:
     if a == b[::-1]:
         return "opposite"
     return "neither"
-
-
-def orders_never_mix(first, second) -> bool:
-    """True when betweenness transfers: every middle element of a triple
-    in the first order stays in the middle in the second."""
-    a = _validate_order(first)
-    b = _validate_order(second)
-    if set(a) != set(b):
-        raise ValueError("orders rank different element sets")
-    pos = {v: i for i, v in enumerate(b)}
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            for k in range(j + 1, len(a)):
-                p, q, r = pos[a[i]], pos[a[j]], pos[a[k]]
-                if not (p < q < r or p > q > r):
-                    return False
-    return True

@@ -43,11 +43,15 @@ class DepthExceededError(ValueError):
 
 @dataclass(frozen=True)
 class InverseSystem:
-    """Bonding maps f_n : I -> I, where f_n carries coordinate n+1 to n."""
+    """Bonding maps f_n : I -> I, where f_n carries coordinate n+1 to n.
+
+    Systems are equal only when they share the rule itself, so a system
+    with other maps never passes for another by its name.
+    """
 
     name: str
     constant: bool
-    _rule: Callable[[int], PLMap] = field(compare=False, repr=False)
+    _rule: Callable[[int], PLMap] = field(repr=False)
 
     def bonding(self, n: int) -> PLMap:
         if n < 0:
@@ -424,6 +428,16 @@ def inverse_limit_order(
     ultrafilter is given, its verdict on that set.  Anything weaker is
     Unknown.
     """
+    return inverse_limit_orders(x, y, (ultrafilter,), depth)[0]
+
+
+def inverse_limit_orders(
+    x: ThreadPoint,
+    y: ThreadPoint,
+    ultrafilters: tuple[SimulatedUltrafilter | None, ...],
+    depth: int,
+) -> list[ComparisonVerdict]:
+    """`inverse_limit_order` under each ultrafilter, from one certificate."""
     if depth < 0:
         raise ValueError("depth must be a natural")
     if x.system != y.system:
@@ -434,7 +448,7 @@ def inverse_limit_order(
                 f"point only reaches level {p.max_level}, below depth {depth}"
             )
     if x == y:
-        return ComparisonVerdict.stabilized(EQ, 0, depth)
+        return [ComparisonVerdict.stabilized(EQ, 0, depth) for _ in ultrafilters]
 
     certifiable = (
         x.system.constant
@@ -443,14 +457,15 @@ def inverse_limit_order(
         and x.system.bonding(0).is_full_lap()
     )
     if not certifiable:
-        return ComparisonVerdict.unknown(depth)
+        return [ComparisonVerdict.unknown(depth) for _ in ultrafilters]
 
     cert = sign_certificate(x, y)
     if set(cert.cycle) == {EQL} and set(cert.history) != {EQL}:
         raise AssertionError("equal tails must be equal at every level")
-    return sign_verdict(
-        cert.history[: cert.cycle_start], cert.cycle, depth, ultrafilter, cert.as_dict(), first=0
-    )
+    history, certificate = cert.history[: cert.cycle_start], cert.as_dict()
+    return [
+        sign_verdict(history, cert.cycle, depth, u, certificate, first=0) for u in ultrafilters
+    ]
 
 
 def fiber_diameter_bound(system: InverseSystem, n: int) -> Fraction:

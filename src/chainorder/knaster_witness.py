@@ -18,7 +18,7 @@ from .foundations import EventuallyPeriodicSet
 from .inverse_limit import (
     PeriodicTail,
     ThreadPoint,
-    inverse_limit_order,
+    inverse_limit_orders,
     tent_system,
 )
 from .plmaps import tent
@@ -118,8 +118,7 @@ def demonstrate_distinct_orders(
     if u2.decides(level_set):
         raise ValueError("u2 must decide the level set out")
     pair = build_witness(level_set, depth)
-    v1 = inverse_limit_order(pair.x, pair.y, u1, depth)
-    v2 = inverse_limit_order(pair.x, pair.y, u2, depth)
+    v1, v2 = inverse_limit_orders(pair.x, pair.y, (u1, u2), depth)
     return {
         "witness": pair.as_dict(),
         "u1": u1.as_dict(),

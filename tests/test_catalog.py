@@ -1,4 +1,4 @@
-"""Planar strand spaces, their chain families, and the sampled validator."""
+"""Planar strand spaces, their chain families, and the validator."""
 
 from __future__ import annotations
 
@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 
 from chainorder import catalog
 from chainorder.catalog import (
+    ArcChainFamily,
     CatalogPoint,
+    OuterArcChainFamily,
     S1_WITNESSES,
     S2_WITNESSES,
+    SineChainFamily,
+    SpiralChainFamily,
     T_REPRESENTATIVES,
     ToothForestChainFamily,
     _gap_shape,
@@ -27,7 +31,6 @@ from chainorder.catalog import (
     arc_family,
     arc_space,
     catalog_spaces,
-    component_of,
     s1_family,
     s1_space,
     s2_family,
@@ -81,10 +84,10 @@ class TestSpaces:
         assert t_space().components() == ("T1", "T2", "T3")
 
     def test_component_of_examples(self):
-        assert component_of(s1_space(), CatalogPoint("bar", 1)) == "limit_interval"
-        assert component_of(s1_space(), CatalogPoint("wave", 0)) == "sine"
+        assert s1_space().validate(CatalogPoint("bar", 1)).component == "limit_interval"
+        assert s1_space().validate(CatalogPoint("wave", 0)).component == "sine"
         for p in T_REPRESENTATIVES["T3"]:
-            assert component_of(t_space(), p) == "T3"
+            assert t_space().validate(p).component == "T3"
 
     def test_unknown_strand(self):
         with pytest.raises(ValueError, match="unknown point"):
@@ -416,8 +419,13 @@ class TestToothForestFamilies:
             other[i - 1 : i + 1] = one[i - 1 : i + 1]
             families = s3_family(one), s3_family(other)
             shift = families[1]._plan(m).gap_base[i] - families[0]._plan(m).gap_base[i]
-            samples = families[0].walk_samples(m) + families[0].tail_samples(m)
-            on_gap = [p for p in samples if p.strand == f"gap_{i}"]
+            on_gap = [
+                CatalogPoint(w.strand, t)
+                for w in families[0].link_windows(m)
+                if w.strand == f"gap_{i}"
+                for t in (w.lo, (w.lo + w.hi) / 2, w.hi)
+                if w.contains(t)
+            ]
             assert on_gap
             for p in on_gap:
                 r = families[0].level(m).index_of(p)
@@ -521,6 +529,57 @@ class TestSpiralFamilies:
             assert report.levels_checked, (x, y, z, threshold)
 
 
+def _window_samples(windows, per_window=8):
+    """Evenly spaced parameters of each window that the window holds."""
+    for w in windows:
+        for k in range(per_window + 1):
+            t = w.lo + (w.hi - w.lo) * Fraction(k, per_window)
+            if w.contains(t):
+                yield w, t
+
+
+def _holders(windows, strand, t):
+    return tuple(sorted({w.link for w in windows if w.strand == strand and w.contains(t)}))
+
+
+def _spread(points):
+    xs = [q[0] for q in points]
+    ys = [q[1] for q in points]
+    return max(max(xs) - min(xs), max(ys) - min(ys))
+
+
+class _ShrunkMesh(SineChainFamily):
+    """S1 with a declared mesh a tenth below what its links span."""
+
+    def _mesh(self, h, band, reach):
+        return super()._mesh(h, band, reach) * Fraction(9, 10)
+
+
+class _GappedArc(ArcChainFamily):
+    """Arc windows with link 2 cut short of link 3."""
+
+    def link_windows(self, n):
+        windows = super().link_windows(n)
+        windows[1] = windows[1]._replace(hi=Fraction(5, 16))
+        return windows
+
+
+class _StretchedArc(ArcChainFamily):
+    """Arc windows with link 1 reaching over link 3."""
+
+    def link_windows(self, n):
+        windows = super().link_windows(n)
+        windows[0] = windows[0]._replace(hi=Fraction(1, 2))
+        return windows
+
+
+class _MislabelledArc(ArcChainFamily):
+    """Reversely numbered links described by the standard windows."""
+
+    def link_windows(self, n):
+        return arc_family("standard").link_windows(n)
+
+
 class TestValidator:
     @pytest.mark.parametrize(
         "family,levels",
@@ -541,10 +600,21 @@ class TestValidator:
         ids=lambda v: getattr(v, "variant", None) or str(v),
     )
     def test_levels_pass_the_sampled_checks(self, family, levels):
+        """The exact check passes, and a dense sample of every window agrees
+        with it: index_of holds exactly the windows' links, and no link's
+        samples spread wider than the exact maximum diameter."""
         for n in levels:
             report = validate_level(family, n)
             assert report["ok"], report
-            assert report["samples"] >= 8 * report["links"]
+            level, windows = family.level(n), family.link_windows(n)
+            by_link: dict[int, list] = {}
+            for w, t in _window_samples(windows):
+                p = CatalogPoint(w.strand, t)
+                assert level.index_of(p).indices() == _holders(windows, w.strand, t), p
+                by_link.setdefault(w.link, []).append(family.space.position(p))
+            assert len(by_link) == report["links"]
+            sampled = max(_spread(pts) for pts in by_link.values())
+            assert sampled <= Fraction(report["max_diameter"]) <= level.mesh_bound
 
     def test_random_s3_prefixes_pass(self):
         prefixes = random.Random(5).sample(list(itertools.product((0, 1), repeat=4)), 3)
@@ -552,10 +622,85 @@ class TestValidator:
             for n in range(1, 5):
                 assert validate_level(s3_family(bits), n)["ok"], (bits, n)
 
-    def test_density_failure_is_reported(self):
-        report = validate_level(arc_family("standard"), 2, min_samples_per_link=1000)
+    def test_tight_s1_maxima(self):
+        # The handover link spans x from the bar out to the cut exactly.
+        for n, bound in ((1, "769/3456"), (2, "1441/9360")):
+            report = validate_level(s1_family("D"), n)
+            assert report["max_diameter"] == report["mesh_bound"] == bound
+
+    def test_only_the_spiral_tail_is_sampled(self):
+        assert validate_level(t_family("D"), 1)["sampled"] == ["spiral tail"]
+        assert validate_level(s3_family((0, 1)), 2)["sampled"] == []
+
+    def test_mesh_failure_is_reported(self):
+        report = validate_level(_ShrunkMesh("D"), 1)
         assert not report["ok"]
-        assert report["reason"] == "links sampled too thinly"
+        assert report["reason"] == "diameter exceeds the mesh bound"
+        assert (report["link"], report["diameter"]) == (73, "769/3456")
+        assert Fraction(report["diameter"]) > Fraction(report["mesh"])
+
+    @pytest.mark.parametrize(
+        "family,reason",
+        [
+            (_GappedArc("standard"), "windows do not cover the strand"),
+            (_StretchedArc("standard"), "windows of non-adjacent links overlap"),
+            (_MislabelledArc("reversed"), "index_of disagrees with the windows"),
+        ],
+        ids=["gap", "overlap", "mislabelled"],
+    )
+    def test_axiom_failures_are_reported(self, family, reason):
+        report = validate_level(family, 2)
+        assert not report["ok"]
+        assert report["reason"] == reason, report
+
+
+_WINDOWED = [
+    *[arc_family(v) for v in ArcChainFamily.VARIANTS],
+    *[s1_family(v) for v in SineChainFamily.VARIANTS],
+    *[s2_family(v) for v in OuterArcChainFamily.VARIANTS],
+    s3_family((0, 1, 1)),
+    s3_family((1, 0, 0)),
+    *[t_family(v) for v in SpiralChainFamily.VARIANTS],
+]
+_WINDOW_CACHE: dict = {}
+
+
+def _windows_and_boxes(family, n):
+    key = (family, n)
+    if key not in _WINDOW_CACHE:
+        level, windows = family.level(n), family.link_windows(n)
+        boxes = catalog._link_boxes(family, level, windows, family.sampled_parts(n))
+        _WINDOW_CACHE[key] = windows, boxes
+    return _WINDOW_CACHE[key]
+
+
+@given(
+    family=st.sampled_from(_WINDOWED),
+    n=st.integers(1, 3),
+    pick=st.integers(0, 10**6),
+    frac=st.fractions(0, 1, max_denominator=1000),
+    periods=st.integers(0, 50),
+)
+@settings(max_examples=300, deadline=None)
+def test_windows_invert_index_of(family, n, pick, frac, periods):
+    """A point of any window sits in exactly the links whose windows hold
+    it, and inside each of their boxes.  On the periodic wave tail a
+    point some periods further out behaves the same."""
+    windows, boxes = _windows_and_boxes(family, n)
+    w = windows[pick % len(windows)]
+    t = w.lo + (w.hi - w.lo) * frac
+    assume(w.contains(t))
+    level = family.level(n)
+    links = _holders(windows, w.strand, t)
+    points = [CatalogPoint(w.strand, t)]
+    if w.strand == "wave" and w.box is not None:
+        points.append(CatalogPoint("wave", t + 4 * periods))
+    for p in points:
+        assert level.index_of(p).indices() == links, p
+        x, y = family.space.position(p)
+        for link in links:
+            x0, x1, y0, y1 = boxes[link]
+            assert x0 <= x <= x1 and y0 <= y <= y1, (p, link)
 
 
 # -- checked persistence ----------------------------------------------------------

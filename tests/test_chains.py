@@ -24,7 +24,6 @@ from chainorder.chains import (
     equal_or_opposite,
     level_preorder,
     never_between_after,
-    orders_never_mix,
     pullback_chain,
     reverse_range,
 )
@@ -428,6 +427,16 @@ class TestNonTentSystem:
                     assert (verdict.direction, verdict.threshold) == (direction, threshold)
         assert kinds == {STABILIZED, ULTRAFILTER_DEPENDENT}
 
+    def test_a_system_is_not_its_name(self):
+        """A zigzag system named "tent" is no tent system: threads on the
+        two are refused rather than compared with the first one's map."""
+        fake = InverseSystem("tent", True, lambda n: ZIGZAG)
+        assert fake != tent_system()
+        x = thread_from_letters(fake, Fraction(1, 2), (), (2,))
+        y = thread_from_letters(tent_system(), Fraction(1, 2), (), (0,))
+        with pytest.raises(ValueError, match="points live on different systems"):
+            inverse_limit_order(x, y, None, 20)
+
 
 class TestNeverBetween:
     def setup_method(self):
@@ -466,6 +475,17 @@ class TestNeverBetween:
         )
         assert report.ok
         assert report.levels_checked == ()
+
+
+def orders_never_mix(a, b) -> bool:
+    """True when betweenness transfers: every middle element of a triple
+    in the first order stays in the middle in the second."""
+    pos = {v: i for i, v in enumerate(b)}
+    for i, j, k in itertools.combinations(range(len(a)), 3):
+        p, q, r = pos[a[i]], pos[a[j]], pos[a[k]]
+        if not (p < q < r or p > q > r):
+            return False
+    return True
 
 
 class TestOrderComparison:
