@@ -353,8 +353,7 @@ def _gap_point(i: int, w: Fraction) -> Point2:
         return _anchor_point(i, 1, "z", 0)
     side = 1 if w > 0 else -1
     aw = abs(w)
-    q = 1 / (1 - aw)
-    k = (q.numerator // q.denominator).bit_length() - 1
+    k = _flank_cycle(aw)
     za = _anchor_abs("z", k)
     pa = _anchor_abs("p", k)
     if aw <= pa:
@@ -367,18 +366,21 @@ def _gap_point(i: int, w: Fraction) -> Point2:
     return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
+def _flank_cycle(aw: Fraction) -> int:
+    """The k with 1 - 2^-k <= |w| < 1 - 2^-(k+1): zero k of a flank and its
+    peak lie at or below |w|, and zero k + 1 above."""
+    q = 1 / (1 - aw)
+    return (q.numerator // q.denominator).bit_length() - 1
+
+
 def _gap_polyline(i: int, wa: Fraction, wb: Fraction) -> list[Point2]:
-    kmax = 1
-    for bound in (wa, wb):
-        if abs(bound) > 0:
-            q = 1 / (1 - abs(bound))
-            kmax = max(kmax, (q.numerator // q.denominator).bit_length() + 1)
-    anchors: list[Fraction] = [_ZERO]
-    for k in range(kmax + 1):
-        for kind in ("z", "p"):
-            aw = _anchor_abs(kind, k)
-            anchors.extend((aw, -aw))
-    params = sorted({w for w in anchors if wa < w < wb})
+    params = [_ZERO] if wa < 0 < wb else []
+    for side, lo, hi in ((-1, max(-wb, _ZERO), -wa), (1, max(wa, _ZERO), wb)):
+        if lo < hi:
+            for k in range(_flank_cycle(lo), _flank_cycle(hi) + 1):
+                anchors = (_anchor_abs("z", k), _anchor_abs("p", k))
+                params += [side * aw for aw in anchors if lo < aw < hi]
+    params.sort()
     pts = [_gap_point(i, wa)] + [_gap_point(i, w) for w in params]
     if wb > wa:
         pts.append(_gap_point(i, wb))
@@ -1487,7 +1489,8 @@ class ToothForestChainFamily(ChainFamily):
             windows += teeth[i] + self._gap_windows(plan, i, teeth)
         windows.append(Window(plan.blob, f"gap_{m}", Fraction(-1), blob_cut, False, True, blob_box))
         for i in range(m + 1, max(m + 1, 8) + 1):
-            windows.append(Window(plan.blob, f"tooth_{i}", _ZERO, Fraction(1, i), True, True, blob_box))
+            top = Fraction(1, i)
+            windows.append(Window(plan.blob, f"tooth_{i}", _ZERO, top, True, True, blob_box))
             windows.append(Window(plan.blob, f"gap_{i}", Fraction(-1), _ONE, box=blob_box))
         windows.append(Window(plan.blob, "origin", _ZERO, _ZERO, True, True, blob_box))
         return windows
@@ -1700,7 +1703,9 @@ class SpiralChainFamily(ChainFamily):
         # Windows in arclength s first: the spiral runs from its free end
         # at s = 0, v = 1 inward.
         if self.variant == "D":
-            spiral = _grid_windows("spiral", plan.hs, plan.ovs, plan.spiral_count, 0, _ZERO, plan.spiral_len)
+            spiral = _grid_windows(
+                "spiral", plan.hs, plan.ovs, plan.spiral_count, 0, _ZERO, plan.spiral_len
+            )
             handover = (plan.spiral_count, plan.spiral_count + 1)
         else:
             spiral = _grid_windows(
@@ -1719,8 +1724,10 @@ class SpiralChainFamily(ChainFamily):
         spiral += [Window(link, "spiral", plan.spiral_len, end) for link in handover]
         spiral.sort(key=lambda w: w.lo)
         boxes = _spiral_boxes(spiral, end)
+        # v falls as s grows, so each window's ends swap.
+        v = _spiral_param_at
         return sine + [
-            Window(w.link, "spiral", _spiral_param_at(w.hi), _spiral_param_at(w.lo), w.hi_closed, w.lo_closed, box)
+            Window(w.link, "spiral", v(w.hi), v(w.lo), w.hi_closed, w.lo_closed, box)
             for w, box in zip(spiral, boxes)
         ]
 
@@ -1875,11 +1882,12 @@ def validate_level(family, n: int) -> dict:
     sampled_strands = {p.strand for pts in sampled.values() for p in pts}
     space = family.space
     shared: set[int] = set()
+    listed = by_strand.keys() | sampled_strands
+    unlisted = [s.name for s in space.strands if s.name not in listed]
+    if unlisted:
+        return failure("strands without a window", strands=unlisted)
     for name, ws in by_strand.items():
-        ws.sort(key=lambda w: (w.lo, not w.lo_closed))
-        strand = space.strand(name)
-        problem = _strand_axioms(strand, ws, name in sampled_strands, shared)
-        problem = problem or _index_agreement(level, strand, ws)
+        problem = _check_strand(level, space.strand(name), ws, name in sampled_strands, shared)
         if problem:
             return failure(problem[0], **problem[1])
     missing = sorted(set(range(1, size + 1)) - {w.link for w in windows})
@@ -1911,48 +1919,40 @@ def validate_level(family, n: int) -> dict:
     }
 
 
-def _strand_axioms(strand: Strand, ws: list[Window], sampled: bool, shared: set[int]):
-    """Cover and overlap on one strand, with windows sorted by start.
+def _check_strand(
+    level: ChainLevel, strand: Strand, ws: list[Window], sampled: bool, shared: set[int]
+):
+    """The chain axioms and ``index_of`` on one strand.
 
-    Windows may stop short of an end the strand only approaches (open or
-    unbounded) if a tail box or the sampled points take over there.
-    Adjacent links whose windows meet are added to ``shared``.
+    Between consecutive window ends, the windows holding a point and
+    ``index_of`` are both constant, so checking each end and one point
+    between consecutive ends checks every listed point: some window
+    holds it, the windows hold one link or two adjacent ones, and they
+    hold exactly the links ``index_of`` returns.  Adjacent links held
+    together go into ``shared``.  The windows may stop short of an end
+    the strand only approaches (open or unbounded) if a tail box or the
+    sampled points take over there.
     """
-    first, last = ws[0], max(ws, key=lambda w: (w.hi, w.hi_closed))
-    if first.lo > strand.lo or (
+    first = min(ws, key=lambda w: (w.lo, not w.lo_closed))
+    last = max(ws, key=lambda w: (w.hi, w.hi_closed))
+    lo_short = first.lo > strand.lo or (
         first.lo == strand.lo and not (first.lo_closed or strand.lo_open)
-    ):
-        if not (strand.lo_open and (first.box is not None or sampled)):
-            return ("windows do not cover the strand", {"strand": strand.name, "at": rational_str(strand.lo)})
-    if strand.hi is None or last.hi < strand.hi or (
-        last.hi == strand.hi and not (last.hi_closed or strand.hi_open)
-    ):
-        if not ((strand.hi is None or strand.hi_open) and (last.box is not None or sampled)):
-            return ("windows do not cover the strand", {"strand": strand.name, "at": rational_str(last.hi)})
-    reach, reach_closed = first.lo, True
-    active: list[Window] = []
-    for w in ws:
-        if w.lo > reach or (w.lo == reach and not (reach_closed or w.lo_closed)):
-            return ("windows do not cover the strand", {"strand": strand.name, "at": rational_str(reach)})
-        if (w.hi, w.hi_closed) > (reach, reach_closed):
-            reach, reach_closed = w.hi, w.hi_closed
-        active = [a for a in active if a.hi > w.lo or (a.hi == w.lo and a.hi_closed and w.lo_closed)]
-        for a in active:
-            if abs(a.link - w.link) > 1:
-                return (
-                    "windows of non-adjacent links overlap",
-                    {"strand": strand.name, "links": sorted((a.link, w.link))},
-                )
-            if a.link != w.link:
-                shared.add(min(a.link, w.link))
-        active.append(w)
-    return None
+    )
+    hi_open = strand.hi is None or strand.hi_open
+    hi_short = strand.hi is None or last.hi < strand.hi or (
+        last.hi == strand.hi and not (last.hi_closed or hi_open)
+    )
 
+    def at(reason: str, t: Fraction, **extra):
+        return (reason, {"strand": strand.name, "param": rational_str(t), **extra})
 
-def _index_agreement(level: ChainLevel, strand: Strand, ws: list[Window]):
-    """``index_of`` against the windows at every window end and between
-    consecutive ends; ``index_of`` is constant between consecutive ends,
-    so this checks every point the windows list."""
+    for short, approached, w, end in (
+        (lo_short, strand.lo_open, first, first.lo),
+        (hi_short, hi_open, last, last.hi),
+    ):
+        if short and not (approached and (w.box is not None or sampled)):
+            return at("windows do not cover the strand", end)
+
     ends = sorted({w.lo for w in ws} | {w.hi for w in ws})
     # Slot 2k is end k, slot 2k + 1 the stretch between ends k and k + 1.
     slot = {t: 2 * k for k, t in enumerate(ends)}
@@ -1961,16 +1961,20 @@ def _index_agreement(level: ChainLevel, strand: Strand, ws: list[Window]):
         for k in range(slot[w.lo] + (not w.lo_closed), slot[w.hi] - (not w.hi_closed) + 1):
             held[k].add(w.link)
     for k, links in enumerate(held):
-        # The outer ends of the listed stretch may lie off the strand or
-        # in a sampled tail.
-        if not links and k in (0, len(held) - 1):
-            continue
         t = ends[k // 2] if k % 2 == 0 else (ends[k // 2] + ends[k // 2 + 1]) / 2
+        if not links:
+            # The outer ends may lie off the strand or in a tail.
+            if k in (0, len(held) - 1):
+                continue
+            return at("windows do not cover the strand", t)
+        if max(links) - min(links) > 1:
+            return at("windows of non-adjacent links overlap", t, links=sorted(links))
+        if len(links) == 2:
+            shared.add(min(links))
         got = level.index_of(CatalogPoint(strand.name, t)).indices()
         if got != tuple(sorted(links)):
-            return (
-                "index_of disagrees with the windows",
-                {"strand": strand.name, "param": rational_str(t), "index_of": list(got), "windows": sorted(links)},
+            return at(
+                "index_of disagrees with the windows", t, index_of=list(got), windows=sorted(links)
             )
     return None
 
@@ -1983,7 +1987,7 @@ def _link_boxes(family, level: ChainLevel, windows: list[Window], sampled: dict)
     def grow(link: int, box: Box) -> None:
         old = boxes.get(link)
         if old is not None:
-            box = (min(old[0], box[0]), max(old[1], box[1]), min(old[2], box[2]), max(old[3], box[3]))
+            box = tuple(f(a, b) for f, a, b in zip((min, max, min, max), old, box))
         boxes[link] = box
 
     for w in windows:

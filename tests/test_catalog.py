@@ -24,6 +24,7 @@ from chainorder.catalog import (
     SpiralChainFamily,
     T_REPRESENTATIVES,
     ToothForestChainFamily,
+    Window,
     _gap_shape,
     _pass_data,
     _s3_family_cached,
@@ -144,6 +145,35 @@ def test_window_range_matches_the_fraction_formula(where, step, part, count):
     lo = math.floor((t - overlap) / step) + 1
     hi = math.ceil((t + overlap) / step)
     assert _window_range(t, step, overlap, count) == IndexRange(max(lo, 1), min(hi, count))
+
+
+@given(st.fractions(min_value=0, max_value=200, max_denominator=10**6))
+def test_wave_point_matches_anchor_interpolation(u):
+    j = math.floor(u)
+    s = u - j
+    x = (1 - s) * Fraction(2, j + 3) + s * Fraction(2, j + 4)
+    y = (1 - s) * catalog._WAVE_Y[j % 4] + s * catalog._WAVE_Y[(j + 1) % 4]
+    assert catalog._wave_point(u) == (x, y)
+
+
+_GAP_ANCHORS = [
+    s * catalog._anchor_abs(kind, k) for k in range(10) for kind in "zp" for s in (1, -1)
+]
+_GAP_PARAMS = st.one_of(
+    st.sampled_from(_GAP_ANCHORS),
+    st.fractions(min_value=-1, max_value=1, max_denominator=4096).filter(lambda w: abs(w) < 1),
+)
+
+
+@given(st.integers(1, 6), _GAP_PARAMS, _GAP_PARAMS)
+def test_gap_polyline_passes_every_anchor_between(i, wa, wb):
+    wa, wb = min(wa, wb), max(wa, wb)
+    kmax = max(catalog._flank_cycle(abs(w)) for w in (wa, wb)) + 2
+    anchors = {
+        s * catalog._anchor_abs(kind, k) for k in range(kmax) for kind in "zp" for s in (1, -1)
+    }
+    params = [wa] + sorted(w for w in anchors if wa < w < wb) + ([wb] if wb > wa else [])
+    assert catalog._gap_polyline(i, wa, wb) == [catalog._gap_point(i, w) for w in params]
 
 
 class TestSeparationData:
@@ -565,12 +595,10 @@ class _GappedArc(ArcChainFamily):
 
 
 class _StretchedArc(ArcChainFamily):
-    """Arc windows with link 1 reaching over link 3."""
+    """Arc windows with link 1 also over the overlap of links 2 and 3."""
 
     def link_windows(self, n):
-        windows = super().link_windows(n)
-        windows[0] = windows[0]._replace(hi=Fraction(1, 2))
-        return windows
+        return super().link_windows(n) + [Window(1, "segment", Fraction(7, 16), Fraction(9, 16))]
 
 
 class _MislabelledArc(ArcChainFamily):
