@@ -806,15 +806,14 @@ def _grid_windows(
     lo: Fraction,
     hi: Fraction,
     param: Callable = lambda o: o,
-    decreasing: bool = False,
     ends_closed: bool = True,
 ) -> list[Window]:
     """The windows of a `_window_range` grid over the coordinate stretch lo..hi.
 
     Window i of the grid is link first + i; the first and last windows
     reach the ends of the stretch, which are closed or open together.
-    ``param`` maps the grid coordinate to the strand parameter, and is
-    ``decreasing`` or increasing.
+    ``param`` maps the grid coordinate monotonically to the strand
+    parameter.
     """
     out = []
     for i in range(1, count + 1):
@@ -827,7 +826,7 @@ def _grid_windows(
         if a > b or (a == b and not (ca and cb)):
             continue
         pa, pb = param(a), param(b)
-        if decreasing:
+        if pa > pb:
             pa, pb, ca, cb = pb, pa, cb, ca
         out.append(Window(first + i, strand, pa, pb, ca, cb))
     return out
@@ -1146,7 +1145,6 @@ class SineChainFamily(ChainFamily):
             _ZERO,
             limit.hi - limit.lo,
             lambda o: plan.entry + plan.sense * o,
-            plan.sense < 0,
         )
         wave = _grid_windows("wave", plan.h, plan.ov, plan.windows, 0, _ZERO, plan.ustar)
         # The handover: the last window and the entry slab share (ustar, deep + ov).
@@ -1497,7 +1495,6 @@ class ToothForestChainFamily(ChainFamily):
 
     def _tooth_windows(self, plan: _S3Plan, i: int) -> list[Window]:
         bt, top = plan.tooth_bt[i], Fraction(1, i)
-        down = plan.bits[i - 1] == 1
         return _grid_windows(
             f"tooth_{i}",
             bt,
@@ -1506,8 +1503,7 @@ class ToothForestChainFamily(ChainFamily):
             plan.tooth_base[i],
             _ZERO,
             top,
-            (lambda o: top - o) if down else (lambda o: o),
-            down,
+            (lambda o: top - o) if plan.bits[i - 1] == 1 else (lambda o: o),
         )
 
     def _gap_windows(self, plan: _S3Plan, i: int, teeth: dict) -> list[Window]:
@@ -1528,7 +1524,6 @@ class ToothForestChainFamily(ChainFamily):
                 -ov_prev,
                 leg.count * leg.step + ov_next,
                 lambda d, leg=leg: leg.w_hi - d,
-                True,
                 ends_closed=False,
             )
         right = g.cut_r_w + g.marg_r
@@ -1700,28 +1695,20 @@ class SpiralChainFamily(ChainFamily):
         sine = [w._replace(link=w.link + plan.off_sine) for w in self._sine.link_windows(n)]
         if plan.spiral_count == 0:
             return sine
-        # Windows in arclength s first: the spiral runs from its free end
-        # at s = 0, v = 1 inward.
+        # Windows in arclength s first, from the free end at s = 0, v = 1.
+        # D walks the spiral inward from link 1; E walks it outward after
+        # the sine block, so its handover pair of links comes first.
         if self.variant == "D":
-            spiral = _grid_windows(
-                "spiral", plan.hs, plan.ovs, plan.spiral_count, 0, _ZERO, plan.spiral_len
-            )
-            handover = (plan.spiral_count, plan.spiral_count + 1)
+            first, s_of, handover = 0, (lambda o: o), plan.spiral_count
         else:
-            spiral = _grid_windows(
-                "spiral",
-                plan.hs,
-                plan.ovs,
-                plan.spiral_count,
-                plan.off_spiral,
-                _ZERO,
-                plan.spiral_len,
-                lambda o: plan.spiral_len - o,
-                True,
-            )
-            handover = (plan.off_spiral, plan.off_spiral + 1)
+            first = handover = plan.off_spiral
+            s_of = lambda o: plan.spiral_len - o
+        spiral = _grid_windows(
+            "spiral", plan.hs, plan.ovs, plan.spiral_count, first, _ZERO, plan.spiral_len, s_of
+        )
         end = plan.spiral_len + plan.ovs
-        spiral += [Window(link, "spiral", plan.spiral_len, end) for link in handover]
+        for link in (handover, handover + 1):
+            spiral.append(Window(link, "spiral", plan.spiral_len, end))
         spiral.sort(key=lambda w: w.lo)
         boxes = _spiral_boxes(spiral, end)
         # v falls as s grows, so each window's ends swap.
@@ -1890,9 +1877,7 @@ def validate_level(family, n: int) -> dict:
         problem = _check_strand(level, space.strand(name), ws, name in sampled_strands, shared)
         if problem:
             return failure(problem[0], **problem[1])
-    missing = sorted(set(range(1, size + 1)) - {w.link for w in windows})
-    if missing:
-        return failure("links without a window", links=missing[:5])
+    # Every link shares a point with its neighbours, so none lacks a window.
     unshared = [i for i in range(1, size) if i not in shared]
     if unshared:
         return failure("adjacent links share no point", links=unshared[:5])
@@ -1933,25 +1918,22 @@ def _check_strand(
     the strand only approaches (open or unbounded) if a tail box or the
     sampled points take over there.
     """
-    first = min(ws, key=lambda w: (w.lo, not w.lo_closed))
-    last = max(ws, key=lambda w: (w.hi, w.hi_closed))
-    lo_short = first.lo > strand.lo or (
-        first.lo == strand.lo and not (first.lo_closed or strand.lo_open)
-    )
-    hi_open = strand.hi is None or strand.hi_open
-    hi_short = strand.hi is None or last.hi < strand.hi or (
-        last.hi == strand.hi and not (last.hi_closed or hi_open)
-    )
 
     def at(reason: str, t: Fraction, **extra):
         return (reason, {"strand": strand.name, "param": rational_str(t), **extra})
 
-    for short, approached, w, end in (
-        (lo_short, strand.lo_open, first, first.lo),
-        (hi_short, hi_open, last, last.hi),
+    first = min(ws, key=lambda w: (w.lo, not w.lo_closed))
+    last = max(ws, key=lambda w: (w.hi, w.hi_closed))
+    for w, t, end, closed, end_open in (
+        (first, first.lo, strand.lo, first.lo_closed, strand.lo_open),
+        (last, last.hi, strand.hi, last.hi_closed, strand.hi is None or strand.hi_open),
     ):
-        if short and not (approached and (w.box is not None or sampled)):
-            return at("windows do not cover the strand", end)
+        if t == end:
+            covered = closed or end_open
+        else:
+            covered = end_open and (w.box is not None or sampled)
+        if not covered:
+            return at("windows do not cover the strand", t)
 
     ends = sorted({w.lo for w in ws} | {w.hi for w in ws})
     # Slot 2k is end k, slot 2k + 1 the stretch between ends k and k + 1.

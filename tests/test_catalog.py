@@ -560,16 +560,26 @@ class TestSpiralFamilies:
 
 
 def _window_samples(windows, per_window=8):
-    """Evenly spaced parameters of each window that the window holds."""
+    """Evenly spaced parameters of each window that the window holds, with
+    the windows of its strand that meet it: only those can hold them."""
+    on_strand = _by_strand(windows)
     for w in windows:
+        near = [v for v in on_strand[w.strand] if v.lo <= w.hi and v.hi >= w.lo]
         for k in range(per_window + 1):
             t = w.lo + (w.hi - w.lo) * Fraction(k, per_window)
             if w.contains(t):
-                yield w, t
+                yield w, t, near
 
 
-def _holders(windows, strand, t):
-    return tuple(sorted({w.link for w in windows if w.strand == strand and w.contains(t)}))
+def _holders(windows, t):
+    return tuple(sorted({w.link for w in windows if w.contains(t)}))
+
+
+def _by_strand(windows):
+    grouped: dict[str, list] = {}
+    for w in windows:
+        grouped.setdefault(w.strand, []).append(w)
+    return grouped
 
 
 def _spread(points):
@@ -599,6 +609,22 @@ class _StretchedArc(ArcChainFamily):
 
     def link_windows(self, n):
         return super().link_windows(n) + [Window(1, "segment", Fraction(7, 16), Fraction(9, 16))]
+
+
+class _OpenEndArc(ArcChainFamily):
+    """Arc windows that leave the closed end 0 out of link 1."""
+
+    def link_windows(self, n):
+        windows = super().link_windows(n)
+        windows[0] = windows[0]._replace(lo_closed=False)
+        return windows
+
+
+class _BarlessSine(SineChainFamily):
+    """S1 windows with the limit bar left out."""
+
+    def link_windows(self, n):
+        return [w for w in super().link_windows(n) if w.strand != "bar"]
 
 
 class _MislabelledArc(ArcChainFamily):
@@ -636,9 +662,9 @@ class TestValidator:
             assert report["ok"], report
             level, windows = family.level(n), family.link_windows(n)
             by_link: dict[int, list] = {}
-            for w, t in _window_samples(windows):
+            for w, t, near in _window_samples(windows):
                 p = CatalogPoint(w.strand, t)
-                assert level.index_of(p).indices() == _holders(windows, w.strand, t), p
+                assert level.index_of(p).indices() == _holders(near, t), p
                 by_link.setdefault(w.link, []).append(family.space.position(p))
             assert len(by_link) == report["links"]
             sampled = max(_spread(pts) for pts in by_link.values())
@@ -671,10 +697,12 @@ class TestValidator:
         "family,reason",
         [
             (_GappedArc("standard"), "windows do not cover the strand"),
+            (_OpenEndArc("standard"), "windows do not cover the strand"),
+            (_BarlessSine("D"), "strands without a window"),
             (_StretchedArc("standard"), "windows of non-adjacent links overlap"),
             (_MislabelledArc("reversed"), "index_of disagrees with the windows"),
         ],
-        ids=["gap", "overlap", "mislabelled"],
+        ids=["gap", "open-end", "strand", "overlap", "mislabelled"],
     )
     def test_axiom_failures_are_reported(self, family, reason):
         report = validate_level(family, 2)
@@ -698,7 +726,7 @@ def _windows_and_boxes(family, n):
     if key not in _WINDOW_CACHE:
         level, windows = family.level(n), family.link_windows(n)
         boxes = catalog._link_boxes(family, level, windows, family.sampled_parts(n))
-        _WINDOW_CACHE[key] = windows, boxes
+        _WINDOW_CACHE[key] = windows, _by_strand(windows), boxes
     return _WINDOW_CACHE[key]
 
 
@@ -714,12 +742,12 @@ def test_windows_invert_index_of(family, n, pick, frac, periods):
     """A point of any window sits in exactly the links whose windows hold
     it, and inside each of their boxes.  On the periodic wave tail a
     point some periods further out behaves the same."""
-    windows, boxes = _windows_and_boxes(family, n)
+    windows, on_strand, boxes = _windows_and_boxes(family, n)
     w = windows[pick % len(windows)]
     t = w.lo + (w.hi - w.lo) * frac
     assume(w.contains(t))
     level = family.level(n)
-    links = _holders(windows, w.strand, t)
+    links = _holders(on_strand[w.strand], t)
     points = [CatalogPoint(w.strand, t)]
     if w.strand == "wave" and w.box is not None:
         points.append(CatalogPoint("wave", t + 4 * periods))
