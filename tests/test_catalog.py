@@ -759,6 +759,52 @@ def test_windows_invert_index_of(family, n, pick, frac, periods):
             assert x0 <= x <= x1 and y0 <= y <= y1, (p, link)
 
 
+def _far_points(family, n):
+    """Points anywhere on the family's space, tails and strands past the
+    listed ones included; T's spiral only where its windows reach, since
+    beyond them it is sampled."""
+    unit = st.fractions(0, 1, max_denominator=10**4)
+    # Gap flanks crowd toward w = 1 on every scale.
+    near_one = st.tuples(st.integers(0, 30), st.integers(1, 2**20 - 1)).map(
+        lambda a: 1 - Fraction(a[1], 2 ** (a[0] + 20))
+    )
+    if family.SPACE == "s3":
+        i = st.integers(1, n + 2)
+        gap = st.tuples(i, near_one, st.sampled_from((1, -1))).map(
+            lambda a: CatalogPoint(f"gap_{a[0]}", a[1] * a[2])
+        )
+        tooth = st.tuples(i, unit).map(lambda a: CatalogPoint(f"tooth_{a[0]}", a[1] / a[0]))
+        return st.one_of(gap, tooth, st.just(CatalogPoint("origin", 0)))
+    # The wave runs on without end: near the cut and far beyond it.
+    wave = st.one_of(
+        st.fractions(0, 64, max_denominator=10**4), st.fractions(0, 10**4, max_denominator=10)
+    ).map(lambda u: CatalogPoint("wave", u))
+    bounded = [s for s in family.space.strands if s.hi is not None and s.name != "spiral"]
+    points = [wave] if family.SPACE != "arc" else []
+    points += [
+        unit.map(lambda f, s=s: CatalogPoint(s.name, s.lo + f * (s.hi - s.lo))) for s in bounded
+    ]
+    spiral = [w for w in _windows_and_boxes(family, n)[0] if w.strand == "spiral"]
+    if spiral:
+        reach = min(w.lo for w in spiral)
+        points.append(unit.filter(bool).map(lambda f: CatalogPoint("spiral", 1 - f * (1 - reach))))
+    return st.one_of(points)
+
+
+@given(family=st.sampled_from(_WINDOWED), n=st.integers(1, 3), data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_boxes_hold_every_point_of_their_links(family, n, data):
+    """The boxes bound each link everywhere, not just on listed windows:
+    far out on the wave and gap tails, on strands past the listed ones,
+    and on the limit strands."""
+    p = data.draw(_far_points(family, n))
+    boxes = _windows_and_boxes(family, n)[2]
+    x, y = family.space.position(p)
+    for link in family.level(n).index_of(p).indices():
+        x0, x1, y0, y1 = boxes[link]
+        assert x0 <= x <= x1 and y0 <= y <= y1, (p, link)
+
+
 # -- checked persistence ----------------------------------------------------------
 
 
