@@ -583,17 +583,7 @@ def orientation_combinatorics(word_depth: int = 10) -> dict:
                     reach_ok = False
                 if result.source[: len(src)] != src or result.image[: len(tgt)] != tgt:
                     reach_ok = False
-                image = {
-                    apply_composition(result.composition, result.source + tail)
-                    for tail in itertools.product(
-                        (0, 1), repeat=reach_depth - len(result.source)
-                    )
-                }
-                want = {
-                    result.image + tail
-                    for tail in itertools.product((0, 1), repeat=reach_depth - len(result.image))
-                }
-                if image != want:
+                if not result.verify(reach_depth):
                     reach_ok = False
 
     passed = decompose_ok and reach_ok

@@ -148,16 +148,15 @@ class IntervalChain:
 
     def index_of(self, t: int | Fraction) -> IndexRange:
         t = rational(t)
-        if not 0 <= t <= 1:
+        a, b = t.numerator, t.denominator
+        if not 0 <= a <= b:
             raise ValueError(f"point outside [0,1]: {t}")
-        # i ranges over integers with (4kt-1)/4 < i < (4kt+5)/4.
-        a = (4 * self.k * t - 1) / 4
-        b = (4 * self.k * t + 5) / 4
-        lo = a.numerator // a.denominator + 1
-        hi = -((-b.numerator) // b.denominator) - 1
-        lo = max(lo, 1)
-        hi = min(hi, self.k)
-        return IndexRange(lo, hi)
+        # i ranges over integers with (4kt-1)/4 < i < (4kt+5)/4; with
+        # t = a/b those bounds are (4ka - b)/4b and (4ka + 5b)/4b.
+        scaled, den = 4 * self.k * a, 4 * b
+        lo = (scaled - b) // den + 1
+        hi = -(-(scaled + 5 * b) // den) - 1
+        return IndexRange(max(lo, 1), min(hi, self.k))
 
 
 def pullback_chain(system: InverseSystem, n: int, base: IntervalChain) -> ChainLevel:

@@ -5,8 +5,9 @@ with indent=2 and ASCII escapes: stable key order, rationals as "p/q", a
 schema version field) or as indented text; golden files pin both.
 Identical invocations produce byte-identical JSON; wall-clock readings
 only enter with --timing.  Set CHAINORDER_REPORT_DIR to also write the
-JSON bytes of each report into that directory.  ``orientation`` and
-``knaster-witness`` refuse inputs over a stated cost budget.  Exit codes:
+JSON bytes of each report into that directory.  ``orientation`` refuses
+inputs over a stated cost budget, and ``compare``, ``orders-count`` and
+``knaster-witness`` depths over a level budget.  Exit codes:
 0 when every assertion the experiment embeds holds, 1 when one fails, 2
 on usage or input errors.
 """
@@ -20,6 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import acceptance
@@ -201,6 +203,7 @@ def _cmd_catalog_list(args) -> tuple[dict, bool]:
 
 
 def _cmd_compare(args) -> tuple[dict, bool]:
+    _within_levels("compare --depth", args.depth)
     family = _family(args.space, args.variant, args.bits)
     x = _parse_point(args.space, args.x)
     y = _parse_point(args.space, args.y)
@@ -230,6 +233,7 @@ def _cmd_orders_count(args) -> tuple[dict, bool]:
     agree on what counts as one order.
     """
     space, depth = args.space, args.depth
+    _within_levels("orders-count --depth", depth)
     if space == "arc":
         rep = acceptance.arc_order_count(depth=depth)
         distinct, expected = rep["detail"]["distinct_orders"], 2
@@ -271,14 +275,14 @@ _NAMED_SETS = {
 
 # knaster-witness builds exact witness threads level by level: depth 2,048
 # takes 0.3 s, 4,096 about 1 s and 8,192 about 4 s (Python 3.11, one core of
-# a 2-vCPU virtual machine).  Larger depths, moduli and cofinite starts are
-# refused before anything is built.
-KNASTER_LEVEL_BUDGET = 4096
+# a 2-vCPU virtual machine); compare and orders-count keep every level up
+# to --depth.  Larger depths, moduli and cofinite starts are refused first.
+LEVEL_BUDGET = 4096
 
 
 def _within_levels(what: str, levels: int) -> None:
-    if levels > KNASTER_LEVEL_BUDGET:
-        raise UsageError(f"{what} {levels} is over the budget of {KNASTER_LEVEL_BUDGET} levels")
+    if levels > LEVEL_BUDGET:
+        raise UsageError(f"{what} {levels} is over the budget of {LEVEL_BUDGET} levels")
 
 
 def _parse_level_set(text: str) -> EventuallyPeriodicSet:
@@ -315,9 +319,9 @@ def _cmd_knaster_witness(args) -> tuple[dict, bool]:
 
 
 # Orientation reports whose estimated cost exceeds 2^23 bit steps are
-# refused; at that size a report takes one to three seconds (Python 3.11,
-# one core of a 2-vCPU virtual machine), and each further bit of depth
-# doubles it.
+# refused; the largest accepted inputs take 0.2 to 0.7 s per process
+# (Python 3.11, one core of a 2-vCPU virtual machine), and each further
+# bit of depth doubles that.
 ORIENTATION_BUDGET_LOG2 = 23
 
 
@@ -365,11 +369,6 @@ def _within_budget(command: str, log2_steps: float) -> None:
         )
 
 
-def _tails(length: int):
-    for value in range(2**length):
-        yield tuple((value >> (length - 1 - k)) & 1 for k in range(length))
-
-
 def _cmd_orientation_decompose(args) -> tuple[dict, bool]:
     prefix = parse_word(args.prefix) if args.prefix else ()
     if len(prefix) != args.n:
@@ -379,7 +378,7 @@ def _cmd_orientation_decompose(args) -> tuple[dict, bool]:
     depth = max(args.n + 4, 8)
     verified = all(
         apply_composition(composition, prefix + tail) == flip(args.n, prefix + tail)
-        for tail in _tails(depth - args.n)
+        for tail in product((0, 1), repeat=depth - args.n)
     )
     report = {
         "inputs": {"n": args.n, "prefix": list(prefix)},
@@ -396,12 +395,7 @@ def _cmd_orientation_reach(args) -> tuple[dict, bool]:
     tgt = parse_word(args.to) if args.to else ()
     _within_budget("orientation reach", _reach_log2_steps(len(src), len(tgt), args.depth))
     result = reach_with_parity(src, tgt, args.parity, args.depth)
-    image = {
-        apply_composition(result.composition, result.source + tail)
-        for tail in _tails(args.depth - len(result.source))
-    }
-    expected = {result.image + tail for tail in _tails(args.depth - len(result.image))}
-    verified = image == expected
+    verified = result.verify(args.depth)
     report = {
         "inputs": {
             "from": list(src),
@@ -429,7 +423,7 @@ def _suite_lines(report: dict) -> list[str]:
     lines = []
     for rep in report["criteria"]:
         status = "PASS" if rep["pass"] else "FAIL"
-        timing = f" ({rep['elapsed_s']:.2f}s)" if "elapsed_s" in rep else ""
+        timing = f" ({rep['elapsed_s']:.2f}s of {rep['limit_s']}s)" if "elapsed_s" in rep else ""
         lines.append(f"{status} criterion {rep['criterion']:>2}: {rep['name']}{timing}")
     lines.append("all passed" if report["passed"] else "FAILURES above")
     return lines

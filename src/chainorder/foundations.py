@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import and_, gt, not_, or_
 from typing import Callable, Iterable
 
 Rational = Fraction
@@ -83,8 +84,8 @@ class EventuallyPeriodicSet:
     def __post_init__(self) -> None:
         if not self.pattern:
             raise ValueError("pattern must be nonempty")
-        prefix = tuple(bool(b) for b in self.prefix)
-        pattern = _minimal_period(tuple(bool(b) for b in self.pattern))
+        prefix = tuple(map(bool, self.prefix))
+        pattern = _minimal_period(tuple(map(bool, self.pattern)))
         # Absorbing a prefix bit into the tail rotates the pattern right;
         # rotation preserves the minimal period, so no second reduction.
         while prefix and prefix[-1] == pattern[-1]:
@@ -144,7 +145,8 @@ class EventuallyPeriodicSet:
 
     def bits(self, count: int) -> tuple[bool, ...]:
         """Membership bits for 0..count-1."""
-        return tuple(n in self for n in range(count))
+        repeats = -(-max(count - len(self.prefix), 0) // len(self.pattern))
+        return (self.prefix + self.pattern * repeats)[: max(count, 0)]
 
     # -- algebra ----------------------------------------------------------
 
@@ -152,24 +154,27 @@ class EventuallyPeriodicSet:
         self, other: EventuallyPeriodicSet, op: Callable[[bool, bool], bool]
     ) -> EventuallyPeriodicSet:
         start = max(len(self.prefix), len(other.prefix))
-        period = lcm(len(self.pattern), len(other.pattern))
-        prefix = tuple(op(n in self, n in other) for n in range(start))
-        pattern = tuple(op(n in self, n in other) for n in range(start, start + period))
-        return EventuallyPeriodicSet(prefix, pattern)
+        count = start + lcm(len(self.pattern), len(other.pattern))
+        bits = tuple(map(op, self.bits(count), other.bits(count)))
+        return EventuallyPeriodicSet(bits[:start], bits[start:])
 
     def union(self, other: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
-        return self._combine(other, lambda a, b: a or b)
+        return self._combine(other, or_)
 
     def intersection(self, other: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
-        return self._combine(other, lambda a, b: a and b)
+        return self._combine(other, and_)
 
     def difference(self, other: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
-        return self._combine(other, lambda a, b: a and not b)
+        # On bools, a > b is exactly "a and not b".
+        return self._combine(other, gt)
 
     def complement(self) -> EventuallyPeriodicSet:
-        return EventuallyPeriodicSet(
-            tuple(not b for b in self.prefix), tuple(not b for b in self.pattern)
-        )
+        # Complementing keeps the period minimal and the last prefix bit
+        # unlike the last pattern bit, so the result is already normal.
+        out = object.__new__(EventuallyPeriodicSet)
+        object.__setattr__(out, "prefix", tuple(map(not_, self.prefix)))
+        object.__setattr__(out, "pattern", tuple(map(not_, self.pattern)))
+        return out
 
     __or__ = union
     __and__ = intersection

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, product
+from operator import xor
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -24,20 +26,23 @@ class SearchBoundExceeded(ValueError):
     """No composition within the declared search bound (indicates a bug)."""
 
 
+# The characters "0"/"1" and the integers 0/1 (bools included) are the
+# bits; keying on the type keeps out 1.0 and other digits int() accepts.
+_BITS = {(str, "0"): 0, (str, "1"): 1, (int, 0): 0, (int, 1): 1, (bool, False): 0, (bool, True): 1}
+
+
 def parse_word(text: str | Iterable[int]) -> Word:
-    """Normalize ``"0110"`` or any 0/1 iterable to a bit tuple."""
-    bits = tuple(int(b) for b in text)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"not a binary word: {text!r}")
-    return bits
+    """Normalize ``"0110"`` or any iterable of 0/1 to a tuple of ints."""
+    items = tuple(text)
+    try:
+        return tuple(map(_BITS.__getitem__, zip(map(type, items), items)))
+    except (KeyError, TypeError):  # TypeError: an unhashable item
+        raise ValueError(f"not a binary word: {text!r}") from None
 
 
 def flip(n: int, w: Sequence[int]) -> Word:
     """Complement every coordinate of ``w`` from position ``n`` on."""
-    word = parse_word(w)
-    if not 0 <= n < len(word):
-        raise ValueError(f"flip index {n} outside word of length {len(word)}")
-    return word[:n] + tuple(1 - b for b in word[n:])
+    return apply_composition((n,), w)
 
 
 def in_A_n(n: int, w: Sequence[int]) -> bool:
@@ -54,15 +59,20 @@ def in_A_n(n: int, w: Sequence[int]) -> bool:
 
 
 def apply_composition(composition: Sequence[int], w: Sequence[int]) -> Word:
-    """Apply the flips leftmost first.
+    """Apply the flips as repeated ``flip`` calls would, in one pass.
 
-    The flips commute, so the order never changes the result; one order
-    is fixed anyway to keep reports reproducible.
+    The flips commute, so position j ends complemented exactly when an
+    odd number of the indices are <= j.  Indices are checked in order,
+    so a bad one raises the error its ``flip`` would.
     """
     word = parse_word(w)
+    length = len(word)
+    toggles = [0] * length
     for i in composition:
-        word = flip(i, word)
-    return word
+        if not 0 <= i < length:
+            raise ValueError(f"flip index {i} outside word of length {length}")
+        toggles[i] ^= 1
+    return tuple(map(xor, word, accumulate(toggles, xor)))
 
 
 def composition_parity(composition: Sequence[int]) -> str:
@@ -125,6 +135,17 @@ class ReachResult:
             "image": list(self.image),
         }
 
+    def verify(self, depth: int) -> bool:
+        """Check, word by word at length ``depth``, that the composition
+        maps the words extending ``source`` exactly onto those extending
+        ``image``."""
+        got = {
+            apply_composition(self.composition, self.source + tail)
+            for tail in product((0, 1), repeat=depth - len(self.source))
+        }
+        want = product((0, 1), repeat=depth - len(self.image))
+        return got == {self.image + tail for tail in want}
+
 
 def reach_with_parity(
     s: Sequence[int], target: Sequence[int], parity: str, depth: int
@@ -150,18 +171,10 @@ def reach_with_parity(
     def is_goal(prefix: Word, odd: bool) -> bool:
         return odd == want_odd and prefix[: len(tgt)] == tgt
 
-    starts = []
-    for ext in range(2 ** (length - len(src))):
-        tail = tuple((ext >> (length - len(src) - 1 - k)) & 1 for k in range(length - len(src)))
-        starts.append(src + tail)
-
-    seen: dict[tuple[Word, bool], tuple] = {}
-    queue: deque[tuple[Word, bool]] = deque()
-    for start in starts:
-        state = (start, False)
-        if state not in seen:
-            seen[state] = (None, None, start)
-            queue.append(state)
+    # Every extension of the source to the working length starts a path.
+    starts = [src + tail for tail in product((0, 1), repeat=length - len(src))]
+    seen: dict[tuple[Word, bool], tuple] = {(w, False): (None, None, w) for w in starts}
+    queue: deque[tuple[Word, bool]] = deque(seen)
 
     moves = list(range(length)) + [length]  # the last entry is the fresh index
 

@@ -113,7 +113,7 @@ class SimulatedUltrafilter:
         """Extend minimally (fresh digits zero) until some modulus absorbs the period."""
         if period < 1:
             raise ValueError("period must be positive")
-        if any(m % period == 0 for m in self.moduli):
+        if self.moduli[-1] % period == 0:  # each modulus divides the top one
             return self
         new_modulus = math.lcm(self.moduli[-1], period)
         return SimulatedUltrafilter(
@@ -125,16 +125,13 @@ class SimulatedUltrafilter:
 
         Every member of the class n = r (mod m) beyond the prefix has the
         same membership bit in s once the period divides m, so all
-        nonprincipal ultrafilters containing the class agree.
+        nonprincipal ultrafilters containing the class agree.  The first
+        such modulus decides; only when none fits is the tower extended.
         """
         period = len(s.pattern)
         tower = self.ensure_period(period)
-        extended = tower is not self
-        for m, r in zip(tower.moduli, tower.residues):
-            if m % period == 0:
-                value = bool(s.pattern[(r - len(s.prefix)) % period])
-                return Decision(value, m, extended, tower)
-        raise AssertionError("ensure_period left no usable modulus")
+        m, r = next((m, r) for m, r in zip(tower.moduli, tower.residues) if m % period == 0)
+        return Decision(bool(s.pattern[(r - len(s.prefix)) % period]), m, tower is not self, tower)
 
     def decides(self, s: EventuallyPeriodicSet) -> bool:
         return self.decide(s).value
@@ -153,11 +150,13 @@ def filter_axiom_report(
     period = math.lcm(len(s.pattern), len(t.pattern))
     common = tower.ensure_period(period)
     extended = common is not tower
+    # The top modulus is a multiple of every period below, and residues
+    # agree down the tower, so each verdict equals ``common.decide``'s.
+    modulus, residue = common.moduli[-1], common.residues[-1]
 
     def verdict(a: EventuallyPeriodicSet) -> bool:
-        decision = common.decide(a)
-        assert not decision.extended
-        return decision.value
+        assert modulus % len(a.pattern) == 0, "a verdict would extend the tower"
+        return bool(a.pattern[(residue - len(a.prefix)) % len(a.pattern)])
 
     ds, dt = verdict(s), verdict(t)
     d_and, d_or = verdict(s & t), verdict(s | t)

@@ -114,6 +114,47 @@ class TestCanonicalChain:
         assert direct == set(chain.index_of(t).indices())
 
 
+def fraction_index_of(chain: IntervalChain, t) -> IndexRange:
+    """The Fraction formula the integer index_of replaced, as its oracle."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"point outside [0,1]: {t}")
+    a = (4 * chain.k * t - 1) / 4
+    b = (4 * chain.k * t + 5) / 4
+    lo = a.numerator // a.denominator + 1
+    hi = -((-b.numerator) // b.denominator) - 1
+    return IndexRange(max(lo, 1), min(hi, chain.k))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerIndexAgainstFractions:
+    @given(st.integers(min_value=1, max_value=64), st.data())
+    def test_index_of(self, k, data):
+        chain = IntervalChain(k)
+        ends = [end for i in range(1, k + 1) for end in chain.raw_link(i)]
+        t = data.draw(
+            st.one_of(
+                st.sampled_from([0, 1, Fraction(0), Fraction(1)] + ends),
+                st.fractions(min_value=0, max_value=1),
+                st.fractions(min_value=-1, max_value=2, max_denominator=8 * k),
+            )
+        )
+        assert outcome(chain.index_of, t) == outcome(fraction_index_of, chain, t)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 24, 1000])
+    def test_every_link_end(self, k):
+        chain = IntervalChain(k)
+        for i in range(1, k + 1):
+            for end in chain.raw_link(i) + chain.link(i):
+                assert outcome(chain.index_of, end) == outcome(fraction_index_of, chain, end)
+
+
 class TestLevelPreorder:
     def test_disjoint_ranges_are_strict(self):
         assert level_preorder(IndexRange(1, 2), IndexRange(3, 3)) == LE_ONLY

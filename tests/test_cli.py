@@ -9,11 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainorder.cli import (
-    KNASTER_LEVEL_BUDGET,
+    LEVEL_BUDGET,
     ORIENTATION_BUDGET_LOG2,
     _decompose_log2_steps,
     _reach_log2_steps,
     _render,
+    _suite_lines,
     main,
 )
 from chainorder.foundations import rational_str
@@ -206,7 +207,46 @@ class TestKnasterWitness:
         assert code == 2
         assert out == ""
         assert message in err
-        assert f"budget of {KNASTER_LEVEL_BUDGET} levels" in err
+        assert f"budget of {LEVEL_BUDGET} levels" in err
+
+
+class TestDepthBudget:
+    # Refused before any level is built; the default --depth 20 is far
+    # below the budget.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--space", "s1", "--x", "bar:1/2", "--y", "bar:-1/2"],
+            ["compare", "--space", "t", "--x", "spiral:1", "--y", "bar:0"],
+            ["orders-count", "--space", "arc"],
+            ["orders-count", "--space", "s3"],
+        ],
+        ids=["compare-s1", "compare-t", "orders-arc", "orders-s3"],
+    )
+    @pytest.mark.parametrize("depth", [LEVEL_BUDGET + 1, 10**12])
+    def test_over_budget_is_refused(self, capsys, argv, depth):
+        code, out, err = run(capsys, *argv, "--depth", str(depth))
+        assert code == 2
+        assert out == ""
+        assert f"{argv[0]} --depth {depth} is over the budget of {LEVEL_BUDGET} levels" in err
+
+
+class TestBinaryWords:
+    def test_s3_bits_must_be_ascii_binary(self, capsys):
+        code, out, err = run(
+            capsys,
+            "compare", "--space", "s3", "--bits", "\u0661\u0660",
+            "--x", "tooth_1:0", "--y", "tooth_1:1",
+        )
+        assert (code, out) == (2, "")
+        assert "not a binary word" in err
+
+    def test_reach_refuses_a_stray_letter(self, capsys):
+        code, out, err = run(
+            capsys, "orientation", "reach", "--from", "0a1", "--to", "1", "--parity", "odd"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: not a binary word: '0a1'\n"
 
 
 class TestOrientation:
@@ -297,6 +337,16 @@ class TestSuite:
             assert line.startswith("PASS criterion")
             assert f"criterion {number:>2}:" in line
         assert lines[-1] == "all passed"
+
+    def test_timing_lines_show_each_limit(self):
+        criterion = {"criterion": 8, "name": "filter-axioms", "pass": True, "limit_s": 2.0}
+        report = {"passed": True, "criteria": [dict(criterion, elapsed_s=0.2345)]}
+        assert _suite_lines(report) == [
+            "PASS criterion  8: filter-axioms (0.23s of 2.0s)",
+            "all passed",
+        ]
+        report["criteria"] = [criterion]
+        assert _suite_lines(report)[0] == "PASS criterion  8: filter-axioms"
 
     def test_json_report(self, capsys):
         code, report = run_json(capsys, "suite")

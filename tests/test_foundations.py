@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import and_, gt, or_
 
 import pytest
 from hypothesis import given
@@ -140,6 +142,50 @@ class TestAlgebra:
         assert ev & od == EventuallyPeriodicSet.empty()
         assert ~ev == od
         assert ev - od == ev
+
+
+def pointwise_combine(a, b, op):
+    """The bit-by-bit _combine the sliced version replaced, as its oracle."""
+    start = max(len(a.prefix), len(b.prefix))
+    period = lcm(len(a.pattern), len(b.pattern))
+    prefix = tuple(op(n in a, n in b) for n in range(start))
+    pattern = tuple(op(n in a, n in b) for n in range(start, start + period))
+    return EventuallyPeriodicSet(prefix, pattern)
+
+
+class TestSlicedAgainstMembership:
+    @given(bits, patterns, st.integers(min_value=-3, max_value=40))
+    def test_bits(self, prefix, pattern, count):
+        s = EventuallyPeriodicSet(prefix, pattern)
+        want = tuple(raw_member(prefix, pattern, n) for n in range(count))
+        assert s.bits(count) == want
+        assert all(type(b) is bool for b in s.bits(count))
+
+    @given(epsets, epsets)
+    def test_combine(self, a, b):
+        # The operators the methods now pass, each beside the lambda it replaced.
+        cases = (
+            (a.union, or_, lambda x, y: x or y),
+            (a.intersection, and_, lambda x, y: x and y),
+            (a.difference, gt, lambda x, y: x and not y),
+        )
+        for method, op, old in cases:
+            got = method(b)
+            assert got == a._combine(b, op) == pointwise_combine(a, b, old)
+            assert all(type(bit) is bool for bit in got.prefix + got.pattern)
+        assert a._combine(b, lambda x, y: x != y) == pointwise_combine(a, b, lambda x, y: x != y)
+
+    @given(bits, patterns)
+    def test_complement(self, prefix, pattern):
+        s = EventuallyPeriodicSet(prefix, pattern)
+        got = s.complement()
+        built = EventuallyPeriodicSet(
+            tuple(not b for b in prefix), tuple(not b for b in pattern)
+        )
+        # Field by field: the complement skips the normalizing constructor.
+        assert (got.prefix, got.pattern) == (built.prefix, built.pattern)
+        assert all(type(b) is bool for b in got.prefix + got.pattern)
+        assert got.bits(20) == tuple(not raw_member(prefix, pattern, n) for n in range(20))
 
 
 class TestComparisonVerdict:

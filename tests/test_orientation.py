@@ -25,6 +25,29 @@ from chainorder.orientation import (
 words = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12).map(tuple)
 
 
+def loop_flip(n, w):
+    """The flip the one-pass kernels replaced, kept as their oracle."""
+    word = parse_word(w)
+    if not 0 <= n < len(word):
+        raise ValueError(f"flip index {n} outside word of length {len(word)}")
+    return word[:n] + tuple(1 - b for b in word[n:])
+
+
+def flip_by_flip(composition, w):
+    """The apply_composition loop the one-pass version replaced."""
+    word = parse_word(w)
+    for i in composition:
+        word = loop_flip(i, word)
+    return word
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 def extensions(prefix, depth):
     for tail in itertools.product((0, 1), repeat=depth - len(prefix)):
         yield prefix + tail
@@ -103,6 +126,29 @@ class TestDecompose:
             decompose_on_cylinder(2, (0, 1, 1))
 
 
+class TestOnePassAgainstLoop:
+    any_words = st.one_of(
+        st.lists(st.integers(min_value=0, max_value=1), max_size=12).map(tuple),
+        st.lists(st.sampled_from("01"), max_size=12).map("".join),
+        st.lists(st.booleans(), max_size=12),
+    )
+
+    # Indices run past both ends of the word, so bad ones are common.
+    @given(any_words, st.lists(st.integers(min_value=-2, max_value=13), max_size=9))
+    def test_apply_composition(self, w, composition):
+        got = outcome(apply_composition, composition, w)
+        assert got == outcome(flip_by_flip, composition, w)
+        assert all(type(b) is int for b in got) or isinstance(got[0], type)
+
+    @given(any_words, st.integers(min_value=-2, max_value=13))
+    def test_flip(self, w, n):
+        assert outcome(flip, n, w) == outcome(loop_flip, n, w)
+
+    def test_first_bad_index_names_the_error(self):
+        with pytest.raises(ValueError, match="^flip index 7 outside word of length 4$"):
+            apply_composition((1, 7, -1), "0110")
+
+
 class TestParity:
     def test_empty_is_even(self):
         assert composition_parity(()) == EVEN
@@ -174,3 +220,16 @@ class TestParseWord:
     def test_rejects_other_symbols(self):
         with pytest.raises(ValueError, match="binary"):
             parse_word("012")
+
+    def test_bools_become_ints(self):
+        word = parse_word([True, False, 1, "0"])
+        assert word == (1, 0, 1, 0)
+        assert all(type(b) is int for b in word)
+
+    # int() turned each of these into a bit: a float, Arabic-Indic digits,
+    # and a digit string with a stray letter (which int() refused with
+    # its own message).
+    @pytest.mark.parametrize("text", [[1.5], [1.0], "\u0661\u0660", "0a1", ["10"], [[1]]])
+    def test_rejects_what_is_not_a_bit(self, text):
+        with pytest.raises(ValueError, match="^not a binary word: "):
+            parse_word(text)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chainorder.foundations import EventuallyPeriodicSet
-from chainorder.ultrafilter import SimulatedUltrafilter, filter_axiom_report
+from chainorder.ultrafilter import Decision, SimulatedUltrafilter, filter_axiom_report
 
 EVENS = EventuallyPeriodicSet.evens()
 ODDS = EventuallyPeriodicSet.odds()
@@ -152,3 +153,79 @@ class TestAxiomProperties:
     @given(towers, epsets, epsets)
     def test_report_always_passes(self, u, s, t):
         assert filter_axiom_report(u, s, t)["pass"]
+
+
+factorial_towers = st.lists(st.integers(0, 100), max_size=4).map(
+    lambda ds: SimulatedUltrafilter.factorial_tower(tuple(d % (k + 2) for k, d in enumerate(ds)))
+)
+any_towers = st.one_of(towers, factorial_towers)
+
+
+def ensure_then_scan(u, s):
+    """The decide that always called ensure_period first, as an oracle."""
+    period = len(s.pattern)
+    tower = u.ensure_period(period)
+    for m, r in zip(tower.moduli, tower.residues):
+        if m % period == 0:
+            value = bool(s.pattern[(r - len(s.prefix)) % period])
+            return Decision(value, m, tower is not u, tower)
+    raise AssertionError("ensure_period left no usable modulus")
+
+
+def report_via_decide(tower, s, t):
+    """filter_axiom_report as it was, one oracle decision per verdict."""
+    common = tower.ensure_period(math.lcm(len(s.pattern), len(t.pattern)))
+
+    def verdict(a):
+        decision = ensure_then_scan(common, a)
+        assert not decision.extended
+        return decision.value
+
+    ds, dt = verdict(s), verdict(t)
+    d_and, d_or = verdict(s & t), verdict(s | t)
+    horizon = max(len(s.prefix), len(t.prefix)) + 2
+    checks = {
+        "complement_dichotomy": verdict(~s) == (not ds) and verdict(~t) == (not dt),
+        "intersection": d_and == (ds and dt),
+        "union": d_or == (ds or dt),
+        "upward_closure": (not ds or d_or) and (not dt or d_or),
+        "full_set": verdict(EventuallyPeriodicSet.full()),
+        "empty_set": not verdict(EventuallyPeriodicSet.empty()),
+        "cofinite_sets": verdict(EventuallyPeriodicSet.cofinite_from(horizon)),
+    }
+    return {
+        "tower": common.as_dict(),
+        "extended": common is not tower,
+        "decisions": {"s": ds, "t": dt, "s_and_t": d_and, "s_or_t": d_or},
+        "checks": checks,
+        "pass": all(checks.values()),
+    }
+
+
+class TestAgainstEnsureThenScan:
+    @given(any_towers, epsets)
+    def test_decide(self, u, s):
+        got, want = u.decide(s), ensure_then_scan(u, s)
+        assert (got.value, got.modulus, got.extended) == (want.value, want.modulus, want.extended)
+        assert got.tower == want.tower
+        assert (got.tower is u) == (want.tower is u)
+
+    def test_filter_axiom_reports_on_seeded_sets(self):
+        rng = random.Random(7120)
+
+        def random_set():
+            return EventuallyPeriodicSet(
+                tuple(rng.random() < 0.5 for _ in range(rng.randrange(0, 6))),
+                tuple(rng.random() < 0.5 for _ in range(rng.randrange(1, 7))),
+            )
+
+        base = (
+            SimulatedUltrafilter.binary_tower((0,)),
+            SimulatedUltrafilter.binary_tower((1, 0, 1)),
+            SimulatedUltrafilter.factorial_tower((1, 2)),
+            SimulatedUltrafilter.parse("r5=3"),
+        )
+        for tower in base:
+            for _ in range(150):
+                s, t = random_set(), random_set()
+                assert filter_axiom_report(tower, s, t) == report_via_decide(tower, s, t)
