@@ -32,6 +32,7 @@ from .chains import (
     LE_ONLY,
     ChainLevel,
     IntervalChain,
+    reverse_bounds,
     reverse_range,
 )
 from .foundations import (
@@ -60,25 +61,54 @@ def _clamp(t: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return min(max(t, lo), hi)
 
 
-def _window_range(t: Fraction, step: Fraction, overlap: Fraction, count: int) -> IndexRange:
-    """Window i of a 1..count grid spans ((i-1)*step - overlap, i*step + overlap).
+Pair = tuple[int, int]  # a rational as numerator and denominator, for cross-multiplying
 
-    With overlap < step/2 a point meets one window or two consecutive
-    ones, which is exactly the IndexRange contract.
+
+class _Grid(NamedTuple):
+    """Windows i = lo..hi of a grid, window i spanning ((i-1)*step - ov, i*step + ov).
+
+    With step = p/q and ov = c/e the grid keeps e*q, c*q and e*p, so a
+    lookup takes three products and two floors on integers.
     """
-    # Floor and ceiling over one common denominator: every index lookup
-    # comes through here, and reduced Fractions would cost a gcd each.
-    a, b = t.numerator, t.denominator
-    c, e = overlap.numerator, overlap.denominator
-    q = step.denominator
-    den = b * e * step.numerator
-    lo = (a * e - c * b) * q // den + 1
-    hi = -(-(a * e + c * b) * q // den)
-    return IndexRange(max(lo, 1), min(hi, count))
+
+    eq: int
+    cq: int
+    ep: int
+    lo: int
+    hi: int
 
 
-def _shift(r: IndexRange, offset: int) -> IndexRange:
-    return IndexRange(r.lo + offset, r.hi + offset)
+def _grid(step: Fraction, ov: Fraction, lo: int, hi: int) -> _Grid:
+    q, e = step.denominator, ov.denominator
+    return _Grid(e * q, ov.numerator * q, e * step.numerator, lo, hi)
+
+
+def _window_range(g: _Grid, a: int, b: int) -> Pair:
+    """The windows of ``g`` that hold the coordinate a/b (b > 0).
+
+    With ov < step/2 a point meets one window or two consecutive ones,
+    which is exactly the IndexRange contract.
+    """
+    eq, cq, ep, lo, hi = g
+    x, y, den = a * eq, b * cq, b * ep
+    return max((x - y) // den + 1, lo), min(-((-x - y) // den), hi)
+
+
+def _q(f: Fraction) -> Pair:
+    return f.numerator, f.denominator
+
+
+def _farther(s: Pair, t: Pair, g: _Grid) -> bool:
+    """|s - t| > step + 2*ov, the longest stretch one window of ``g`` covers,
+    for s and t given as numerator/denominator pairs."""
+    (a, b), (c, d) = s, t
+    return abs(a * d - c * b) * g.eq > (g.ep + 2 * g.cq) * b * d
+
+
+# The level-independent geometry that placing a point needs (the wave's
+# height, a gap's point, the spiral's arclength and host) is memoized for the
+# last _MEMO points per helper: a comparison places both points on every level.
+_MEMO = 64
 
 
 # -- exact plane distance ---------------------------------------------------
@@ -121,11 +151,20 @@ def _polyline_distance(z: Point2, pts: list[Point2]) -> Fraction:
 
 # -- the oscillating strand --------------------------------------------------
 
-_WAVE_Y = (Fraction(-1), Fraction(0), Fraction(1), Fraction(0))
+_WAVE_Y = (-1, 0, 1, 0)
 
 
 def _wave_anchor_x(j: int) -> Fraction:
     return Fraction(2, j + 3)
+
+
+@lru_cache(maxsize=_MEMO)
+def _wave_height(a: int, b: int) -> int:
+    """b times the wave's height at u = a/b."""
+    # With u = j + r/b, y moves from anchor j's height by r/b.
+    j, r = divmod(a, b)
+    y0 = _WAVE_Y[j % 4]
+    return y0 * b + r * (_WAVE_Y[(j + 1) % 4] - y0)
 
 
 def _wave_point(u: Fraction) -> Point2:
@@ -135,14 +174,11 @@ def _wave_point(u: Fraction) -> Point2:
     parameter and sweep y through a full -1,0,1,0 cycle, so the strand
     alternates troughs and peaks while x decreases to 0.
     """
-    # With u = j + r/b, x = 2(b(j+4) - r) / (b(j+3)(j+4)) and y moves
-    # from the anchor's height by r/b: one gcd per coordinate.
+    # With u = j + r/b, x = 2(b(j+4) - r) / (b(j+3)(j+4)): one gcd per coordinate.
     a, b = u.numerator, u.denominator
     j, r = divmod(a, b)
     x = Fraction(2 * (b * (j + 4) - r), b * (j + 3) * (j + 4))
-    y0 = _WAVE_Y[j % 4]
-    y = Fraction(y0.numerator * b + r * (_WAVE_Y[(j + 1) % 4] - y0).numerator, b)
-    return x, y
+    return x, Fraction(_wave_height(a, b), b)
 
 
 def _wave_polyline(ua: Fraction, ub: Fraction) -> list[Point2]:
@@ -342,6 +378,7 @@ def _anchor_point(i: int, side: int, kind: str, k: int) -> Point2:
     return x, y
 
 
+@lru_cache(maxsize=_MEMO)
 def _gap_point(i: int, w: Fraction) -> Point2:
     """Gap strand i: zigzag in 1/(i+1) < x < 1/i accumulating on both teeth.
 
@@ -634,6 +671,7 @@ def _pass_of(v: Fraction) -> int:
     return k + 1
 
 
+@lru_cache(maxsize=_MEMO)
 def _spiral_arclength(v: Fraction) -> Fraction:
     p = _pass_of(v)
     frac = (Fraction(1, 2 ** (p - 1)) - v) * 2**p
@@ -657,6 +695,16 @@ def _spiral_point(v: Fraction) -> Point2:
     ax, ay = data.verts[i]
     bx, by = data.verts[i + 1]
     return (ax + t * (bx - ax), ay + t * (by - ay))
+
+
+@lru_cache(maxsize=_MEMO)
+def _spiral_host(v: Fraction) -> CatalogPoint:
+    """The point of the bar or the oscillation that the spiral runs along at v."""
+    data, i, t = _spiral_locate(v)
+    tag = data.tags[i]
+    if tag[0] == "bar":
+        return CatalogPoint("bar", _clamp(_spiral_point(v)[1], Fraction(-1), _ONE))
+    return CatalogPoint("wave", tag[1] + t * (tag[2] - tag[1]))
 
 
 def _spiral_param_at(s: Fraction) -> Fraction:
@@ -1025,10 +1073,24 @@ class _SinePlan(NamedTuple):
     band: Fraction
     ovb: Fraction
     size: int
-    entry: Fraction
+    entry: int
     sense: int
     flip: bool
     mesh: Fraction
+    # Integer forms for placing points: the windows up to the handover
+    # link, the slabs, and (al, be) with slab coordinate al*t + be for a
+    # limit parameter t and for a wave height t past the cut.
+    wave: _Grid
+    slab: _Grid
+    limit_o: Pair
+    tail_o: Pair
+
+
+def _placed(lo: int, hi: int, plan: _SinePlan, offset: int) -> IndexRange:
+    """Links lo..hi of a walk, numbered backwards if it is flipped, after ``offset`` others."""
+    if plan.flip:
+        lo, hi = reverse_bounds(plan.size, lo, hi)
+    return IndexRange(lo + offset, hi + offset)
 
 
 @dataclass(frozen=True)
@@ -1051,11 +1113,9 @@ class SineChainFamily(ChainFamily):
     LIMIT: ClassVar[str] = "bar"
     PEAK_CUT: ClassVar[tuple[str, ...]] = ("D", "E")
     REVERSED: ClassVar[tuple[str, ...]] = ("E", "E'")
+    # (m, c): the deep oscillation at height y hugs limit-strand parameter m*y + c.
+    LIMIT_AT_HEIGHT: ClassVar[Pair] = (1, 0)
     variant: str
-
-    def _limit_at_height(self, y: Fraction) -> Fraction:
-        """The limit-strand parameter that the deep oscillation hugs at height y."""
-        return y
 
     def _mesh(self, h: Fraction, band: Fraction, reach: Fraction) -> Fraction:
         # reach: x of the oscillation where the windows stop; the tail
@@ -1073,7 +1133,9 @@ class SineChainFamily(ChainFamily):
         band = Fraction(1, 2 * (n + 3))
         slabs = 2 * int(limit.hi - limit.lo) * (n + 3)
         # The walk enters the limit strand where the cut's height meets it.
-        entry = self._limit_at_height(_ONE if peak_cut else Fraction(-1))
+        m, c = self.LIMIT_AT_HEIGHT
+        entry = m * (1 if peak_cut else -1) + c
+        sense = 1 if entry == limit.lo else -1
         plan = _SinePlan(
             n=n,
             h=h,
@@ -1086,48 +1148,52 @@ class SineChainFamily(ChainFamily):
             ovb=band / 8,
             size=windows + slabs,
             entry=entry,
-            sense=1 if entry == limit.lo else -1,
-            flip=self.variant in self.REVERSED,
+            sense=sense,
+            flip=False,
             mesh=self._mesh(h, band, _wave_point(deep - h / 8)[0]),
+            wave=_grid(h, h / 8, 1, windows + 1),
+            slab=_grid(band, band / 8, 1, slabs),
+            limit_o=(sense, -sense * entry),
+            tail_o=(sense * m, sense * (c - entry)),
         )
         # The walk enters from the free end: the outermost trough is in
         # the first link, and the limit strand is first met by its entry slab.
-        if self._base_index(plan, CatalogPoint("wave", 0)) != IndexRange(1, 1):
+        if self._index(plan, CatalogPoint("wave", 0)) != IndexRange(1, 1):
             raise AssertionError("free end must open the walk")
         entry_link = IndexRange(plan.windows + 1, plan.windows + 1)
-        if self._base_index(plan, CatalogPoint(self.LIMIT, entry)) != entry_link:
+        if self._index(plan, CatalogPoint(self.LIMIT, entry)) != entry_link:
             raise AssertionError("limit entry must follow the last window")
-        return plan
+        return plan._replace(flip=self.variant in self.REVERSED)
 
-    def _base_index(self, plan: _SinePlan, point: CatalogPoint) -> IndexRange:
-        if point.strand == "wave":
-            u = point.param
-            if u <= plan.ustar:
-                return _window_range(u, plan.h, plan.ov, plan.windows)
-            if u < plan.deep + plan.ov:
-                return IndexRange(plan.windows, plan.windows + 1)
-            t = self._limit_at_height(_clamp(_wave_point(u)[1], Fraction(-1), _ONE))
-        elif point.strand == self.LIMIT:
-            t = point.param
-        else:
+    def _index(self, plan: _SinePlan, point: CatalogPoint, offset: int = 0) -> IndexRange:
+        """The links holding ``point``, moved up by ``offset`` when the walk
+        is a block of a larger chain."""
+        a, b = point.param.numerator, point.param.denominator
+        if point.strand == self.LIMIT:
+            al, be = plan.limit_o
+        elif point.strand != "wave":
             raise ValueError(f"unknown point: {point}")
-        o = t - plan.entry if plan.sense > 0 else plan.entry - t
-        return _shift(_window_range(o, plan.band, plan.ovb, plan.slabs), plan.windows)
-
-    def _index(self, plan: _SinePlan, point: CatalogPoint) -> IndexRange:
-        r = self._base_index(plan, point)
-        return reverse_range(plan.size, r) if plan.flip else r
+        else:
+            # The grid's window windows + 1 stands for the entry slab: where
+            # it meets the last window, on (ustar, deep + ov), the walk hands over.
+            lo, hi = _window_range(plan.wave, a, b)
+            if lo <= plan.windows:
+                return _placed(lo, hi, plan, offset)
+            # Past the cut the slabs take the wave by its height.
+            a, (al, be) = _wave_height(a, b), plan.tail_o
+        lo, hi = _window_range(plan.slab, al * a + be * b, b)
+        return _placed(lo + plan.windows, hi + plan.windows, plan, offset)
 
     def _settled(self, plan: _SinePlan, p: CatalogPoint) -> bool:
-        return p.strand == self.LIMIT or p.param <= plan.ustar
+        # u <= ustar exactly when the entry slab's window misses u.
+        return p.strand == self.LIMIT or _window_range(plan.wave, *_q(p.param))[1] <= plan.windows
 
     def _apart(self, plan: _SinePlan, x: CatalogPoint, y: CatalogPoint) -> bool:
         """Settled points of one strand farther apart than any of its links
         spans, so no level from this one on (links only shrink) shares a link."""
         if x.strand != y.strand:
             return True
-        span = plan.h + 2 * plan.ov if x.strand == "wave" else plan.band + 2 * plan.ovb
-        return abs(x.param - y.param) > span
+        return _farther(_q(x.param), _q(y.param), plan.wave if x.strand == "wave" else plan.slab)
 
     def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
         plan = self._plan(n)
@@ -1164,7 +1230,8 @@ class SineChainFamily(ChainFamily):
         """
         reach = _wave_point(cut)[0]
         us = [cut] + [Fraction(u) for u in range(plan.deep + 1, plan.deep + 5)] + [cut + 4]
-        knots = [(u, self._limit_at_height(_wave_point(u)[1])) for u in us]
+        m, c = self.LIMIT_AT_HEIGHT
+        knots = [(u, m * _wave_point(u)[1] + c) for u in us]
 
         def box(lo: Fraction, hi: Fraction, slab: Window) -> Box:
             y_lo, y_hi = sorted((_wave_point(lo)[1], _wave_point(hi)[1]))
@@ -1187,10 +1254,8 @@ class OuterArcChainFamily(SineChainFamily):
     LIMIT: ClassVar[str] = "ell"
     PEAK_CUT: ClassVar[tuple[str, ...]] = VARIANTS
     REVERSED: ClassVar[tuple[str, ...]] = ("reversed",)
-
-    def _limit_at_height(self, y: Fraction) -> Fraction:
-        # The tail hugs the inner wall of the outer arc.
-        return 1 - y
+    # The tail hugs the inner wall of the outer arc.
+    LIMIT_AT_HEIGHT: ClassVar[Pair] = (-1, 1)
 
     def _mesh(self, h: Fraction, band: Fraction, reach: Fraction) -> Fraction:
         # Slabs turning the floor corners also span the tail's width.
@@ -1201,33 +1266,42 @@ class OuterArcChainFamily(SineChainFamily):
 
 
 class _Leg(NamedTuple):
-    w_hi: Fraction
-    w_lo: Fraction
     count: int
     step: Fraction
     ovw: Fraction
     link_base: int
+    grid: _Grid  # over d = w_hi - w; its end windows reach the neighbouring legs' links
+    hi: Pair  # w_hi
+    lo: Pair  # the w where the leg ends
 
 
 class _GapShape(NamedTuple):
-    """A gap's links with indices counted from 0; a plan adds the gap's base."""
+    """A gap's links with indices counted from 0; a plan adds the gap's base.
+
+    The cuts and the margin links' outer ends are kept as numerator/denominator pairs.
+    """
 
     legs: tuple[_Leg, ...]
     total: int
-    span: Fraction  # the longest stretch of w any link between the cuts covers
-    cut_r_w: Fraction
-    marg_r: Fraction
+    widest: _Grid  # the grid of the leg whose links cover the longest stretch of w
+    cut_r: Pair
+    margin_r: Pair
     kind_l: str
-    cut_l_w: Fraction
-    marg_l: Fraction
+    cut_l: Pair
+    margin_l: Pair
+
+
+class _Tooth(NamedTuple):
+    base: int
+    slabs: int
+    bt: Fraction
+    grid: _Grid
 
 
 class _S3Plan(NamedTuple):
     m: int
     bits: tuple[int, ...]
-    tooth_base: dict
-    tooth_slabs: dict
-    tooth_bt: dict
+    teeth: dict
     gap_base: dict
     gaps: dict
     blob: int
@@ -1296,11 +1370,14 @@ def _gap_shape(i: int, m: int, bit_r: int, bit_l: int | None) -> _GapShape:
     eta = Fraction(1, 4 * m)
     legs: list[_Leg] = []
     link = 0
-    for (wa, pa), (wb, pb) in zip(anchors, anchors[1:]):
+    for k, ((wa, pa), (wb, pb)) in enumerate(zip(anchors, anchors[1:])):
         dy = abs(pb[1] - pa[1])
         count = max(1, _ceil(dy / eta))
         step = (wa - wb) / count
-        legs.append(_Leg(wa, wb, count, step, step / 8, link))
+        # Windows 0 and count + 1 are the neighbouring legs' end links.
+        reach = count + 1 if k + 2 < len(anchors) else count
+        grid = _grid(step, step / 8, 0 if link else 1, reach)
+        legs.append(_Leg(count, step, step / 8, link, grid, _q(wa), _q(wb)))
         link += count
 
     # Peak cuts leave a small height deficit at the adjoining tooth; it
@@ -1320,13 +1397,23 @@ def _gap_shape(i: int, m: int, bit_r: int, bit_l: int | None) -> _GapShape:
         legs=tuple(legs),
         total=link,
         # A link at a leg boundary reaches ovw into the neighbouring leg.
-        span=max(leg.step + 2 * leg.ovw for leg in legs),
-        cut_r_w=anchors[0][0],
-        marg_r=legs[0].ovw,
+        widest=max(legs, key=lambda leg: leg.step + 2 * leg.ovw).grid,
+        cut_r=_q(anchors[0][0]),
+        margin_r=_q(anchors[0][0] + legs[0].ovw),
         kind_l=kind_l,
-        cut_l_w=anchors[-1][0],
-        marg_l=legs[-1].ovw,
+        cut_l=_q(anchors[-1][0]),
+        margin_l=_q(anchors[-1][0] - legs[-1].ovw),
     )
+
+
+def _gap_part(g: _GapShape, w: Fraction) -> str:
+    """Where w lies on a gap: "pure" between the cuts, else in a margin or a tail."""
+    a, b = w.numerator, w.denominator
+    if a * g.cut_r[1] > g.cut_r[0] * b:
+        return "margin_r" if a * g.margin_r[1] < g.margin_r[0] * b else "tail_r"
+    if a * g.cut_l[1] < g.cut_l[0] * b:
+        return "margin_l" if a * g.margin_l[1] > g.margin_l[0] * b else "tail_l"
+    return "pure"
 
 
 def _parse_s3_strand(name: str) -> tuple[str, int]:
@@ -1360,17 +1447,14 @@ class ToothForestChainFamily(ChainFamily):
             raise ValueError(
                 f"prefix too short: level {m} needs {m} bits, got {len(self.bits)}"
             )
-        tooth_base: dict[int, int] = {}
-        tooth_slabs: dict[int, int] = {}
-        tooth_bt: dict[int, Fraction] = {}
+        teeth: dict[int, _Tooth] = {}
         gap_base: dict[int, int] = {}
         gaps: dict[int, _GapShape] = {}
         off = 0
         for i in range(1, m + 1):
             slabs = _ceil(Fraction(4 * m, i))
-            tooth_base[i] = off
-            tooth_slabs[i] = slabs
-            tooth_bt[i] = Fraction(1, i) / slabs
+            bt = Fraction(1, i) / slabs
+            teeth[i] = _Tooth(off, slabs, bt, _grid(bt, bt / 8, 1, slabs))
             off += slabs
             gap_base[i] = off
             gaps[i] = _gap_shape(i, m, self.bits[i - 1], self.bits[i] if i < m else None)
@@ -1378,9 +1462,7 @@ class ToothForestChainFamily(ChainFamily):
         return _S3Plan(
             m=m,
             bits=self.bits[:m],
-            tooth_base=tooth_base,
-            tooth_slabs=tooth_slabs,
-            tooth_bt=tooth_bt,
+            teeth=teeth,
             gap_base=gap_base,
             gaps=gaps,
             blob=off + 1,
@@ -1388,48 +1470,49 @@ class ToothForestChainFamily(ChainFamily):
             mesh=Fraction(4 * m + 1, 4 * m * (m + 1)),
         )
 
-    def _tooth_index(self, plan: _S3Plan, i: int, y: Fraction) -> IndexRange:
+    def _tooth_index(self, plan: _S3Plan, i: int, a: int, b: int) -> IndexRange:
+        """The links holding height a/b (b > 0) on tooth i."""
         if i > plan.m:
             return IndexRange(plan.blob, plan.blob)
-        y = _clamp(y, _ZERO, Fraction(1, i))
-        o = (Fraction(1, i) - y) if plan.bits[i - 1] == 1 else y
-        r = _window_range(o, plan.tooth_bt[i], plan.tooth_bt[i] / 8, plan.tooth_slabs[i])
-        return _shift(r, plan.tooth_base[i])
+        # Clamp y to 0..1/i, then measure it from the end the walk enters at.
+        if a < 0:
+            a = 0
+        elif a * i > b:
+            a, b = 1, i
+        if plan.bits[i - 1] == 1:
+            a, b = b - i * a, i * b
+        tooth = plan.teeth[i]
+        lo, hi = _window_range(tooth.grid, a, b)
+        return IndexRange(lo + tooth.base, hi + tooth.base)
 
     def _gap_index(self, plan: _S3Plan, i: int, w: Fraction) -> IndexRange:
         if i > plan.m:
             return IndexRange(plan.blob, plan.blob)
         g, base = plan.gaps[i], plan.gap_base[i]
-        if w > g.cut_r_w:
-            if w < g.cut_r_w + g.marg_r:
-                return IndexRange(base, base + 1)
-            return self._tooth_index(plan, i, _gap_point(i, w)[1])
-        if w < g.cut_l_w:
-            if w > g.cut_l_w - g.marg_l:
-                last = base + g.total
-                return IndexRange(last, last + 1)
-            if g.kind_l == "blob":
-                return IndexRange(plan.blob, plan.blob)
-            return self._tooth_index(plan, i + 1, _gap_point(i, w)[1])
-        for leg in g.legs:
-            if w >= leg.w_lo:
-                d = leg.w_hi - w
-                r = _window_range(d, leg.step, leg.ovw, leg.count)
-                first = base + leg.link_base
-                lo, hi = r.lo + first, r.hi + first
-                if d < leg.ovw and leg.link_base > 0:
-                    lo = first
-                elif d > leg.count * leg.step - leg.ovw and leg.link_base + leg.count < g.total:
-                    hi = first + leg.count + 1
-                return IndexRange(lo, hi)
-        raise AssertionError("gap legs must cover the span between the cuts")
+        part = _gap_part(g, w)
+        a, b = w.numerator, w.denominator
+        if part == "pure":
+            for leg in g.legs:
+                if a * leg.lo[1] >= leg.lo[0] * b:
+                    lo, hi = _window_range(leg.grid, leg.hi[0] * b - a * leg.hi[1], leg.hi[1] * b)
+                    first = base + leg.link_base
+                    return IndexRange(lo + first, hi + first)
+            raise AssertionError("gap legs must cover the span between the cuts")
+        if part == "margin_r":
+            return IndexRange(base, base + 1)
+        if part == "margin_l":
+            return IndexRange(base + g.total, base + g.total + 1)
+        if part == "tail_l" and g.kind_l == "blob":
+            return IndexRange(plan.blob, plan.blob)
+        # A flank's tail is placed on its tooth by height.
+        return self._tooth_index(plan, i if part == "tail_r" else i + 1, *_q(_gap_point(i, w)[1]))
 
     def _index(self, plan: _S3Plan, point: CatalogPoint) -> IndexRange:
         kind, i = _parse_s3_strand(point.strand)
         if kind == "origin":
             return IndexRange(plan.blob, plan.blob)
         if kind == "tooth":
-            return self._tooth_index(plan, i, point.param)
+            return self._tooth_index(plan, i, *_q(point.param))
         return self._gap_index(plan, i, point.param)
 
     def _classify(self, plan: _S3Plan, p: CatalogPoint) -> str:
@@ -1438,15 +1521,8 @@ class ToothForestChainFamily(ChainFamily):
             return "blob"
         if kind == "tooth":
             return "pure"
-        g = plan.gaps[i]
-        w = p.param
-        if w > g.cut_r_w:
-            return "margin" if w < g.cut_r_w + g.marg_r else "tail"
-        if w < g.cut_l_w:
-            if w > g.cut_l_w - g.marg_l:
-                return "margin"
-            return "blob-partial" if g.kind_l == "blob" else "tail"
-        return "pure"
+        part = _gap_part(plan.gaps[i], p.param)
+        return "blob-partial" if part == "tail_l" and plan.gaps[i].kind_l == "blob" else part
 
     def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
         plan = self._plan(n)
@@ -1457,9 +1533,8 @@ class ToothForestChainFamily(ChainFamily):
             # Both on one tooth or one gap: farther apart than any of its
             # links spans, which no later level widens.
             kind, i = _parse_s3_strand(x.strand)
-            bt = plan.tooth_bt[i]
-            span = bt + bt / 4 if kind == "tooth" else plan.gaps[i].span
-            return abs(x.param - y.param) > span
+            grid = plan.teeth[i].grid if kind == "tooth" else plan.gaps[i].widest
+            return _farther(_q(x.param), _q(y.param), grid)
         if {cx, cy} == {"pure", "blob"}:
             return True
         if {cx, cy} == {"pure", "blob-partial"}:
@@ -1479,8 +1554,7 @@ class ToothForestChainFamily(ChainFamily):
         """
         plan = self._plan(m)
         teeth = {i: self._tooth_windows(plan, i) for i in range(1, m + 1)}
-        g = plan.gaps[m]
-        blob_cut = g.cut_l_w - g.marg_l
+        blob_cut = Fraction(*plan.gaps[m].margin_l)
         blob_box = (_ZERO, _gap_point(m, blob_cut)[0], _ZERO, Fraction(1, m + 1))
         windows: list[Window] = []
         for i in range(1, m + 1):
@@ -1494,13 +1568,13 @@ class ToothForestChainFamily(ChainFamily):
         return windows
 
     def _tooth_windows(self, plan: _S3Plan, i: int) -> list[Window]:
-        bt, top = plan.tooth_bt[i], Fraction(1, i)
+        tooth, top = plan.teeth[i], Fraction(1, i)
         return _grid_windows(
             f"tooth_{i}",
-            bt,
-            bt / 8,
-            plan.tooth_slabs[i],
-            plan.tooth_base[i],
+            tooth.bt,
+            tooth.bt / 8,
+            tooth.slabs,
+            tooth.base,
             _ZERO,
             top,
             (lambda o: top - o) if plan.bits[i - 1] == 1 else (lambda o: o),
@@ -1523,14 +1597,14 @@ class ToothForestChainFamily(ChainFamily):
                 base + leg.link_base,
                 -ov_prev,
                 leg.count * leg.step + ov_next,
-                lambda d, leg=leg: leg.w_hi - d,
+                lambda d, w_hi=Fraction(*leg.hi): w_hi - d,
                 ends_closed=False,
             )
-        right = g.cut_r_w + g.marg_r
-        windows.append(Window(base, name, g.cut_r_w, right))
+        right = Fraction(*g.margin_r)
+        windows.append(Window(base, name, Fraction(*g.cut_r), right))
         windows += _flank_tail(i, 1, right, teeth[i])
-        left = g.cut_l_w - g.marg_l
-        windows.append(Window(base + g.total + 1, name, left, g.cut_l_w))
+        left = Fraction(*g.margin_l)
+        windows.append(Window(base + g.total + 1, name, left, Fraction(*g.cut_l)))
         if g.kind_l != "blob":
             windows += _flank_tail(i, -1, left, teeth[i + 1])
         return windows
@@ -1581,6 +1655,14 @@ class _TPlan(NamedTuple):
     off_spiral: int
     size: int
     mesh: Fraction
+    # Integer forms: the spiral's grid, the arclengths spiral_len and
+    # spiral_len + ovs as pairs, (al, be) with grid coordinate
+    # al*s + be*spiral_len at arclength s, and the first handover link.
+    grid: _Grid
+    end: Pair
+    reach: Pair
+    along: Pair
+    handover: int
 
 
 @dataclass(frozen=True)
@@ -1639,39 +1721,30 @@ class SpiralChainFamily(ChainFamily):
             off_spiral=off_spiral,
             size=spiral_count + sine.size,
             mesh=mesh,
+            grid=_grid(hs, hs / 8, 1, spiral_count),
+            end=_q(spiral_len),
+            reach=_q(spiral_len + hs / 8),
+            along=(1, 0) if is_d else (-1, 1),
+            handover=spiral_count if is_d else off_spiral,
         )
 
-    def _sine_index(self, plan: _TPlan, point: CatalogPoint) -> IndexRange:
-        return _shift(self._sine._index(plan.sine, point), plan.off_sine)
-
-    def _spiral_host(self, plan: _TPlan, v: Fraction) -> IndexRange:
-        data, i, t = _spiral_locate(v)
-        tag = data.tags[i]
-        if tag[0] == "bar":
-            host = CatalogPoint("bar", _clamp(_spiral_point(v)[1], Fraction(-1), _ONE))
-        else:
-            host = CatalogPoint("wave", tag[1] + t * (tag[2] - tag[1]))
-        return self._sine_index(plan, host)
-
     def _spiral_index(self, plan: _TPlan, v: Fraction) -> IndexRange:
-        s = _spiral_arclength(v)
-        if self.variant == "D":
-            if s <= plan.spiral_len:
-                return _window_range(s, plan.hs, plan.ovs, plan.spiral_count)
-            if s < plan.spiral_len + plan.ovs:
-                return IndexRange(plan.spiral_count, plan.spiral_count + 1)
-        elif plan.spiral_count > 0:
-            if s <= plan.spiral_len:
-                r = _window_range(plan.spiral_len - s, plan.hs, plan.ovs, plan.spiral_count)
-                return _shift(r, plan.off_spiral)
-            if s < plan.spiral_len + plan.ovs:
-                return IndexRange(plan.off_spiral, plan.off_spiral + 1)
-        return self._spiral_host(plan, v)
+        if plan.spiral_count:
+            sn, sd = _q(_spiral_arclength(v))
+            # s and spiral_len as numerators over sd * plan.end[1]
+            s, end = sn * plan.end[1], plan.end[0] * sd
+            if s <= end:
+                al, be = plan.along
+                lo, hi = _window_range(plan.grid, al * s + be * end, sd * plan.end[1])
+                return IndexRange(lo + plan.off_spiral, hi + plan.off_spiral)
+            if sn * plan.reach[1] < plan.reach[0] * sd:
+                return IndexRange(plan.handover, plan.handover + 1)
+        return self._sine._index(plan.sine, _spiral_host(v), plan.off_sine)
 
     def _index(self, plan: _TPlan, point: CatalogPoint) -> IndexRange:
         if point.strand == "spiral":
             return self._spiral_index(plan, point.param)
-        return self._sine_index(plan, point)
+        return self._sine._index(plan.sine, point, plan.off_sine)
 
     def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
         plan = self._plan(n)
@@ -1681,13 +1754,14 @@ class SpiralChainFamily(ChainFamily):
                 return self._sine._settled(plan.sine, p)
             if plan.spiral_count == 0:
                 return False
-            return _spiral_arclength(p.param) <= plan.spiral_len
+            sn, sd = _q(_spiral_arclength(p.param))
+            return sn * plan.end[1] <= plan.end[0] * sd
 
         if not (settled(x) and settled(y)):
             return False
         if x.strand == y.strand == "spiral":
-            gap = abs(_spiral_arclength(x.param) - _spiral_arclength(y.param))
-            return gap > plan.hs + 2 * plan.ovs
+            s, t = _spiral_arclength(x.param), _spiral_arclength(y.param)
+            return _farther(_q(s), _q(t), plan.grid)
         return self._sine._apart(plan.sine, x, y)
 
     def link_windows(self, n: int) -> list[Window]:
@@ -1697,20 +1771,18 @@ class SpiralChainFamily(ChainFamily):
             return sine
         # Windows in arclength s first, from the free end at s = 0, v = 1.
         # D walks the spiral inward from link 1; E walks it outward after
-        # the sine block, so its handover pair of links comes first.
-        if self.variant == "D":
-            first, s_of, handover = 0, (lambda o: o), plan.spiral_count
-        else:
-            first = handover = plan.off_spiral
-            s_of = lambda o: plan.spiral_len - o
+        # the sine block, so its handover pair of links comes first.  The
+        # map s -> al*s + be*spiral_len is its own inverse.
+        al, be = plan.along
+        end = plan.spiral_len
+        s_of = lambda o: al * o + be * end
         spiral = _grid_windows(
-            "spiral", plan.hs, plan.ovs, plan.spiral_count, first, _ZERO, plan.spiral_len, s_of
+            "spiral", plan.hs, plan.ovs, plan.spiral_count, plan.off_spiral, _ZERO, end, s_of
         )
-        end = plan.spiral_len + plan.ovs
-        for link in (handover, handover + 1):
-            spiral.append(Window(link, "spiral", plan.spiral_len, end))
+        for link in (plan.handover, plan.handover + 1):
+            spiral.append(Window(link, "spiral", end, end + plan.ovs))
         spiral.sort(key=lambda w: w.lo)
-        boxes = _spiral_boxes(spiral, end)
+        boxes = _spiral_boxes(spiral, end + plan.ovs)
         # v falls as s grows, so each window's ends swap.
         v = _spiral_param_at
         return sine + [

@@ -66,9 +66,14 @@ def relation_allows_ge(relation: str) -> bool:
 
 def reverse_range(k: int, r: IndexRange) -> IndexRange:
     """Index range in the reversely numbered chain d'_i = d_{k-i+1}."""
-    if r.hi > k:
+    return IndexRange(*reverse_bounds(k, r.lo, r.hi))
+
+
+def reverse_bounds(k: int, lo: int, hi: int) -> tuple[int, int]:
+    """``reverse_range`` on the bounds of a range, for callers that build it once."""
+    if hi > k:
         raise ValueError("range exceeds the chain")
-    return IndexRange(k - r.hi + 1, k - r.lo + 1)
+    return k - hi + 1, k - lo + 1
 
 
 @dataclass(frozen=True)

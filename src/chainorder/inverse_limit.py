@@ -231,10 +231,6 @@ class ThreadPoint:
         }
 
 
-def zero_thread(system: InverseSystem) -> ThreadPoint:
-    return ThreadPoint(system, (Fraction(0),), ZeroTail())
-
-
 def thread_from_letters(
     system: InverseSystem,
     x0: int | str | Fraction,
@@ -501,14 +497,3 @@ def epsilon_map_modulus(system: InverseSystem, n: int, eps: int | Fraction) -> F
             lip_product *= system.bonding(i - 1).lipschitz()
     delta = (eps - gamma) / weighted
     return min(Fraction(1), delta)
-
-
-def distance_bounds(x: ThreadPoint, y: ThreadPoint, depth: int) -> tuple[Fraction, Fraction]:
-    """Exact lower and upper bounds on d(x,y) from the first depth+1 levels."""
-    if depth < 0:
-        raise ValueError("depth must be a natural")
-    head = sum(
-        (Fraction(1, 2**i) * abs(x.coordinate(i) - y.coordinate(i)) for i in range(depth + 1)),
-        Fraction(0),
-    )
-    return head, head + Fraction(1, 2**depth)

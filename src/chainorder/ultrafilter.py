@@ -137,6 +137,11 @@ class SimulatedUltrafilter:
         return self.decide(s).value
 
 
+# Immutable, so one of each serves every report.
+_FULL = EventuallyPeriodicSet.full()
+_EMPTY = EventuallyPeriodicSet.empty()
+
+
 def filter_axiom_report(
     tower: SimulatedUltrafilter,
     s: EventuallyPeriodicSet,
@@ -166,8 +171,8 @@ def filter_axiom_report(
         "intersection": d_and == (ds and dt),
         "union": d_or == (ds or dt),
         "upward_closure": (not ds or d_or) and (not dt or d_or),
-        "full_set": verdict(EventuallyPeriodicSet.full()),
-        "empty_set": not verdict(EventuallyPeriodicSet.empty()),
+        "full_set": verdict(_FULL),
+        "empty_set": not verdict(_EMPTY),
         "cofinite_sets": verdict(EventuallyPeriodicSet.cofinite_from(horizon)),
     }
     return {

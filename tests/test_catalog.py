@@ -26,6 +26,7 @@ from chainorder.catalog import (
     ToothForestChainFamily,
     Window,
     _gap_shape,
+    _grid,
     _pass_data,
     _s3_family_cached,
     _window_range,
@@ -144,7 +145,59 @@ def test_window_range_matches_the_fraction_formula(where, step, part, count):
     t, overlap = where * count * step, step / part
     lo = math.floor((t - overlap) / step) + 1
     hi = math.ceil((t + overlap) / step)
-    assert _window_range(t, step, overlap, count) == IndexRange(max(lo, 1), min(hi, count))
+    got = _window_range(_grid(step, overlap, 1, count), t.numerator, t.denominator)
+    assert got == (max(lo, 1), min(hi, count))
+
+
+@st.composite
+def _grid_cases(draw):
+    """A grid and a coordinate on a window end, just off one, or crowding
+    toward the grid's ends with denominators near 2^50."""
+    step = draw(
+        st.one_of(
+            st.fractions(min_value=Fraction(1, 10**6), max_value=10, max_denominator=10**6),
+            st.builds(lambda k, c: Fraction(1, 2**k * c), st.integers(0, 50), st.integers(1, 9)),
+        )
+    )
+    overlap = step / draw(st.sampled_from([3, 5, 8, 2**20]))
+    count = draw(st.integers(1, 40))
+    i = draw(st.integers(-2, count + 2))
+    end = draw(st.sampled_from([(i - 1) * step - overlap, i * step + overlap]))
+    tiny = Fraction(draw(st.integers(1, 2**50 - 1)), 2**50)
+    t = draw(
+        st.sampled_from(
+            [end, end + tiny * step / 2**40, end - tiny * step / 2**40]
+            + [s * (1 - tiny) * count * step for s in (1, -1)]
+        )
+    )
+    return step, overlap, count, t
+
+
+@given(_grid_cases())
+def test_window_range_on_window_ends_and_huge_denominators(case):
+    # Plain Fractions: the windows of 1..count whose open span holds t.
+    step, overlap, count, t = case
+    held = [i for i in range(1, count + 1) if (i - 1) * step - overlap < t < i * step + overlap]
+    lo, hi = _window_range(_grid(step, overlap, 1, count), t.numerator, t.denominator)
+    assert list(range(lo, hi + 1)) == held
+
+
+@pytest.mark.parametrize(
+    "memo, args",
+    [
+        (catalog._wave_height, lambda k: (k, 10007)),
+        (catalog._gap_point, lambda k: (2, Fraction(k, 10007))),
+        (catalog._spiral_arclength, lambda k: (Fraction(20011 - k, 20011),)),
+        (catalog._spiral_host, lambda k: (Fraction(20011 - k, 20011),)),
+    ],
+)
+def test_point_memos_stay_within_their_bound(memo, args):
+    memo.cache_clear()
+    for k in range(1, 10_001):
+        memo(*args(k))
+    info = memo.cache_info()
+    assert info.misses == 10_000
+    assert info.currsize == info.maxsize == catalog._MEMO
 
 
 @given(st.fractions(min_value=0, max_value=200, max_denominator=10**6))

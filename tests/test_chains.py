@@ -42,10 +42,10 @@ from chainorder.inverse_limit import (
     inverse_limit_order,
     tent_system,
     thread_from_letters,
-    zero_thread,
 )
 from chainorder.plmaps import PLMap
 from chainorder.ultrafilter import SimulatedUltrafilter
+from test_inverse_limit import zero_thread
 
 
 def u_mod2(residue: int) -> SimulatedUltrafilter:

@@ -11,12 +11,12 @@ from chainorder.foundations import EQ, GE, LE, STABILIZED, ULTRAFILTER_DEPENDENT
 from chainorder.foundations import EventuallyPeriodicSet
 from chainorder.inverse_limit import (
     DepthExceededError,
+    InverseSystem,
     PeriodicTail,
     ThreadPoint,
     WordTail,
     ZeroTail,
     compare_level,
-    distance_bounds,
     epsilon_map_modulus,
     fiber_diameter_bound,
     inverse_limit_order,
@@ -24,12 +24,27 @@ from chainorder.inverse_limit import (
     tent_system,
     thread_from_letters,
     word_letters,
-    zero_thread,
 )
 from chainorder.ultrafilter import SimulatedUltrafilter
 
 F = Fraction
 SYS = tent_system()
+
+
+def zero_thread(system: InverseSystem) -> ThreadPoint:
+    """The thread 0, 0, 0, ... of a system that fixes 0."""
+    return ThreadPoint(system, (Fraction(0),), ZeroTail())
+
+
+def distance_bounds(x: ThreadPoint, y: ThreadPoint, depth: int) -> tuple[Fraction, Fraction]:
+    """Exact lower and upper bounds on d(x,y) from the first depth+1 levels."""
+    if depth < 0:
+        raise ValueError("depth must be a natural")
+    head = sum(
+        (Fraction(1, 2**i) * abs(x.coordinate(i) - y.coordinate(i)) for i in range(depth + 1)),
+        Fraction(0),
+    )
+    return head, head + Fraction(1, 2**depth)
 U0 = SimulatedUltrafilter.parse("r2=0")
 U1 = SimulatedUltrafilter.parse("r2=1")
 
