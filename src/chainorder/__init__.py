@@ -25,7 +25,6 @@ from .chains import (
     chain_trace,
     equal_or_opposite,
     never_between_after,
-    pullback_chain,
     PullbackSequence,
 )
 from .foundations import EventuallyPeriodicSet, IndexRange, rational, rational_str
@@ -68,7 +67,6 @@ __all__ = [
     "in_A_n",
     "inverse_limit_order",
     "never_between_after",
-    "pullback_chain",
     "rational",
     "rational_str",
     "reach_with_parity",

@@ -32,6 +32,7 @@ from .chains import (
     LE_ONLY,
     ChainLevel,
     IntervalChain,
+    _spot_check,
     reverse_bounds,
     reverse_range,
 )
@@ -39,6 +40,7 @@ from .foundations import (
     EQ,
     GE,
     LE,
+    STABILIZED,
     ComparisonVerdict,
     IndexRange,
     rational,
@@ -989,7 +991,11 @@ class ChainFamily:
     def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        return self._certify(x, y, depth)
+        verdict = self._certify(x, y, depth)
+        if verdict.kind == STABILIZED:
+            t = verdict.threshold
+            _spot_check(self, x, y, verdict, (t, t + 1, t + 3, depth))
+        return verdict
 
     def _certify(self, x, y, depth: int) -> ComparisonVerdict:
         return _scan_certificate(self, x, y, depth)

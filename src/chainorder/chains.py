@@ -5,7 +5,9 @@ contain it.  Comparing two points at one level keeps whichever of
 x-before-y / y-before-x the link indices allow; a genuine chain always
 allows at least one.  Sequences of levels with shrinking mesh then give
 limit orders, decided levelwise and voted on by an ultrafilter when the
-levelwise answers keep alternating.
+levelwise answers keep alternating.  Every sequence, a catalog family or
+a pullback sequence on an inverse limit, certifies its own comparisons
+and spot-checks each stabilized verdict against directly computed levels.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable
 
 from .foundations import (
     EQ,
+    GE,
     LE,
     STABILIZED,
     ComparisonVerdict,
@@ -25,9 +28,9 @@ from .foundations import (
 )
 from .inverse_limit import (
     InverseSystem,
-    ThreadPoint,
     epsilon_map_modulus,
     fiber_diameter_bound,
+    sign_certifiable,
     sign_certificate,
     sign_verdict,
 )
@@ -39,10 +42,6 @@ BOTH = "both"
 
 # The coordinate sign a level relation stands for in a sign sequence.
 _SIGN_OF = {LE_ONLY: "LT", GE_ONLY: "GT", BOTH: "EQ"}
-
-
-class MeshBudgetError(ValueError):
-    """The base chain is too coarse for the requested pullback mesh."""
 
 
 def level_preorder(range_x: IndexRange, range_y: IndexRange) -> str:
@@ -164,56 +163,95 @@ class IntervalChain:
         return IndexRange(max(lo, 1), min(hi, self.k))
 
 
-def pullback_chain(system: InverseSystem, n: int, base: IntervalChain) -> ChainLevel:
-    """Pull the base chain back through the level-n projection.
-
-    The links become thread sets whose diameters stay below
-    eps_n = (fiber diameter bound) + 1/n, provided the base mesh fits
-    under the continuity modulus for eps_n.
-    """
-    return _pullback(n, base, *_pullback_budget(system, n))
-
-
-def _pullback_budget(system: InverseSystem, n: int) -> tuple[Fraction, Fraction]:
-    """eps_n and the continuity modulus a level-n base mesh must stay below."""
-    if n < 1:
-        raise ValueError("pullback levels start at 1")
-    eps_n = fiber_diameter_bound(system, n) + Fraction(1, n)
-    return eps_n, epsilon_map_modulus(system, n, eps_n)
-
-
-def _pullback(n: int, base: IntervalChain, eps_n: Fraction, delta: Fraction) -> ChainLevel:
-    if base.mesh >= delta:
-        raise MeshBudgetError(
-            f"base mesh {base.mesh} not below the modulus {delta} for level {n}"
-        )
-
-    def index_of(point: ThreadPoint) -> IndexRange:
-        return base.index_of(point.coordinate(n))
-
-    return ChainLevel(
-        level=n,
-        size=base.k,
-        mesh_bound=eps_n,
-        index_fn=index_of,
-        base_mesh=base.mesh,
-    )
-
-
 @dataclass(frozen=True)
 class PullbackSequence:
-    """Chain levels on an inverse limit, one pullback per depth."""
+    """Chain levels on an inverse limit, one pullback per depth.
+
+    Level n pulls the smallest canonical chain whose mesh fits under the
+    continuity modulus for eps_n = (fiber diameter bound) + 1/n back
+    through the level-n projection, so its links are thread sets of
+    diameter below eps_n.
+    """
 
     system: InverseSystem
     _levels: dict = field(default_factory=dict, compare=False, repr=False)
 
     def level(self, n: int) -> ChainLevel:
         if n not in self._levels:
-            eps_n, delta = _pullback_budget(self.system, n)
-            # Smallest canonical chain fitting under the modulus.
-            k = 3 * delta.denominator // (2 * delta.numerator) + 1
-            self._levels[n] = _pullback(n, IntervalChain(k), eps_n, delta)
+            if n < 1:
+                raise ValueError("pullback levels start at 1")
+            eps_n = fiber_diameter_bound(self.system, n) + Fraction(1, n)
+            delta = epsilon_map_modulus(self.system, n, eps_n)
+            base = IntervalChain(3 * delta.denominator // (2 * delta.numerator) + 1)
+            assert base.mesh < delta, "base chain too coarse for the modulus"
+            self._levels[n] = ChainLevel(
+                level=n,
+                size=base.k,
+                mesh_bound=eps_n,
+                index_fn=lambda point: base.index_of(point.coordinate(n)),
+                base_mesh=base.mesh,
+            )
         return self._levels[n]
+
+    def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
+        """The coordinate sign certificate plus gap dominance.
+
+        A stabilized verdict is spot-checked just below and above its
+        threshold and one period past the level from which the chain
+        relations repeat, never deeper: a deep probe would cost more
+        than the comparison.
+        """
+        if depth < 1:
+            raise ValueError("depth must be at least 1")
+        if x.system != self.system or y.system != self.system:
+            raise ValueError("points do not live on this sequence's system")
+        if x == y:
+            verdict, settled = ComparisonVerdict.stabilized(EQ, 1, depth), 1
+        elif not sign_certifiable(x, y):
+            return ComparisonVerdict.unknown(depth)
+        else:
+            verdict, settled = self._certify(x, y, ultrafilter, depth)
+        if verdict.kind == STABILIZED:
+            t = verdict.threshold
+            _spot_check(self, x, y, verdict, (t - 1, t, t + 1, t + 3, settled))
+        return verdict
+
+    def _certify(self, x, y, ultrafilter, depth) -> tuple[ComparisonVerdict, int]:
+        """The verdict, and one period past the level from which the
+        chain relations repeat."""
+        cert = sign_certificate(x, y)
+        if set(cert.cycle) == {"EQ"}:
+            # Equal tails leave no gap to dominate the mesh.
+            verdict = sign_verdict((), cert.cycle, depth, ultrafilter, cert.as_dict(), first=1)
+            return verdict, cert.cycle_start + len(cert.cycle)
+
+        # From the first level where the coordinate signs are strict forever,
+        # coordinate gaps can shrink at most by the bonding Lipschitz factor
+        # per level, while the base mesh at level n sits below 1/(n * lam_n),
+        # lam_n the product of the first n Lipschitz constants.  So once
+        # gap_T * lam_T >= 1/T, the gap dominates every later mesh and the
+        # chain relation equals the coordinate sign from T on.
+        T = max([1] + [n + 1 for n, rel in enumerate(cert.history) if rel == "EQ"])
+        lam = Fraction(1)
+        for j in range(T):
+            lam *= self.system.bonding(j).lipschitz()
+        while abs(x.coordinate(T) - y.coordinate(T)) * lam < Fraction(1, T):
+            lam *= self.system.bonding(T).lipschitz()
+            T += 1
+            if T > 100_000:
+                raise AssertionError("gap dominance search failed to terminate")
+
+        # Level 0 is not a chain level; its placeholder never counts.  Below
+        # T the chain relations are computed outright, from T on they follow
+        # the certified coordinate signs.
+        start = max(T, cert.cycle_start)
+        history = ["GT"]
+        history += [_SIGN_OF[self.level(n).relation(x, y)] for n in range(1, T)]
+        history += [cert.rel(n) for n in range(T, start)]
+        cycle = tuple(cert.rel(start + j) for j in range(len(cert.cycle)))
+        meta = {"sign": cert.as_dict(), "gap_dominance_level": T}
+        verdict = sign_verdict(tuple(history), cycle, depth, ultrafilter, meta, first=1)
+        return verdict, start + len(cycle)
 
 
 def chain_trace(seq, x, y, depth: int) -> list[dict]:
@@ -221,86 +259,20 @@ def chain_trace(seq, x, y, depth: int) -> list[dict]:
     return [seq.level(n).trace_entry(x, y) for n in range(1, depth + 1)]
 
 
-def _lipschitz_products(system: InverseSystem, upto: int) -> list[Fraction]:
-    """Prefix products of bonding Lipschitz constants: lam[n] bounds how
-    much the level-0 gap can shrink relative to the level-n gap."""
-    lams = [Fraction(1)]
-    for j in range(upto):
-        lams.append(lams[-1] * system.bonding(j).lipschitz())
-    return lams
+_RELATION_OF = {EQ: BOTH, LE: LE_ONLY, GE: GE_ONLY}
 
 
-def _pullback_compare(
-    seq: PullbackSequence,
-    x: ThreadPoint,
-    y: ThreadPoint,
-    ultrafilter: SimulatedUltrafilter | None,
-    depth: int,
-) -> ComparisonVerdict:
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if x.system != seq.system or y.system != seq.system:
-        raise ValueError("points do not live on this sequence's system")
-    if x == y:
-        return ComparisonVerdict.stabilized(EQ, 1, depth)
-    if not (x.has_periodic_certificate() and y.has_periodic_certificate()):
-        return ComparisonVerdict.unknown(depth)
+def _spot_check(seq, x, y, verdict: ComparisonVerdict, probes) -> None:
+    """Verify a stabilized verdict against directly computed levels.
 
-    cert = sign_certificate(x, y)
-    if set(cert.cycle) == {"EQ"}:
-        # Equal tails leave no gap to dominate the mesh.
-        return sign_verdict((), cert.cycle, depth, ultrafilter, cert.as_dict(), first=1)
-
-    # First level from which the coordinate signs are strict forever.
-    strict_from = 0
-    for n, rel in enumerate(cert.history):
-        if rel == "EQ":
-            strict_from = n + 1
-
-    # Coordinate gaps can shrink at most by the bonding Lipschitz factor
-    # per level, while the base mesh at level n sits below 1/(n * lam_n).
-    # So once gap_T * lam_T >= 1/T, the gap dominates every later mesh
-    # and the chain relation equals the coordinate sign from T on.
-    T = max(1, strict_from)
-    lams = _lipschitz_products(seq.system, T)
-    while True:
-        gap = abs(x.coordinate(T) - y.coordinate(T))
-        if gap * lams[T] >= Fraction(1, T):
-            break
-        T += 1
-        lams.append(lams[-1] * seq.system.bonding(T - 1).lipschitz())
-        if T > 100_000:
-            raise AssertionError("gap dominance search failed to terminate")
-
-    # Level 0 is not a chain level; its placeholder never counts.  Below
-    # T the chain relations are computed outright, from T on they follow
-    # the certified coordinate signs.
-    start = max(T, cert.cycle_start)
-    history = ["GT"]
-    history += [_SIGN_OF[seq.level(n).relation(x, y)] for n in range(1, T)]
-    history += [cert.rel(n) for n in range(T, start)]
-    cycle = tuple(cert.rel(start + j) for j in range(len(cert.cycle)))
-    meta = {"sign": cert.as_dict(), "gap_dominance_level": T}
-    return sign_verdict(tuple(history), cycle, depth, ultrafilter, meta, first=1)
-
-
-def _spot_check(seq, x, y, verdict: ComparisonVerdict, depth: int) -> None:
-    """Verify a certificate's claims against directly computed levels."""
-    if verdict.kind != STABILIZED:
-        return
-    t = verdict.threshold if verdict.threshold and verdict.threshold >= 1 else 1
-    probes = sorted({t, min(depth, t + 1), min(depth, t + 3), depth})
-    for n in probes:
-        if n < 1:
-            continue
+    A probe at or past the threshold must show the claimed relation, one
+    below it must not.  Probes are capped at the verdict's depth, and
+    those below level 1 are skipped.
+    """
+    t, claimed = verdict.threshold, _RELATION_OF[verdict.direction]
+    for n in sorted({min(n, verdict.depth) for n in probes if n >= 1}):
         rel = seq.level(n).relation(x, y)
-        if verdict.direction == EQ:
-            ok = rel == BOTH
-        elif verdict.direction == LE:
-            ok = rel == LE_ONLY
-        else:
-            ok = rel == GE_ONLY
-        if not ok:
+        if (rel == claimed) != (n >= t):
             raise AssertionError(
                 f"certificate claims {verdict.direction} from {t}, "
                 f"but level {n} computes {rel}"
@@ -312,19 +284,12 @@ def chain_order_compare(
 ) -> ComparisonVerdict:
     """Compare two points in the order induced by a chain sequence.
 
-    Sequences may certify verdicts themselves; certified claims are
-    spot-checked against directly computed level relations.  Pullback
-    sequences use the coordinate sign certificate plus gap dominance.
-    Without a certificate the comparison stays Unknown.
+    Every sequence certifies its own verdicts and spot-checks each
+    stabilized one against directly computed levels: catalog families
+    from their level scans or closed forms, pullback sequences from the
+    coordinate sign certificate plus gap dominance.
     """
-    certifier = getattr(seq, "compare_certificate", None)
-    if certifier is not None:
-        verdict = certifier(x, y, ultrafilter, depth)
-        _spot_check(seq, x, y, verdict, depth)
-        return verdict
-    if isinstance(seq, PullbackSequence):
-        return _pullback_compare(seq, x, y, ultrafilter, depth)
-    return ComparisonVerdict.unknown(depth)
+    return seq.compare_certificate(x, y, ultrafilter, depth)
 
 
 @dataclass(frozen=True)

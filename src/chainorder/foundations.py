@@ -50,10 +50,6 @@ class IndexRange:
         if not 1 <= self.lo <= self.hi <= self.lo + 1:
             raise ValueError(f"not one or two consecutive links: [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
     def __contains__(self, index: int) -> bool:
         return self.lo <= index <= self.hi
 

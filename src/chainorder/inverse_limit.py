@@ -1,8 +1,8 @@
 """Threads of an inverse limit of PL interval maps, with exact coordinates.
 
 A point is a finite stem of coordinates plus a tail rule saying how the
-remaining coordinates are produced: constant zero, a finite branch word,
-or an eventually periodic branch word.  Branch letters index the sorted
+remaining coordinates are produced: a finite branch word or an
+eventually periodic branch word.  Branch letters index the sorted
 preimage list of the previous coordinate, so letter 0 is always the
 leftmost preimage.
 
@@ -72,14 +72,6 @@ def tent_system() -> InverseSystem:
 
 
 @dataclass(frozen=True)
-class ZeroTail:
-    kind: str = field(default="zero", init=False)
-
-    def as_dict(self) -> dict:
-        return {"kind": "zero"}
-
-
-@dataclass(frozen=True)
 class WordTail:
     letters: tuple[int, ...]
     kind: str = field(default="word", init=False)
@@ -114,7 +106,7 @@ class PeriodicTail:
         return {"kind": "periodic", "prefix": list(self.prefix), "cycle": list(self.cycle)}
 
 
-Tail = ZeroTail | WordTail | PeriodicTail
+Tail = WordTail | PeriodicTail
 
 _LETTER_CODES = {"L": 0, "R": 1}
 
@@ -148,10 +140,6 @@ class ThreadPoint:
                     f"stem breaks the thread condition at level {i}: "
                     f"f_{i}({stem[i + 1]}) != {stem[i]}"
                 )
-        if isinstance(self.tail, ZeroTail):
-            n = len(stem) - 1
-            if self.system.bonding(n)(Fraction(0)) != stem[-1]:
-                raise ValueError("zero tail does not extend the stem")
         object.__setattr__(self, "stem", stem)
         object.__setattr__(self, "_coords", list(stem))
 
@@ -167,9 +155,6 @@ class ThreadPoint:
         offset = j - len(self.stem)
         if offset < 0:
             raise ValueError("step lies inside the stem")
-        if isinstance(self.tail, ZeroTail):
-            preimages = self.system.bonding(j - 1).preimages(Fraction(0))
-            return preimages.index(Fraction(0))
         if isinstance(self.tail, WordTail):
             if offset >= len(self.tail.letters):
                 raise DepthExceededError(
@@ -186,8 +171,6 @@ class ThreadPoint:
         coords = self._coords
         if n < len(coords):
             return coords[n]
-        if isinstance(self.tail, ZeroTail):
-            return Fraction(0)
         max_level = self.max_level
         if max_level is not None and n > max_level:
             raise DepthExceededError(
@@ -206,20 +189,15 @@ class ThreadPoint:
         return coords[n]
 
     def has_periodic_certificate(self) -> bool:
-        return isinstance(self.tail, (ZeroTail, PeriodicTail))
+        return isinstance(self.tail, PeriodicTail)
 
     def certificate_start(self) -> int:
         """First level from which the branch letters are purely cyclic."""
-        if isinstance(self.tail, ZeroTail):
-            return len(self.stem)
         if isinstance(self.tail, PeriodicTail):
             return len(self.stem) + len(self.tail.prefix)
         raise ValueError("finite branch words carry no periodic certificate")
 
     def letter_cycle(self) -> tuple[int, ...]:
-        if isinstance(self.tail, ZeroTail):
-            zeros = self.system.bonding(0).preimages(Fraction(0))
-            return (zeros.index(Fraction(0)),)
         if isinstance(self.tail, PeriodicTail):
             return self.tail.cycle
         raise ValueError("finite branch words carry no periodic certificate")
@@ -284,6 +262,18 @@ class SignCertificate:
             "cycle_start": self.cycle_start,
             "cycle": list(self.cycle),
         }
+
+
+def sign_certifiable(x: ThreadPoint, y: ThreadPoint) -> bool:
+    """Whether the sign machine can certify the pair: a constant full-lap
+    system and periodic tails on both points.  Every other pair compares
+    as Unknown, whichever route asks."""
+    return (
+        x.system.constant
+        and x.has_periodic_certificate()
+        and y.has_periodic_certificate()
+        and x.system.bonding(0).is_full_lap()
+    )
 
 
 def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate:
@@ -446,13 +436,7 @@ def inverse_limit_orders(
     if x == y:
         return [ComparisonVerdict.stabilized(EQ, 0, depth) for _ in ultrafilters]
 
-    certifiable = (
-        x.system.constant
-        and x.has_periodic_certificate()
-        and y.has_periodic_certificate()
-        and x.system.bonding(0).is_full_lap()
-    )
-    if not certifiable:
+    if not sign_certifiable(x, y):
         return [ComparisonVerdict.unknown(depth) for _ in ultrafilters]
 
     cert = sign_certificate(x, y)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,13 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chainorder import chains
 from chainorder.chains import (
     BOTH,
     GE_ONLY,
     LE_ONLY,
     ChainLevel,
     IntervalChain,
-    MeshBudgetError,
     NeverBetweenReport,
     PullbackSequence,
     chain_order_compare,
@@ -24,7 +25,6 @@ from chainorder.chains import (
     equal_or_opposite,
     level_preorder,
     never_between_after,
-    pullback_chain,
     reverse_range,
 )
 from chainorder.foundations import (
@@ -39,11 +39,14 @@ from chainorder.foundations import (
 )
 from chainorder.inverse_limit import (
     InverseSystem,
+    PeriodicTail,
+    ThreadPoint,
+    epsilon_map_modulus,
     inverse_limit_order,
     tent_system,
     thread_from_letters,
 )
-from chainorder.plmaps import PLMap
+from chainorder.plmaps import PLMap, tent
 from chainorder.ultrafilter import SimulatedUltrafilter
 from test_inverse_limit import zero_thread
 
@@ -212,16 +215,20 @@ class TestLevelPreorder:
 
 class TestPullbackChain:
     def test_mesh_budget_enforced(self):
+        """Each level pulls back the coarsest canonical chain whose mesh
+        fits under the continuity modulus for the level's budget."""
         sys = tent_system()
-        with pytest.raises(MeshBudgetError):
-            pullback_chain(sys, 1, IntervalChain(2))
-        lvl = pullback_chain(sys, 1, IntervalChain(4))
-        assert lvl.mesh_bound == Fraction(3, 2)
-        assert lvl.base_mesh == Fraction(3, 8)
+        seq = PullbackSequence(sys)
+        for n in range(1, 10):
+            lvl = seq.level(n)
+            delta = epsilon_map_modulus(sys, n, lvl.mesh_bound)
+            assert lvl.base_mesh < delta <= IntervalChain(lvl.size - 1).mesh
+        assert seq.level(1).mesh_bound == Fraction(3, 2)
+        assert seq.level(1).base_mesh == Fraction(3, 8)
 
     def test_rejects_level_zero(self):
-        with pytest.raises(ValueError):
-            pullback_chain(tent_system(), 0, IntervalChain(64))
+        with pytest.raises(ValueError, match="start at 1"):
+            PullbackSequence(tent_system()).level(0)
 
     def test_sequence_levels_frozen(self):
         seq = PullbackSequence(tent_system())
@@ -365,6 +372,52 @@ class TestChainOrderCompare:
         assert direct.le_set == EventuallyPeriodicSet.evens()
         assert via_chain.le_set == EventuallyPeriodicSet((False,), (False, True))
 
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_spot_check_catches_a_moved_threshold(self, monkeypatch, shift):
+        """A stabilized threshold one level early or late contradicts the
+        levels computed around it, and the comparison refuses it."""
+        sys = tent_system()
+        x = thread_from_letters(sys, Fraction(1, 4), (0, 0, 0), cycle=(1,))
+        y = thread_from_letters(sys, Fraction(13, 16), (1, 1, 1, 1), cycle=(0,))
+        honest = chains.sign_verdict
+
+        def moved(*args, **kwargs):
+            verdict = honest(*args, **kwargs)
+            return dataclasses.replace(verdict, threshold=verdict.threshold + shift)
+
+        monkeypatch.setattr(chains, "sign_verdict", moved)
+        with pytest.raises(AssertionError, match="certificate claims ge from"):
+            chain_order_compare(PullbackSequence(sys), x, y, u_mod2(0), 20)
+
+    def test_spot_check_probes_stay_shallow(self):
+        """Seeded tent pairs compared at depth 4096: every verdict passes
+        its spot check, and no level past one period beyond the certified
+        settling level is ever built."""
+        sys = tent_system()
+        rng = random.Random(61)
+
+        def spec():
+            bits = rng.randint(1, 6)
+            x0 = Fraction(rng.randrange(1, 2**bits), 2**bits)
+            prefix = tuple(rng.randrange(2) for _ in range(rng.randint(0, 5)))
+            cycle = tuple(rng.randrange(2) for _ in range(rng.randint(1, 4)))
+            return ThreadPoint(sys, (x0,), PeriodicTail(prefix, cycle))
+
+        stabilized = 0
+        for _ in range(400):
+            seq = PullbackSequence(sys)
+            x, y = spec(), spec()
+            verdict = chain_order_compare(seq, x, y, u_mod2(rng.randrange(2)), 4096)
+            if verdict.kind != STABILIZED:
+                continue
+            stabilized += 1
+            meta = verdict.certificate or {}
+            sign = meta.get("sign", meta)
+            settled = max(meta.get("gap_dominance_level", 1), sign.get("cycle_start", 1))
+            bound = max(verdict.threshold + 3, settled + len(sign.get("cycle", ())))
+            assert max(seq._levels) <= bound < 64
+        assert stabilized > 150
+
     def test_trace_reports_relations(self):
         sys = tent_system()
         seq = PullbackSequence(sys)
@@ -381,6 +434,12 @@ class TestChainOrderCompare:
 ZIGZAG = PLMap(
     (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)),
     (Fraction(0), Fraction(1), Fraction(0), Fraction(1)),
+)
+
+
+# Its second lap covers only [1/2, 1].
+HALF_LAP = PLMap(
+    (Fraction(0), Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(1), Fraction(1, 2))
 )
 
 
@@ -467,6 +526,23 @@ class TestNonTentSystem:
                 else:
                     assert (verdict.direction, verdict.threshold) == (direction, threshold)
         assert kinds == {STABILIZED, ULTRAFILTER_DEPENDENT}
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            InverseSystem("tent-zigzag", False, lambda n: ZIGZAG if n % 2 else tent()),
+            InverseSystem("half-lap", True, lambda n: HALF_LAP),
+        ],
+        ids=["non-constant", "not-full-lap"],
+    )
+    def test_uncertifiable_systems_are_unknown_on_both_routes(self, system):
+        """Where the sign machine cannot certify, both routes answer
+        Unknown rather than one of them raising."""
+        x = thread_from_letters(system, Fraction(1, 4), (), (0,))
+        y = thread_from_letters(system, Fraction(3, 4), (1,), (0,))
+        for u in (None, u_mod2(0)):
+            assert inverse_limit_order(x, y, u, 10).kind == UNKNOWN
+            assert chain_order_compare(PullbackSequence(system), x, y, u, 10).kind == UNKNOWN
 
     def test_a_system_is_not_its_name(self):
         """A zigzag system named "tent" is no tent system: threads on the

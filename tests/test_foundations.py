@@ -44,10 +44,6 @@ def test_rational_coercions():
 
 
 class TestIndexRange:
-    def test_widths(self):
-        assert IndexRange(3, 3).width == 1
-        assert IndexRange(3, 4).width == 2
-
     def test_contains_and_indices(self):
         r = IndexRange(5, 6)
         assert 5 in r and 6 in r

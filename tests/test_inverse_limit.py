@@ -15,7 +15,6 @@ from chainorder.inverse_limit import (
     PeriodicTail,
     ThreadPoint,
     WordTail,
-    ZeroTail,
     compare_level,
     epsilon_map_modulus,
     fiber_diameter_bound,
@@ -32,8 +31,8 @@ SYS = tent_system()
 
 
 def zero_thread(system: InverseSystem) -> ThreadPoint:
-    """The thread 0, 0, 0, ... of a system that fixes 0."""
-    return ThreadPoint(system, (Fraction(0),), ZeroTail())
+    """The thread 0, 0, 0, ... of a system whose leftmost preimage of 0 is 0."""
+    return ThreadPoint(system, (Fraction(0),), PeriodicTail((), (0,)))
 
 
 def distance_bounds(x: ThreadPoint, y: ThreadPoint, depth: int) -> tuple[Fraction, Fraction]:
@@ -59,15 +58,11 @@ def alternating_pair():
 class TestThreadValidation:
     def test_stem_consistency_enforced(self):
         with pytest.raises(ValueError, match="thread condition"):
-            ThreadPoint(SYS, (F(1, 2), F(1, 2)), ZeroTail())
-
-    def test_zero_tail_must_extend_stem(self):
-        with pytest.raises(ValueError, match="zero tail"):
-            ThreadPoint(SYS, (F(1, 2),), ZeroTail())
+            ThreadPoint(SYS, (F(1, 2), F(1, 2)), PeriodicTail((), (0,)))
 
     def test_empty_stem_rejected(self):
         with pytest.raises(ValueError):
-            ThreadPoint(SYS, (), ZeroTail())
+            ThreadPoint(SYS, (), PeriodicTail((), (0,)))
 
     def test_letter_out_of_range_detected(self):
         p = thread_from_letters(SYS, 1, (1,))
@@ -115,7 +110,6 @@ class TestCoordinates:
             "stem": ["1/2"],
             "tail": {"kind": "periodic", "prefix": [0], "cycle": [1, 0]},
         }
-        assert zero_thread(SYS).as_dict() == {"stem": ["0"], "tail": {"kind": "zero"}}
 
 
 class TestLevelComparison:
