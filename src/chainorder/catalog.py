@@ -450,14 +450,21 @@ def _gap_strand(i: int) -> Strand:
     )
 
 
-def _s3_resolver(name: str):
+def _parse_s3_strand(name: str) -> tuple[str, int]:
+    """S3's strand names: origin, and tooth_i or gap_i for i >= 1 in plain decimal."""
+    if name == "origin":
+        return "origin", 0
     kind, _, idx = name.partition("_")
-    if idx.isdigit() and int(idx) >= 1:
-        if kind == "tooth":
-            return _tooth_strand(int(idx))
-        if kind == "gap":
-            return _gap_strand(int(idx))
-    return None
+    # One spelling per strand: ASCII digits, no leading zero.
+    if kind in ("tooth", "gap") and idx.isascii() and idx.isdigit() and idx[0] != "0":
+        return kind, int(idx)
+    raise ValueError(f"unknown point: strand {name!r}")
+
+
+def _s3_resolver(name: str) -> Strand:
+    # Declared strands, origin among them, never reach the resolver.
+    kind, i = _parse_s3_strand(name)
+    return _tooth_strand(i) if kind == "tooth" else _gap_strand(i)
 
 
 @lru_cache(maxsize=None)
@@ -680,7 +687,8 @@ def _spiral_arclength(v: Fraction) -> Fraction:
     return _prefix_total(p - 1) + frac * _pass_data(p).total
 
 
-def _spiral_locate(v: Fraction) -> tuple[_PassData, int, Fraction]:
+def _spiral_locate(v: Fraction) -> tuple[int, int, Fraction]:
+    """v as (circuit p, segment i, fraction t along the segment)."""
     p = _pass_of(v)
     data = _pass_data(p)
     frac = (Fraction(1, 2 ** (p - 1)) - v) * 2**p
@@ -689,23 +697,25 @@ def _spiral_locate(v: Fraction) -> tuple[_PassData, int, Fraction]:
     i = min(i, len(data.verts) - 2)
     seg = data.cum[i + 1] - data.cum[i]
     t = (s_local - data.cum[i]) / seg
-    return data, i, t
+    return p, i, t
+
+
+def _spiral_at(p: int, i: int, t: Fraction) -> Point2:
+    (ax, ay), (bx, by) = _pass_data(p).verts[i : i + 2]
+    return (ax + t * (bx - ax), ay + t * (by - ay))
 
 
 def _spiral_point(v: Fraction) -> Point2:
-    data, i, t = _spiral_locate(v)
-    ax, ay = data.verts[i]
-    bx, by = data.verts[i + 1]
-    return (ax + t * (bx - ax), ay + t * (by - ay))
+    return _spiral_at(*_spiral_locate(v))
 
 
 @lru_cache(maxsize=_MEMO)
 def _spiral_host(v: Fraction) -> CatalogPoint:
     """The point of the bar or the oscillation that the spiral runs along at v."""
-    data, i, t = _spiral_locate(v)
-    tag = data.tags[i]
+    p, i, t = _spiral_locate(v)
+    tag = _pass_data(p).tags[i]
     if tag[0] == "bar":
-        return CatalogPoint("bar", _clamp(_spiral_point(v)[1], Fraction(-1), _ONE))
+        return CatalogPoint("bar", _clamp(_spiral_at(p, i, t)[1], Fraction(-1), _ONE))
     return CatalogPoint("wave", tag[1] + t * (tag[2] - tag[1]))
 
 
@@ -722,23 +732,17 @@ def _spiral_param_at(s: Fraction) -> Fraction:
 
 def _spiral_polyline(va: Fraction, vb: Fraction) -> list[Point2]:
     # The strand runs from deep (small v) to the free end at v = 1, so
-    # the slice covers arclengths s(vb) .. s(va).
-    s_hi = _spiral_arclength(va)
-    s_lo = _spiral_arclength(vb)
-    pts = [_spiral_point(vb)]
-    p = _pass_of(vb)
-    while True:
-        data = _pass_data(p)
-        base = _prefix_total(p - 1)
-        for i, vert in enumerate(data.verts):
-            s = base + data.cum[i]
-            if s_lo < s < s_hi:
-                pts.append(vert)
-        if base + data.total >= s_hi:
-            break
-        p += 1
-    if va < vb:
-        pts.append(_spiral_point(va))
+    # the path goes from vb's segment forward through va's.  A circuit's
+    # last vertex is the next one's first, and may be listed twice.
+    pb, ib, tb = _spiral_locate(vb)
+    pa, ia, ta = _spiral_locate(va)
+    pts = [_spiral_at(pb, ib, tb)]
+    for p in range(pb, pa + 1):
+        verts = _pass_data(p).verts
+        start = ib + 1 if p == pb else 0
+        stop = ia + 1 if p == pa else len(verts)
+        pts += verts[start:stop]
+    pts.append(_spiral_at(pa, ia, ta))
     return pts
 
 
@@ -1422,15 +1426,6 @@ def _gap_part(g: _GapShape, w: Fraction) -> str:
     return "pure"
 
 
-def _parse_s3_strand(name: str) -> tuple[str, int]:
-    if name == "origin":
-        return "origin", 0
-    kind, _, idx = name.partition("_")
-    if kind in ("tooth", "gap") and idx.isdigit():
-        return kind, int(idx)
-    raise ValueError(f"unknown point: strand {name!r}")
-
-
 @dataclass(frozen=True)
 class ToothForestChainFamily(ChainFamily):
     """Chains on S3 walking tooth 1, gap 1, tooth 2, ... then one deep blob.
@@ -1775,26 +1770,19 @@ class SpiralChainFamily(ChainFamily):
         sine = [w._replace(link=w.link + plan.off_sine) for w in self._sine.link_windows(n)]
         if plan.spiral_count == 0:
             return sine
-        # Windows in arclength s first, from the free end at s = 0, v = 1.
-        # D walks the spiral inward from link 1; E walks it outward after
-        # the sine block, so its handover pair of links comes first.  The
-        # map s -> al*s + be*spiral_len is its own inverse.
+        # The grid runs in arclength s from the free end at s = 0, v = 1,
+        # and v falls as s grows.  D walks the spiral inward from link 1;
+        # E walks it outward after the sine block, so its handover pair of
+        # links comes first.  Grid coordinate o sits at s = al*o + be*spiral_len.
         al, be = plan.along
         end = plan.spiral_len
-        s_of = lambda o: al * o + be * end
+        v_of = lambda o: _spiral_param_at(al * o + be * end)
         spiral = _grid_windows(
-            "spiral", plan.hs, plan.ovs, plan.spiral_count, plan.off_spiral, _ZERO, end, s_of
+            "spiral", plan.hs, plan.ovs, plan.spiral_count, plan.off_spiral, _ZERO, end, v_of
         )
-        for link in (plan.handover, plan.handover + 1):
-            spiral.append(Window(link, "spiral", end, end + plan.ovs))
-        spiral.sort(key=lambda w: w.lo)
-        boxes = _spiral_boxes(spiral, end + plan.ovs)
-        # v falls as s grows, so each window's ends swap.
-        v = _spiral_param_at
-        return sine + [
-            Window(w.link, "spiral", v(w.hi), v(w.lo), w.hi_closed, w.lo_closed, box)
-            for w, box in zip(spiral, boxes)
-        ]
+        lo, hi = _spiral_param_at(end + plan.ovs), _spiral_param_at(end)
+        spiral += [Window(link, "spiral", lo, hi) for link in (plan.handover, plan.handover + 1)]
+        return sine + spiral
 
     def sampled_parts(self, n: int) -> dict[str, list[CatalogPoint]]:
         """The spiral beyond its windows, which circles on forever."""
@@ -1808,49 +1796,6 @@ class SpiralChainFamily(ChainFamily):
         for k in range(1, 17):
             pts.append(CatalogPoint("spiral", deep_pass - deep_pass / 2 * Fraction(k, 17)))
         return {"spiral tail": pts}
-
-
-def _spiral_boxes(windows: list[Window], end: Fraction) -> list[Box]:
-    """Bounding boxes of the spiral over arclength windows sorted by start.
-
-    The circuits' vertices up to arclength ``end`` are laid out once, and
-    one pointer moves forward through them as the windows' starts do.
-    """
-    ss: list[Fraction] = []
-    verts: list[Point2] = []
-    base, p = _ZERO, 1
-    while True:
-        data = _pass_data(p)
-        # A circuit starts where the previous one ends.
-        skip = 1 if p > 1 else 0
-        ss += [base + c for c in data.cum[skip:]]
-        verts += data.verts[skip:]
-        base += data.total
-        if base >= end:
-            break
-        p += 1
-
-    def at(k: int, s: Fraction) -> Point2:
-        # The point at arclength s on the segment ending at vertex k.
-        (ax, ay), (bx, by) = verts[k - 1], verts[k]
-        t = (s - ss[k - 1]) / (ss[k] - ss[k - 1])
-        return (ax + t * (bx - ax), ay + t * (by - ay))
-
-    boxes = []
-    j = 1
-    for w in windows:
-        while ss[j] <= w.lo:
-            j += 1
-        pts = [at(j, w.lo)]
-        k = j
-        while ss[k] < w.hi:
-            pts.append(verts[k])
-            k += 1
-        pts.append(at(k, w.hi))
-        xs = [q[0] for q in pts]
-        ys = [q[1] for q in pts]
-        boxes.append((min(xs), max(xs), min(ys), max(ys)))
-    return boxes
 
 
 # -- family factories -------------------------------------------------------------

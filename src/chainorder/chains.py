@@ -83,7 +83,6 @@ class ChainLevel:
     size: int
     mesh_bound: Fraction
     index_fn: Callable = field(compare=False, repr=False)
-    base_mesh: Fraction | None = None
     # (x, y, range of x, range of y) for the last pair related here: one
     # comparison's certificate, spot check and trace then place each point
     # once per level.  Points are immutable, so the same objects have the
@@ -189,7 +188,6 @@ class PullbackSequence:
                 size=base.k,
                 mesh_bound=eps_n,
                 index_fn=lambda point: base.index_of(point.coordinate(n)),
-                base_mesh=base.mesh,
             )
         return self._levels[n]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
@@ -108,6 +109,13 @@ class TestSpaces:
         assert (tooth.lo, tooth.hi) == (0, Fraction(1, 30))
         gap = space.strand("gap_12")
         assert gap.lo_open and gap.hi_open
+
+    @pytest.mark.parametrize("strand", ["tooth_01", "gap_\u0661", "tooth_0", "gap_0"])
+    def test_s3_strand_names_have_one_spelling(self, strand):
+        with pytest.raises(ValueError, match="unknown point"):
+            s3_space().strand(strand)
+        with pytest.raises(ValueError, match="unknown point"):
+            s3_family((0, 1, 1)).level(2).index_of(CatalogPoint(strand, 0))
 
     def test_positions_on_known_corners(self):
         s1 = s1_space()
@@ -227,6 +235,55 @@ def test_gap_polyline_passes_every_anchor_between(i, wa, wb):
     }
     params = [wa] + sorted(w for w in anchors if wa < w < wb) + ([wb] if wb > wa else [])
     assert catalog._gap_polyline(i, wa, wb) == [catalog._gap_point(i, w) for w in params]
+
+
+def full_scan_spiral_polyline(va, vb):
+    """The spiral polyline by arclength, scanning every vertex of each
+    circuit from vb's on: the walk the located segments replaced, as
+    their oracle."""
+    s_hi = catalog._spiral_arclength(va)
+    s_lo = catalog._spiral_arclength(vb)
+    pts = [catalog._spiral_point(vb)]
+    p = catalog._pass_of(vb)
+    while True:
+        data = _pass_data(p)
+        base = catalog._prefix_total(p - 1)
+        pts += [vert for c, vert in zip(data.cum, data.verts) if s_lo < base + c < s_hi]
+        if base + data.total >= s_hi:
+            break
+        p += 1
+    if va < vb:
+        pts.append(catalog._spiral_point(va))
+    return pts
+
+
+@functools.lru_cache(maxsize=None)
+def _spiral_window_ends():
+    return sorted(
+        {
+            end
+            for variant in SpiralChainFamily.VARIANTS
+            for n in (1, 2, 3)
+            for w in t_family(variant).link_windows(n)
+            if w.strand == "spiral"
+            for end in (w.lo, w.hi)
+        }
+    )
+
+
+# Circuits 1-6: v in (1/64, 1], their starts v = 2^-k, and T's window ends.
+_SPIRAL_PARAMS = st.one_of(
+    st.fractions(Fraction(1, 64), 1, max_denominator=10**4).filter(lambda v: v > Fraction(1, 64)),
+    st.sampled_from([Fraction(1, 2**k) for k in range(6)]),
+    st.deferred(lambda: st.sampled_from(_spiral_window_ends())),
+)
+
+
+@given(_SPIRAL_PARAMS, _SPIRAL_PARAMS)
+@settings(deadline=None)
+def test_spiral_polyline_matches_the_full_scan(va, vb):
+    va, vb = min(va, vb), max(va, vb)
+    assert set(catalog._spiral_polyline(va, vb)) == set(full_scan_spiral_polyline(va, vb))
 
 
 class TestSeparationData:
@@ -558,6 +615,25 @@ class TestSpiralFamilies:
         finally:
             gc.enable()
         _pass_data.cache_clear()
+
+    @pytest.mark.parametrize(
+        "variant,diameters",
+        [
+            ("D", ["877/3456", "12113/74880", "9373/78336", "432413/4515840"]),
+            ("E", ["378502259/1994331200", "1681/12600", "2593/24624", "5/56"]),
+        ],
+    )
+    def test_max_diameters_frozen(self, variant, diameters):
+        family = t_family(variant)
+        assert [validate_level(family, n)["max_diameter"] for n in range(1, 5)] == diameters
+
+    @pytest.mark.parametrize("variant", ["D", "E"])
+    def test_only_absorbed_tails_carry_a_box(self, variant):
+        # The spiral's windows are boxed from its polyline, like any strand.
+        for n in (1, 2, 3):
+            spiral = [w for w in t_family(variant).link_windows(n) if w.strand == "spiral"]
+            assert spiral or (variant, n) == ("E", 1)
+            assert all(w.box is None for w in spiral)
 
     @pytest.mark.parametrize("variant", ["D", "E"])
     def test_component_order_on_representatives(self, variant):

@@ -222,9 +222,9 @@ class TestPullbackChain:
         for n in range(1, 10):
             lvl = seq.level(n)
             delta = epsilon_map_modulus(sys, n, lvl.mesh_bound)
-            assert lvl.base_mesh < delta <= IntervalChain(lvl.size - 1).mesh
+            assert IntervalChain(lvl.size).mesh < delta <= IntervalChain(lvl.size - 1).mesh
         assert seq.level(1).mesh_bound == Fraction(3, 2)
-        assert seq.level(1).base_mesh == Fraction(3, 8)
+        assert IntervalChain(seq.level(1).size).mesh == Fraction(3, 8)
 
     def test_rejects_level_zero(self):
         with pytest.raises(ValueError, match="start at 1"):
@@ -240,7 +240,7 @@ class TestPullbackChain:
         for n in range(1, 10):
             lvl = seq.level(n)
             assert lvl.mesh_bound == Fraction(1, 2**n) + Fraction(1, n)
-            assert lvl.base_mesh == Fraction(3, 2 * lvl.size)
+            assert IntervalChain(lvl.size).mesh == Fraction(3, 2 * lvl.size)
 
     def test_index_of_uses_coordinates(self):
         seq = PullbackSequence(tent_system())

@@ -73,6 +73,17 @@ class TestCompare:
         assert code == 0
         assert report["verdict"]["threshold"] == 2
 
+    @pytest.mark.parametrize("strand", ["tooth_01", "tooth_\u0661", "tooth_0"])
+    def test_s3_strand_has_one_spelling(self, capsys, strand):
+        # Each tooth has one name: no leading zero, no non-ASCII digit, no tooth 0.
+        code, out, err = run(
+            capsys,
+            "compare", "--space", "s3", "--bits", "0110",
+            "--x", f"{strand}:0", "--y", "tooth_1:0", "--depth", "4",
+        )
+        assert (code, out) == (2, "")
+        assert f"unknown point: strand {strand!r}" in err
+
     def test_ultrafilter_flag_accepted(self, capsys):
         code, report = run_json(
             capsys,
