@@ -228,13 +228,20 @@ class PullbackSequence:
         # per level, while the base mesh at level n sits below 1/(n * lam_n),
         # lam_n the product of the first n Lipschitz constants.  So once
         # gap_T * lam_T >= 1/T, the gap dominates every later mesh and the
-        # chain relation equals the coordinate sign from T on.
+        # chain relation equals the coordinate sign from T on.  lam_T is
+        # kept as lam_n/lam_d, and the test cross-multiplied.
         T = max([1] + [n + 1 for n, rel in enumerate(cert.history) if rel == "EQ"])
-        lam = Fraction(1)
+        lam_n = lam_d = 1
         for j in range(T):
-            lam *= self.system.bonding(j).lipschitz()
-        while abs(x.coordinate(T) - y.coordinate(T)) * lam < Fraction(1, T):
-            lam *= self.system.bonding(T).lipschitz()
+            lip = self.system.bonding(j).lipschitz()
+            lam_n, lam_d = lam_n * lip.numerator, lam_d * lip.denominator
+        while True:
+            a, b = x.coordinate(T), y.coordinate(T)
+            gap = abs(a.numerator * b.denominator - b.numerator * a.denominator)
+            if gap * lam_n * T >= a.denominator * b.denominator * lam_d:
+                break
+            lip = self.system.bonding(T).lipschitz()
+            lam_n, lam_d = lam_n * lip.numerator, lam_d * lip.denominator
             T += 1
             if T > 100_000:
                 raise AssertionError("gap dominance search failed to terminate")

@@ -19,7 +19,8 @@ Rational = Fraction
 
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a 'p/q' string, or a Fraction to an exact rational."""
-    if isinstance(value, Fraction):
+    # The exact-type test first: isinstance on Fraction is an ABC check.
+    if type(value) is Fraction or isinstance(value, Fraction):
         return value
     try:
         return Fraction(value)
@@ -29,7 +30,8 @@ def rational(value: int | str | Fraction) -> Fraction:
 
 def rational_str(value: Fraction) -> str:
     """Serialize a rational as 'p/q', or plain 'p' for integers."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -132,10 +132,10 @@ class ThreadPoint:
         stem = tuple(rational(v) for v in self.stem)
         if not stem:
             raise ValueError("a thread needs at least coordinate zero")
-        if any(not 0 <= v <= 1 for v in stem):
+        if any(not 0 <= v.numerator <= v.denominator for v in stem):
             raise ValueError("coordinates must lie in [0,1]")
         for i in range(len(stem) - 1):
-            if self.system.bonding(i)(stem[i + 1]) != stem[i]:
+            if not self.system.bonding(i).sends(stem[i + 1], stem[i]):
                 raise ValueError(
                     f"stem breaks the thread condition at level {i}: "
                     f"f_{i}({stem[i + 1]}) != {stem[i]}"

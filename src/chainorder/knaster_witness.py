@@ -59,46 +59,39 @@ def build_witness(level_set: EventuallyPeriodicSet, depth: int) -> WitnessPair:
     """Threads with x_i > y_i exactly at the levels in the given set."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    half = Fraction(1, 2)
+    period = len(level_set.pattern)
     stem_len = max(depth, len(level_set.prefix) + 1)
-    xs: list[Fraction] = [half]
-    ys: list[Fraction] = [half]
-    for i in range(1, stem_len + 1):
-        if i == 1:
-            if 1 in level_set:
-                xs.append(Fraction(3, 4))
-                ys.append(Fraction(1, 4))
-            else:
-                xs.append(Fraction(1, 4))
-                ys.append(Fraction(3, 4))
-            continue
+    member = level_set.bits(stem_len + period + 1)
+    # Level i's coordinates are odd numerators over 2^(i+1): the inner
+    # preimage s/2 keeps s's numerator, the outer one 1 - s/2 takes it
+    # from the new denominator.
+    xs, ys = [1, 3 if member[1] else 1], [1, 1 if member[1] else 3]
+    for i in range(2, stem_len + 1):
         s, t = xs[-1], ys[-1]
         if s < t:
-            ys.append(t / 2)
-            xs.append(1 - s / 2 if i in level_set else s / 2)
+            ys.append(t)
+            xs.append((2 << i) - s if member[i] else s)
         else:
-            xs.append(s / 2)
-            ys.append(t / 2 if i in level_set else 1 - t / 2)
+            xs.append(s)
+            ys.append(t if member[i] else (2 << i) - t)
 
-    period = len(level_set.pattern)
-    x_cycle = []
-    y_cycle = []
-    for j in range(stem_len + 1, stem_len + 1 + period):
-        lx, ly = _LETTER_TABLE[(j - 1 in level_set, j in level_set)]
-        x_cycle.append(lx)
-        y_cycle.append(ly)
-
+    steps = range(stem_len + 1, stem_len + 1 + period)
+    x_cycle, y_cycle = zip(*(_LETTER_TABLE[member[j - 1], member[j]] for j in steps))
     system = tent_system()
-    x = ThreadPoint(system, tuple(xs), PeriodicTail((), tuple(x_cycle)))
-    y = ThreadPoint(system, tuple(ys), PeriodicTail((), tuple(y_cycle)))
+    x = ThreadPoint(system, _dyadic(xs), PeriodicTail((), x_cycle))
+    y = ThreadPoint(system, _dyadic(ys), PeriodicTail((), y_cycle))
 
     signs = tuple(i for i in range(1, depth + 1) if xs[i] > ys[i])
-    expected = tuple(i for i in range(1, depth + 1) if i in level_set)
-    if signs != expected:
+    window = member[1 : depth + 1]
+    if signs != tuple(i for i, bit in enumerate(window, 1) if bit):
         raise AssertionError("witness construction broke its sign invariant")
-    window = [i in level_set for i in range(1, depth + 1)]
     mixed = any(window) and not all(window)
     return WitnessPair(level_set, depth, x, y, signs, mixed)
+
+
+def _dyadic(numerators: list[int]) -> tuple[Fraction, ...]:
+    """Level i's numerator over 2^(i+1), as exact rationals."""
+    return tuple(Fraction(n, 2 << i) for i, n in enumerate(numerators))
 
 
 def demonstrate_distinct_orders(

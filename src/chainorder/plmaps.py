@@ -66,9 +66,9 @@ _ZERO_BAND, _ONE_BAND, _INT_BAND = 0, 1, 2
 
 
 def band_of(v: Fraction) -> int:
-    if v == 0:
+    if v.numerator == 0:
         return _ZERO_BAND
-    if v == 1:
+    if v.numerator == v.denominator:
         return _ONE_BAND
     return _INT_BAND
 
@@ -152,7 +152,8 @@ class PLMap:
             table.append((lo.numerator, lo.denominator, hi.numerator, hi.denominator, branch))
         return tuple(table)
 
-    def __call__(self, t: int | Fraction) -> Fraction:
+    def _value(self, t: int | Fraction) -> tuple[int, int]:
+        """f(t) as an unreduced integer numerator and denominator."""
         if type(t) is not Fraction:
             t = Fraction(t)
         p, q = t.numerator, t.denominator
@@ -162,7 +163,15 @@ class PLMap:
         for r_n, r_d, c, m, d in self._forward():
             if p * r_d < r_n * q:
                 break
-        return Fraction(c * q + m * p, d * q)
+        return c * q + m * p, d * q
+
+    def __call__(self, t: int | Fraction) -> Fraction:
+        return Fraction(*self._value(t))
+
+    def sends(self, t: int | Fraction, v: Fraction) -> bool:
+        """Whether f(t) == v, by cross-multiplication."""
+        num, den = self._value(t)
+        return num * v.denominator == v.numerator * den
 
     def preimages(self, y: int | Fraction) -> tuple[Fraction, ...]:
         """All solutions of f(t) = y, ascending and exact."""

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -472,6 +474,82 @@ def expected_verdict(signs: list[str], first: int, depth: int):
         return STABILIZED, LE if target == "LT" else GE, t, None
     bits = tuple(n >= first and s != "GT" for n, s in enumerate(signs))
     return ULTRAFILTER_DEPENDENT, None, None, bits
+
+
+def random_tent_thread(rng: random.Random) -> ThreadPoint:
+    """A thread drawn like the benchmark's tent pairs: a dyadic start of at
+    most six bits, a prefix of 0-5 letters and a cycle of 1-4."""
+    bits = rng.randint(1, 6)
+    x0 = Fraction(rng.randrange(1, 2**bits), 2**bits)
+    prefix = tuple(rng.randrange(2) for _ in range(rng.randint(0, 5)))
+    cycle = tuple(rng.randrange(2) for _ in range(rng.randint(1, 4)))
+    return ThreadPoint(tent_system(), (x0,), PeriodicTail(prefix, cycle))
+
+
+def fraction_gap_dominance_level(system, x, y, history) -> int:
+    """Oracle: the gap-dominance search with lam and the gap as Fractions."""
+    T = max([1] + [n + 1 for n, rel in enumerate(history) if rel == "EQ"])
+    lam = Fraction(1)
+    for j in range(T):
+        lam *= system.bonding(j).lipschitz()
+    while abs(x.coordinate(T) - y.coordinate(T)) * lam < Fraction(1, T):
+        lam *= system.bonding(T).lipschitz()
+        T += 1
+    return T
+
+
+TOWERS = (
+    SimulatedUltrafilter.parse("r2=1,r4=3"),
+    SimulatedUltrafilter.binary_tower((0, 1, 1)),
+    SimulatedUltrafilter.factorial_tower((1, 2)),
+)
+
+
+@pytest.fixture(scope="module")
+def tent_pair_verdicts():
+    """(x, y, inverse-limit verdict, pullback verdict) for 2,000 seeded
+    pairs at depth 128, each compared without and with a tower."""
+    rng = random.Random(14)
+    seq = PullbackSequence(tent_system())
+    records = []
+    for k in range(2000):
+        x, y = random_tent_thread(rng), random_tent_thread(rng)
+        for u in (None, TOWERS[k % len(TOWERS)]):
+            records.append(
+                (
+                    x,
+                    y,
+                    inverse_limit_order(x, y, u, 128).as_dict(),
+                    chain_order_compare(seq, x, y, u, 128).as_dict(),
+                )
+            )
+    return records
+
+
+# SHA-256 of the JSON of every verdict in `tent_pair_verdicts`, recorded
+# from the implementation that computed thread checks, band tests and
+# gap dominance on Fraction objects.
+TENT_PAIR_DIGEST = "a476ab776a039599b30c2ebbd9ca95e6fdb33221e4eb8fa4bc509553b0df0919"
+
+
+class TestIntegerArithmeticAgainstFractions:
+    def test_gap_dominance_level_matches_the_fraction_search(self, tent_pair_verdicts):
+        checked = 0
+        for x, y, _, verdict in tent_pair_verdicts:
+            certificate = verdict.get("certificate") or {}
+            if "gap_dominance_level" in certificate:
+                history = certificate["sign"]["history"]
+                expected = fraction_gap_dominance_level(tent_system(), x, y, history)
+                assert certificate["gap_dominance_level"] == expected
+                checked += 1
+        assert checked > 3000
+
+    def test_verdicts_and_certificates_on_both_routes_are_unchanged(self, tent_pair_verdicts):
+        verdicts = [[il, pb] for _, _, il, pb in tent_pair_verdicts]
+        kinds = {v["kind"] for pair in verdicts for v in pair}
+        assert kinds == {STABILIZED, ULTRAFILTER_DEPENDENT}
+        text = json.dumps(verdicts, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == TENT_PAIR_DIGEST
 
 
 class TestNonTentSystem:

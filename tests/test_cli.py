@@ -55,6 +55,21 @@ class TestCompare:
         assert code == 0
         assert report["verdict"]["direction"] == "ge"
 
+    def test_negative_trace_depth_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "compare", "--space", "arc", "--x", "1/4", "--y", "3/4", "--trace-depth", "-2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: compare --trace-depth must be at least 0\n"
+
+    def test_zero_trace_depth_gives_no_trace_entries(self, capsys):
+        code, report = run_json(
+            capsys, "compare", "--space", "arc", "--x", "1/4", "--y", "3/4", "--trace-depth", "0"
+        )
+        assert code == 0
+        assert report["trace"] == []
+        assert report["verdict"]["kind"] == "stabilized"
+
     def test_s3_needs_bits(self, capsys):
         code, out, err = run(
             capsys, "compare", "--space", "s3", "--x", "tooth_1:0", "--y", "tooth_1:1"
@@ -162,6 +177,14 @@ class TestOrdersCount:
         assert bool(report["detail"]["violations"]) == (depth != "6")
         # Only families whose grid pairs all stabilized count as orders.
         assert report["distinct_orders"] == (2 if depth == "6" else 0)
+
+
+    @pytest.mark.parametrize("space", ["arc", "s1", "s2", "s3", "t"])
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_below_one_is_refused(self, capsys, space, depth):
+        code, out, err = run(capsys, "orders-count", "--space", space, "--depth", depth)
+        assert (code, out) == (2, "")
+        assert err == "error: orders-count --depth must be at least 1\n"
 
 
 class TestKnasterWitness:

@@ -64,6 +64,22 @@ class TestThreadValidation:
         with pytest.raises(ValueError):
             ThreadPoint(SYS, (), PeriodicTail((), (0,)))
 
+    @pytest.mark.parametrize(
+        "stem,message",
+        [
+            ((), "a thread needs at least coordinate zero"),
+            ((F(3, 2),), "coordinates must lie in [0,1]"),
+            ((F(1, 2), F(-1, 4)), "coordinates must lie in [0,1]"),
+            ((F(1, 2), F(1, 3)), "stem breaks the thread condition at level 0: f_0(1/3) != 1/2"),
+            (("1/2", "3/4", "1/4"), "stem breaks the thread condition at level 1: f_1(1/4) != 3/4"),
+            ((0, 1, 1), "stem breaks the thread condition at level 1: f_1(1) != 1"),
+        ],
+    )
+    def test_stem_errors_keep_their_messages(self, stem, message):
+        with pytest.raises(ValueError) as err:
+            ThreadPoint(SYS, stem, PeriodicTail((), (0,)))
+        assert str(err.value) == message
+
     def test_letter_out_of_range_detected(self):
         p = thread_from_letters(SYS, 1, (1,))
         with pytest.raises(ValueError, match="preimages"):

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainorder.foundations import (
     GE,
@@ -14,8 +16,16 @@ from chainorder.foundations import (
     ULTRAFILTER_DEPENDENT,
     EventuallyPeriodicSet,
 )
-from chainorder.inverse_limit import compare_level, inverse_limit_order
+from chainorder.inverse_limit import (
+    PeriodicTail,
+    ThreadPoint,
+    compare_level,
+    inverse_limit_order,
+    tent_system,
+)
 from chainorder.knaster_witness import (
+    _LETTER_TABLE,
+    WitnessPair,
     build_witness,
     demonstrate_distinct_orders,
     exhaustive_branch_oracle,
@@ -71,6 +81,67 @@ class TestConstruction:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             build_witness(EVENS, 0)
+
+
+def fraction_witness(level_set: EventuallyPeriodicSet, depth: int) -> WitnessPair:
+    """Oracle: the witness built in Fractions, one membership test per level."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    half = F(1, 2)
+    stem_len = max(depth, len(level_set.prefix) + 1)
+    xs, ys = [half], [half]
+    for i in range(1, stem_len + 1):
+        if i == 1:
+            xs.append(F(3, 4) if 1 in level_set else F(1, 4))
+            ys.append(F(1, 4) if 1 in level_set else F(3, 4))
+            continue
+        s, t = xs[-1], ys[-1]
+        if s < t:
+            ys.append(t / 2)
+            xs.append(1 - s / 2 if i in level_set else s / 2)
+        else:
+            xs.append(s / 2)
+            ys.append(t / 2 if i in level_set else 1 - t / 2)
+    x_cycle, y_cycle = [], []
+    for j in range(stem_len + 1, stem_len + 1 + len(level_set.pattern)):
+        lx, ly = _LETTER_TABLE[(j - 1 in level_set, j in level_set)]
+        x_cycle.append(lx)
+        y_cycle.append(ly)
+    x = ThreadPoint(tent_system(), tuple(xs), PeriodicTail((), tuple(x_cycle)))
+    y = ThreadPoint(tent_system(), tuple(ys), PeriodicTail((), tuple(y_cycle)))
+    signs = tuple(i for i in range(1, depth + 1) if xs[i] > ys[i])
+    if signs != tuple(i for i in range(1, depth + 1) if i in level_set):
+        raise AssertionError("witness construction broke its sign invariant")
+    window = [i in level_set for i in range(1, depth + 1)]
+    return WitnessPair(level_set, depth, x, y, signs, any(window) and not all(window))
+
+
+def outcome(fn, *args):
+    """A report, or the type and message of the error raised."""
+    try:
+        return fn(*args).as_dict()
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.booleans(), max_size=5),
+        st.lists(st.booleans(), min_size=1, max_size=7),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_reports_match(self, prefix, pattern, depth):
+        level_set = EventuallyPeriodicSet(tuple(prefix), tuple(pattern))
+        expected = outcome(fraction_witness, level_set, depth)
+        assert outcome(build_witness, level_set, depth) == expected
+
+    def test_stem_coordinates_are_reduced_dyadics(self):
+        pair = build_witness(EventuallyPeriodicSet((True, False, False), (False, True)), 30)
+        for point in (pair.x, pair.y):
+            for i, v in enumerate(point.stem):
+                assert type(v) is Fraction
+                assert v.denominator == 2 ** (i + 1) and v.numerator % 2 == 1
 
 
 class TestOrders:

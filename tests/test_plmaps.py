@@ -255,6 +255,20 @@ class TestCompiledAgainstFormulas:
         if not isinstance(got, tuple):
             assert type(got) is Fraction
 
+    @given(any_pl_maps, st.data())
+    def test_sends(self, f, data):
+        t = data.draw(
+            st.one_of(
+                unit_fractions,
+                st.sampled_from(f.breakpoints),
+                st.fractions(min_value=-1, max_value=2, max_denominator=6),
+            )
+        )
+        v = data.draw(st.one_of(unit_fractions, st.sampled_from(f.values)))
+        if 0 <= t <= 1 and data.draw(st.booleans()):
+            v = formula_value(f, t)  # the true value, often unreduced in the table
+        assert outcome(f.sends, t, v) == outcome(lambda: formula_value(f, t) == v)
+
     @given(any_pl_maps)
     def test_lap_data_is_computed_once(self, f):
         for name in ("laps", "is_full_lap", "lipschitz"):
