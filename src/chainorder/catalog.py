@@ -25,6 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import lcm
 from typing import Callable, ClassVar, NamedTuple
 
 from .chains import (
@@ -867,19 +868,23 @@ def _grid_windows(
     Window i of the grid is link first + i; the first and last windows
     reach the ends of the stretch, which are closed or open together.
     ``param`` maps the grid coordinate monotonically to the strand
-    parameter.
+    parameter; the ends stay integer numerators over ``den`` until kept.
     """
+    eq, cq, ep, _, _ = _grid(step, overlap, 1, count)
+    den = lcm(eq, lo.denominator, hi.denominator)
+    ep, cq = ep * (den // eq), cq * (den // eq)
+    lo_n, hi_n = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     out = []
     for i in range(1, count + 1):
-        a, ca = (i - 1) * step - overlap, False
-        if i == 1 or a < lo:
-            a, ca = lo, ends_closed
-        b, cb = i * step + overlap, False
-        if i == count or b > hi:
-            b, cb = hi, ends_closed
+        a, ca = (i - 1) * ep - cq, False
+        if i == 1 or a < lo_n:
+            a, ca = lo_n, ends_closed
+        b, cb = i * ep + cq, False
+        if i == count or b > hi_n:
+            b, cb = hi_n, ends_closed
         if a > b or (a == b and not (ca and cb)):
             continue
-        pa, pb = param(a), param(b)
+        pa, pb = param(Fraction(a, den)), param(Fraction(b, den))
         if pa > pb:
             pa, pb, ca, cb = pb, pa, cb, ca
         out.append(Window(first + i, strand, pa, pb, ca, cb))
@@ -1905,23 +1910,28 @@ def validate_level(family, n: int) -> dict:
     if unshared:
         return failure("adjacent links share no point", links=unshared[:5])
 
-    worst = _ZERO
+    # Diameters as unreduced numerator/denominator pairs, compared by cross-multiplying.
+    mn, md = _q(level.mesh_bound)
+    wn, wd = 0, 1
     for link, (x0, x1, y0, y1) in sorted(_link_boxes(family, level, windows, sampled).items()):
-        diam = max(x1 - x0, y1 - y0)
-        if diam > level.mesh_bound:
+        (dn, dd), (en, ed) = _width(x0, x1), _width(y0, y1)
+        if en * dd > dn * ed:
+            dn, dd = en, ed
+        if dn * md > mn * dd:
             return failure(
                 "diameter exceeds the mesh bound",
                 link=link,
-                diameter=rational_str(diam),
+                diameter=rational_str(Fraction(dn, dd)),
                 mesh=rational_str(level.mesh_bound),
             )
-        worst = max(worst, diam)
+        if dn * wd > wn * dd:
+            wn, wd = dn, dd
     return {
         "ok": True,
         "level": n,
         "links": size,
         "windows": len(windows),
-        "max_diameter": rational_str(worst),
+        "max_diameter": rational_str(Fraction(wn, wd)),
         "mesh_bound": rational_str(level.mesh_bound),
         "sampled": sorted(sampled),
     }
@@ -1945,8 +1955,12 @@ def _check_strand(
     def at(reason: str, t: Fraction, **extra):
         return (reason, {"strand": strand.name, "param": rational_str(t), **extra})
 
-    first = min(ws, key=lambda w: (w.lo, not w.lo_closed))
-    last = max(ws, key=lambda w: (w.hi, w.hi_closed))
+    # The ends as integer numerators over the lcm of their denominators.
+    den = lcm(*{e.denominator for w in ws for e in (w.lo, w.hi)})
+    los = [w.lo.numerator * (den // w.lo.denominator) for w in ws]
+    his = [w.hi.numerator * (den // w.hi.denominator) for w in ws]
+    first = ws[min(range(len(ws)), key=lambda k: (los[k], not ws[k].lo_closed))]
+    last = ws[max(range(len(ws)), key=lambda k: (his[k], ws[k].hi_closed))]
     for w, t, end, closed, end_open in (
         (first, first.lo, strand.lo, first.lo_closed, strand.lo_open),
         (last, last.hi, strand.hi, last.hi_closed, strand.hi is None or strand.hi_open),
@@ -1958,15 +1972,16 @@ def _check_strand(
         if not covered:
             return at("windows do not cover the strand", t)
 
-    ends = sorted({w.lo for w in ws} | {w.hi for w in ws})
+    ends = sorted({*los, *his})
     # Slot 2k is end k, slot 2k + 1 the stretch between ends k and k + 1.
     slot = {t: 2 * k for k, t in enumerate(ends)}
     held: list[set[int]] = [set() for _ in range(2 * len(ends) - 1)]
-    for w in ws:
-        for k in range(slot[w.lo] + (not w.lo_closed), slot[w.hi] - (not w.hi_closed) + 1):
+    for w, a, b in zip(ws, los, his):
+        for k in range(slot[a] + (not w.lo_closed), slot[b] - (not w.hi_closed) + 1):
             held[k].add(w.link)
     for k, links in enumerate(held):
-        t = ends[k // 2] if k % 2 == 0 else (ends[k // 2] + ends[k // 2 + 1]) / 2
+        j = k // 2
+        t = Fraction(ends[j], den) if k % 2 == 0 else Fraction(ends[j] + ends[j + 1], 2 * den)
         if not links:
             # The outer ends may lie off the strand or in a tail.
             if k in (0, len(held) - 1):
@@ -1987,25 +2002,39 @@ def _check_strand(
 def _link_boxes(family, level: ChainLevel, windows: list[Window], sampled: dict) -> dict[int, Box]:
     """Each link's bounding box over its windows and sampled points."""
     space = family.space
-    boxes: dict[int, Box] = {}
-
-    def grow(link: int, box: Box) -> None:
-        old = boxes.get(link)
-        if old is not None:
-            box = tuple(f(a, b) for f, a, b in zip((min, max, min, max), old, box))
-        boxes[link] = box
-
+    xs: dict[int, list] = {}
+    ys: dict[int, list] = {}
     for w in windows:
-        box = w.box
-        if box is None:
+        if w.box is None:
             pts = space.strand(w.strand).polyline(w.lo, w.hi)
-            xs = [q[0] for q in pts]
-            ys = [q[1] for q in pts]
-            box = (min(xs), max(xs), min(ys), max(ys))
-        grow(w.link, box)
+        else:
+            x0, x1, y0, y1 = w.box
+            pts = ((x0, y0), (x1, y1))
+        xs.setdefault(w.link, []).extend(q[0] for q in pts)
+        ys.setdefault(w.link, []).extend(q[1] for q in pts)
     for pts in sampled.values():
         for p in pts:
             x, y = space.position(p)
             for link in level.index_of(p).indices():
-                grow(link, (x, x, y, y))
-    return boxes
+                xs.setdefault(link, []).append(x)
+                ys.setdefault(link, []).append(y)
+    return {link: (*_extent(xs[link]), *_extent(ys[link])) for link in xs}
+
+
+def _extent(values: list[Fraction]) -> tuple[Fraction, Fraction]:
+    """The least and the greatest of ``values``, compared by cross-multiplying."""
+    lo = hi = values[0]
+    ln, ld = hn, hd = lo.numerator, lo.denominator
+    for v in values:
+        n, d = v.numerator, v.denominator
+        if n * ld < ln * d:
+            lo, ln, ld = v, n, d
+        elif n * hd > hn * d:
+            hi, hn, hd = v, n, d
+    return lo, hi
+
+
+def _width(lo: Fraction, hi: Fraction) -> Pair:
+    """hi - lo as an unreduced numerator/denominator pair."""
+    (a, b), (c, d) = _q(lo), _q(hi)
+    return c * b - a * d, b * d

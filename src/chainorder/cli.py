@@ -228,6 +228,12 @@ def _cmd_compare(args) -> tuple[dict, bool]:
     return report, verdict.kind != "unknown"
 
 
+# s3 compares all 2^depth prefixes, and each T level traces one more spiral
+# circuit at a cost that grows steeply, so orders-count answers these two
+# spaces up to depth 6, which is also their default.
+_ORDERS_DEPTH_LIMIT = {"s3": 6, "t": 6}
+
+
 def _cmd_orders_count(args) -> tuple[dict, bool]:
     """Count the distinct stabilized orders a space's chain variants induce.
 
@@ -235,9 +241,14 @@ def _cmd_orders_count(args) -> tuple[dict, bool]:
     agree on what counts as one order.
     """
     space, depth = args.space, args.depth
+    limit = _ORDERS_DEPTH_LIMIT.get(space)
+    if depth is None:
+        depth = limit or 20
     if depth < 1:
         raise UsageError("orders-count --depth must be at least 1")
     _within_levels("orders-count --depth", depth)
+    if limit is not None and depth > limit:
+        raise UsageError(f"orders-count --depth {depth} is over the limit of {limit} on {space}")
     if space == "arc":
         rep = acceptance.arc_order_count(depth=depth)
         distinct, expected = rep["detail"]["distinct_orders"], 2
@@ -249,11 +260,9 @@ def _cmd_orders_count(args) -> tuple[dict, bool]:
         patterns = {p for pats in rep["detail"]["realized"].values() for p in pats}
         distinct, expected = len(patterns), 2
     elif space == "s3":
-        depth = min(depth, 6)
         rep = acceptance.s3_prefix_distinctness(length=depth)
         distinct, expected = rep["detail"]["distinct_orders"], 2**depth
     elif space == "t":
-        depth = min(depth, 6)
         rep = acceptance.t_component_orders(depth=depth)
         orders = rep["detail"]["component_orders"]
         distinct = len(orders) if rep["pass"] else sum(orders.values())
@@ -374,6 +383,8 @@ def _within_budget(command: str, log2_steps: float) -> None:
 
 
 def _cmd_orientation_decompose(args) -> tuple[dict, bool]:
+    if args.n < 0:
+        raise UsageError("orientation decompose --n must be at least 0")
     prefix = parse_word(args.prefix) if args.prefix else ()
     if len(prefix) != args.n:
         raise UsageError(f"--prefix must be a binary word of length {args.n}")
@@ -475,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "orders-count", help="count distinct stabilized orders", parents=[common]
     )
     orders.add_argument("--space", required=True, choices=sorted(_VARIANTS))
-    orders.add_argument("--depth", type=int, default=20)
+    orders.add_argument("--depth", type=int, help="default 20, or 6 on s3 and t")
 
     knaster = sub.add_parser(
         "knaster-witness", help="two-tower witness comparison", parents=[common]

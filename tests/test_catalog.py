@@ -53,7 +53,7 @@ from chainorder.chains import (
     equal_or_opposite,
     never_between_after,
 )
-from chainorder.foundations import IndexRange
+from chainorder.foundations import IndexRange, rational_str
 
 
 def direction(family, x, y, depth=8):
@@ -837,6 +837,278 @@ class TestValidator:
         report = validate_level(family, 2)
         assert not report["ok"]
         assert report["reason"] == reason, report
+
+
+# -- the Fraction validator, kept as an oracle ----------------------------------------
+# The validator computes on integer numerators.  These are its parts as they
+# were in Fractions: window ends sorted, hashed and min/max-ed as Fractions,
+# link boxes grown pairwise with min and max, diameters subtracted.
+
+
+def _fraction_grid_windows(
+    strand, step, overlap, count, first, lo, hi, param=lambda o: o, ends_closed=True
+):
+    out = []
+    for i in range(1, count + 1):
+        a, ca = (i - 1) * step - overlap, False
+        if i == 1 or a < lo:
+            a, ca = lo, ends_closed
+        b, cb = i * step + overlap, False
+        if i == count or b > hi:
+            b, cb = hi, ends_closed
+        if a > b or (a == b and not (ca and cb)):
+            continue
+        pa, pb = param(a), param(b)
+        if pa > pb:
+            pa, pb, ca, cb = pb, pa, cb, ca
+        out.append(Window(first + i, strand, pa, pb, ca, cb))
+    return out
+
+
+def _fraction_validate_level(family, n):
+    level = family.level(n)
+    size = level.size
+    windows = family.link_windows(n)
+    sampled = family.sampled_parts(n)
+
+    def failure(reason, **extra):
+        return {"ok": False, "level": n, "links": size, "reason": reason, **extra}
+
+    by_strand = _by_strand(windows)
+    sampled_strands = {p.strand for pts in sampled.values() for p in pts}
+    space = family.space
+    shared = set()
+    listed = by_strand.keys() | sampled_strands
+    unlisted = [s.name for s in space.strands if s.name not in listed]
+    if unlisted:
+        return failure("strands without a window", strands=unlisted)
+    for name, ws in by_strand.items():
+        problem = _fraction_check_strand(
+            level, space.strand(name), ws, name in sampled_strands, shared
+        )
+        if problem:
+            return failure(problem[0], **problem[1])
+    unshared = [i for i in range(1, size) if i not in shared]
+    if unshared:
+        return failure("adjacent links share no point", links=unshared[:5])
+    worst = Fraction(0)
+    for link, (x0, x1, y0, y1) in sorted(
+        _fraction_link_boxes(family, level, windows, sampled).items()
+    ):
+        diam = max(x1 - x0, y1 - y0)
+        if diam > level.mesh_bound:
+            return failure(
+                "diameter exceeds the mesh bound",
+                link=link,
+                diameter=rational_str(diam),
+                mesh=rational_str(level.mesh_bound),
+            )
+        worst = max(worst, diam)
+    return {
+        "ok": True,
+        "level": n,
+        "links": size,
+        "windows": len(windows),
+        "max_diameter": rational_str(worst),
+        "mesh_bound": rational_str(level.mesh_bound),
+        "sampled": sorted(sampled),
+    }
+
+
+def _fraction_check_strand(level, strand, ws, sampled, shared):
+    def at(reason, t, **extra):
+        return (reason, {"strand": strand.name, "param": rational_str(t), **extra})
+
+    first = min(ws, key=lambda w: (w.lo, not w.lo_closed))
+    last = max(ws, key=lambda w: (w.hi, w.hi_closed))
+    for w, t, end, closed, end_open in (
+        (first, first.lo, strand.lo, first.lo_closed, strand.lo_open),
+        (last, last.hi, strand.hi, last.hi_closed, strand.hi is None or strand.hi_open),
+    ):
+        if t == end:
+            covered = closed or end_open
+        else:
+            covered = end_open and (w.box is not None or sampled)
+        if not covered:
+            return at("windows do not cover the strand", t)
+
+    ends = sorted({w.lo for w in ws} | {w.hi for w in ws})
+    slot = {t: 2 * k for k, t in enumerate(ends)}
+    held = [set() for _ in range(2 * len(ends) - 1)]
+    for w in ws:
+        for k in range(slot[w.lo] + (not w.lo_closed), slot[w.hi] - (not w.hi_closed) + 1):
+            held[k].add(w.link)
+    for k, links in enumerate(held):
+        t = ends[k // 2] if k % 2 == 0 else (ends[k // 2] + ends[k // 2 + 1]) / 2
+        if not links:
+            if k in (0, len(held) - 1):
+                continue
+            return at("windows do not cover the strand", t)
+        if max(links) - min(links) > 1:
+            return at("windows of non-adjacent links overlap", t, links=sorted(links))
+        if len(links) == 2:
+            shared.add(min(links))
+        got = level.index_of(CatalogPoint(strand.name, t)).indices()
+        if got != tuple(sorted(links)):
+            return at(
+                "index_of disagrees with the windows", t, index_of=list(got), windows=sorted(links)
+            )
+    return None
+
+
+def _fraction_link_boxes(family, level, windows, sampled):
+    space = family.space
+    boxes = {}
+
+    def grow(link, box):
+        old = boxes.get(link)
+        if old is not None:
+            box = tuple(f(a, b) for f, a, b in zip((min, max, min, max), old, box))
+        boxes[link] = box
+
+    for w in windows:
+        box = w.box
+        if box is None:
+            pts = space.strand(w.strand).polyline(w.lo, w.hi)
+            xs = [q[0] for q in pts]
+            ys = [q[1] for q in pts]
+            box = (min(xs), max(xs), min(ys), max(ys))
+        grow(w.link, box)
+    for pts in sampled.values():
+        for p in pts:
+            x, y = space.position(p)
+            for link in level.index_of(p).indices():
+                grow(link, (x, x, y, y))
+    return boxes
+
+
+# The families CI validates exactly.
+_CI_FAMILIES = [
+    *[arc_family(v) for v in ArcChainFamily.VARIANTS],
+    *[s1_family(v) for v in SineChainFamily.VARIANTS],
+    *[s2_family(v) for v in OuterArcChainFamily.VARIANTS],
+    s3_family((0, 1, 1, 0, 1, 0)),
+    s3_family((1, 0, 0, 1, 0, 1)),
+    *[t_family(v) for v in SpiralChainFamily.VARIANTS],
+]
+
+
+@pytest.mark.parametrize("family", _CI_FAMILIES, ids=repr)
+def test_validator_matches_the_fraction_oracle(family, monkeypatch):
+    """Windows, link boxes and reports equal the Fraction code's, exactly."""
+    for n in range(1, 5):
+        windows, report = family.link_windows(n), validate_level(family, n)
+        level, sampled = family.level(n), family.sampled_parts(n)
+        boxes = catalog._link_boxes(family, level, windows, sampled)
+        assert boxes == _fraction_link_boxes(family, level, windows, sampled)
+        with monkeypatch.context() as m:
+            m.setattr(catalog, "_grid_windows", _fraction_grid_windows)
+            assert repr(windows) == repr(family.link_windows(n))
+            assert report == _fraction_validate_level(family, n)
+
+
+@given(
+    step=st.fractions(Fraction(1, 40), 2, max_denominator=60),
+    ov_share=st.fractions(0, Fraction(19, 40), max_denominator=40),
+    count=st.integers(1, 12),
+    lo=st.fractions(-1, 2, max_denominator=40),
+    length=st.fractions(0, 8, max_denominator=40),
+    decreasing=st.booleans(),
+    ends_closed=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_grid_windows_match_the_fraction_oracle(
+    step, ov_share, count, lo, length, decreasing, ends_closed
+):
+    """Stretches that clamp windows anywhere in the grid, or drop them."""
+    param = (lambda o: 3 - o) if decreasing else (lambda o: o)
+    args = ("wave", step, step * ov_share, count, 5, lo, lo + length, param, ends_closed)
+    assert repr(catalog._grid_windows(*args)) == repr(_fraction_grid_windows(*args))
+
+class _NudgedSine(SineChainFamily):
+    """S1 windows with one end of a wave window moved by 1/den, den its denominator."""
+
+    def link_windows(self, n):
+        windows = super().link_windows(n)
+        w = windows[5]
+        windows[5] = w._replace(hi=w.hi - Fraction(1, w.hi.denominator))
+        return windows
+
+
+class _DroppedWindowSpiral(SpiralChainFamily):
+    """T windows with one spiral window left out."""
+
+    def link_windows(self, n):
+        windows = super().link_windows(n)
+        spiral = [k for k, w in enumerate(windows) if w.strand == "spiral"]
+        del windows[spiral[len(spiral) // 2]]
+        return windows
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        _GappedArc("standard"),
+        _OpenEndArc("standard"),
+        _BarlessSine("D"),
+        _StretchedArc("standard"),
+        _MislabelledArc("reversed"),
+        _ShrunkMesh("D"),
+        _NudgedSine("D"),
+        _DroppedWindowSpiral("D"),
+    ],
+    ids=["gap", "open-end", "strand", "overlap", "mislabelled", "mesh", "nudged", "dropped"],
+)
+def test_failures_match_the_fraction_oracle(family):
+    """Broken families fail with the oracle's whole report: reason, strand,
+    parameter and links."""
+    report = validate_level(family, 2)
+    assert not report["ok"]
+    assert report == _fraction_validate_level(family, 2)
+
+
+_ARC_ENDS = sorted({Fraction(k, d) for d in (3, 7, 10, 12, 64) for k in range(d + 1)})
+
+
+@st.composite
+def _arc_window_lists(draw, base):
+    """The arc's windows with ends moved to nearby ends of mixed denominators,
+    flags flipped, windows dropped, and extra windows, some of zero length."""
+    ends = sorted(set(_ARC_ENDS) | {e for w in base for e in (w.lo, w.hi)})
+    near = lambda t: ends[min(max(ends.index(t) + draw(st.integers(-2, 2)), 0), len(ends) - 1)]
+    flag = st.booleans()
+    ws = []
+    for w in base:
+        action = draw(st.sampled_from(("keep",) * 6 + ("move", "flags", "drop")))
+        if action == "move":
+            lo, hi = sorted((near(w.lo), near(w.hi)))
+            w = w._replace(lo=lo, hi=hi)
+        if action in ("move", "flags"):
+            w = w._replace(lo_closed=draw(flag), hi_closed=draw(flag))
+        if action != "drop":
+            ws.append(w)
+    for _ in range(draw(st.integers(0 if ws else 1, 3))):
+        lo = draw(st.sampled_from(ends))
+        hi = lo if draw(flag) else max(lo, draw(st.sampled_from(ends)))
+        extra = Window(draw(st.integers(1, len(base))), "segment", lo, hi, draw(flag), draw(flag))
+        ws.insert(draw(st.integers(0, len(ws))), extra)
+    return ws
+
+
+@given(
+    family=st.sampled_from([arc_family(v) for v in ArcChainFamily.VARIANTS]),
+    n=st.integers(1, 4),
+    sampled=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_check_strand_matches_the_fraction_oracle(family, n, sampled, data):
+    ws = data.draw(_arc_window_lists(family.link_windows(n)))
+    level, strand = family.level(n), arc_space().strand("segment")
+    shared, fraction_shared = set(), set()
+    got = catalog._check_strand(level, strand, ws, sampled, shared)
+    assert got == _fraction_check_strand(level, strand, ws, sampled, fraction_shared)
+    assert shared == fraction_shared
 
 
 _WINDOWED = [

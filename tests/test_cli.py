@@ -186,6 +186,24 @@ class TestOrdersCount:
         assert (code, out) == (2, "")
         assert err == "error: orders-count --depth must be at least 1\n"
 
+    @pytest.mark.parametrize("space", ["s3", "t"])
+    def test_s3_and_t_answer_up_to_depth_6_by_default(self, capsys, space):
+        code, out, err = run(capsys, "orders-count", "--space", space, "--depth", "6")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["inputs"] == {"space": space, "depth": 6}
+        assert run(capsys, "orders-count", "--space", space) == (code, out, err)
+
+    @pytest.mark.parametrize("space", ["s3", "t"])
+    @pytest.mark.parametrize("depth", ["7", "20"])
+    def test_s3_and_t_refuse_depths_over_6(self, capsys, space, depth):
+        code, out, err = run(capsys, "orders-count", "--space", space, "--depth", depth)
+        assert (code, out) == (2, "")
+        assert err == f"error: orders-count --depth {depth} is over the limit of 6 on {space}\n"
+
+    def test_other_spaces_default_to_depth_20(self, capsys):
+        code, report = run_json(capsys, "orders-count", "--space", "arc")
+        assert report["inputs"] == {"space": "arc", "depth": 20}
+
 
 class TestKnasterWitness:
     def test_evens_split(self, capsys):
@@ -297,6 +315,12 @@ class TestOrientation:
         code, out, err = run(capsys, "orientation", "decompose", "--n", "2", "--prefix", "101")
         assert code == 2
         assert "length 2" in err
+
+    @pytest.mark.parametrize("prefix", [[], ["--prefix", "1"]])
+    def test_decompose_refuses_a_negative_n(self, capsys, prefix):
+        code, out, err = run(capsys, "orientation", "decompose", "--n", "-1", *prefix)
+        assert (code, out) == (2, "")
+        assert err == "error: orientation decompose --n must be at least 0\n"
 
     def test_reach_odd(self, capsys):
         code, report = run_json(
