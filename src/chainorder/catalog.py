@@ -1050,13 +1050,16 @@ class ArcChainFamily(ChainFamily):
         if s == t:
             return ComparisonVerdict.stabilized(EQ, 1, depth)
         lo, hi = min(s, t), max(s, t)
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         for n in range(1, depth + 1):
             k = 2**n
             # An integer m with k*lo + 1/4 <= m <= k*hi - 1/4 separates the
             # two link ranges, and doubling the chain maps m to 2m, which
-            # satisfies the same bounds: separation persists forever.
-            m = _ceil(k * lo + Fraction(1, 4))
-            if m <= k * hi - Fraction(1, 4):
+            # satisfies the same bounds: separation persists forever.  With
+            # lo = a/b and hi = c/d, m = ceil((4ka + b)/4b) and the upper
+            # bound reads 4md <= 4kc - d.
+            m = -(-(4 * k * a + b) // (4 * b))
+            if 4 * m * d <= 4 * k * c - d:
                 forward = LE if s < t else GE
                 if self.variant == "reversed":
                     forward = GE if forward == LE else LE
@@ -1346,8 +1349,14 @@ def _cut_depth(i: int, side: int, kind: str, m: int, tooth: int) -> int:
         k += 1
 
 
-# One shape per (i, m, bit pair): the memo grows with depth², not with prefixes.
-@lru_cache(maxsize=None)
+# One shape per (i, m, bit pair): the memo grows with depth², not with
+# prefixes, and is bounded all the same.  Levels 1 to 10 have 200 shapes
+# between them, and a family plans each level once, so an evicted shape is
+# only built again for another prefix.
+_GAP_SHAPES = 2048
+
+
+@lru_cache(maxsize=_GAP_SHAPES)
 def _gap_shape(i: int, m: int, bit_r: int, bit_l: int | None) -> _GapShape:
     """Gap i at level m, between teeth walked by ``bit_r`` and ``bit_l``.
 

@@ -6,8 +6,9 @@ schema version field) or as indented text; golden files pin both.
 Identical invocations produce byte-identical JSON; wall-clock readings
 only enter with --timing.  Set CHAINORDER_REPORT_DIR to also write the
 JSON bytes of each report into that directory.  ``orientation`` refuses
-inputs over a stated cost budget, and ``compare``, ``orders-count`` and
-``knaster-witness`` depths over a level budget.  Exit codes:
+inputs over a stated cost budget, ``compare``, ``orders-count`` and
+``knaster-witness`` depths over a level budget, and ``compare`` spiral
+points past a circuit limit.  Exit codes:
 0 when every assertion the experiment embeds holds, 1 when one fails, 2
 on usage or input errors.
 """
@@ -87,6 +88,14 @@ def _family(space: str, variant: str | None, bits: str | None):
     raise UsageError(f"unknown space: {space!r}")
 
 
+# Placing a spiral point traces every circuit down to its own, and circuit
+# p (v in (2^-p, 2^-(p-1)]) costs about twice circuit p - 1.  Measured in a
+# subprocess with --depth 1 to 8 (Python 3.11, one core of a 2-vCPU virtual
+# machine): circuit 9 takes 0.8 to 1.1 s, circuit 10 about 1.9 s and
+# circuit 11 over 4 s, so points past circuit 9 are refused.
+SPIRAL_CIRCUIT_LIMIT = 9
+
+
 def _parse_point(space: str, text: str):
     """Points are strand:param; the arc also accepts a bare rational."""
     if ":" in text:
@@ -97,6 +106,15 @@ def _parse_point(space: str, text: str):
     else:
         raise UsageError(f"point {text!r} must look like strand:param")
     catalog_spaces()[space].validate(point)
+    if strand == "spiral":
+        v = point.param
+        circuit = (v.denominator // v.numerator).bit_length()
+        if circuit > SPIRAL_CIRCUIT_LIMIT:
+            raise UsageError(
+                f"point {text!r} lies on spiral circuit {circuit}, past the limit of "
+                f"circuit {SPIRAL_CIRCUIT_LIMIT} (spiral parameters above "
+                f"1/{2 ** SPIRAL_CIRCUIT_LIMIT})"
+            )
     return point
 
 
@@ -332,9 +350,9 @@ def _cmd_knaster_witness(args) -> tuple[dict, bool]:
 
 
 # Orientation reports whose estimated cost exceeds 2^23 bit steps are
-# refused; the largest accepted inputs take 0.2 to 0.7 s per process
-# (Python 3.11, one core of a 2-vCPU virtual machine), and each further
-# bit of depth doubles that.
+# refused; the largest accepted inputs take 0.2 to 0.5 s per process,
+# interpreter start-up included (Python 3.11, one core of a 2-vCPU virtual
+# machine), and each further bit of depth doubles the work.
 ORIENTATION_BUDGET_LOG2 = 23
 
 

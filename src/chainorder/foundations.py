@@ -17,11 +17,31 @@ from typing import Callable, Iterable
 Rational = Fraction
 
 
+# A decimal string's exact value has about as many digits as the string
+# has digits plus the size of its exponent.  10**exponent is built before
+# anything could look at it, in about 13 s for 1e-10000000, and Python
+# refuses to print an int of more than 4300 digits, so digits and exponent
+# together stay below that.
+DECIMAL_DIGIT_LIMIT = 4000
+
+
 def rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, a 'p/q' string, or a Fraction to an exact rational."""
+    """Coerce an int, a 'p/q' or decimal string, or a Fraction to an exact rational."""
     # The exact-type test first: isinstance on Fraction is an ABC check.
     if type(value) is Fraction or isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and ("." in value or "e" in value or "E" in value):
+        mantissa, _, exponent = value.lower().partition("e")
+        try:
+            size = abs(int(exponent or 0))
+        except ValueError:  # malformed, or too long to read: Fraction refuses it
+            size = 0
+        size += sum(c.isdigit() for c in mantissa)
+        if size > DECIMAL_DIGIT_LIMIT:
+            raise ValueError(
+                f"decimal {value!r} is too long: its exact value needs more than "
+                f"{DECIMAL_DIGIT_LIMIT} digits"
+            )
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -60,10 +80,40 @@ class IndexRange:
 
 
 def _minimal_period(pattern: tuple[bool, ...]) -> tuple[bool, ...]:
-    for d in range(1, len(pattern) + 1):
-        if len(pattern) % d == 0 and pattern == pattern[:d] * (len(pattern) // d):
+    # A divisor d of the length is a period when shifting by d changes nothing.
+    size = len(pattern)
+    for d in range(1, size):
+        if size % d == 0 and pattern[d:] == pattern[:-d]:
             return pattern[:d]
     return pattern
+
+
+def _normalized(
+    prefix: tuple[bool, ...], pattern: tuple[bool, ...]
+) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """These bool tuples in normal form: minimal period, shortest prefix.
+
+    Absorbing a prefix bit into the tail rotates the pattern right; the
+    bits that go are counted first, then cut and rotated in one step.
+    Rotation preserves the minimal period, so no second reduction.
+    """
+    pattern = _minimal_period(pattern)
+    period, cut = len(pattern), 0
+    while cut < len(prefix) and prefix[-1 - cut] == pattern[-1 - cut % period]:
+        cut += 1
+    if cut:
+        prefix = prefix[:-cut]
+        turn = cut % period
+        pattern = pattern[-turn:] + pattern[:-turn] if turn else pattern
+    return prefix, pattern
+
+
+def _in_normal_form(prefix: tuple[bool, ...], pattern: tuple[bool, ...]) -> EventuallyPeriodicSet:
+    """The set with these bool tuples, which are already in normal form."""
+    out = object.__new__(EventuallyPeriodicSet)
+    object.__setattr__(out, "prefix", prefix)
+    object.__setattr__(out, "pattern", pattern)
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,12 +133,7 @@ class EventuallyPeriodicSet:
         if not self.pattern:
             raise ValueError("pattern must be nonempty")
         prefix = tuple(map(bool, self.prefix))
-        pattern = _minimal_period(tuple(map(bool, self.pattern)))
-        # Absorbing a prefix bit into the tail rotates the pattern right;
-        # rotation preserves the minimal period, so no second reduction.
-        while prefix and prefix[-1] == pattern[-1]:
-            prefix = prefix[:-1]
-            pattern = pattern[-1:] + pattern[:-1]
+        prefix, pattern = _normalized(prefix, tuple(map(bool, self.pattern)))
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "pattern", pattern)
 
@@ -123,7 +168,8 @@ class EventuallyPeriodicSet:
         """All naturals >= start."""
         if start < 0:
             raise ValueError("start must be a natural")
-        return cls((False,) * start, (True,))
+        # A last prefix bit unlike the one-bit pattern: already normal.
+        return _in_normal_form((False,) * start, (True,))
 
     @classmethod
     def residue_class(cls, residue: int, modulus: int) -> EventuallyPeriodicSet:
@@ -153,8 +199,9 @@ class EventuallyPeriodicSet:
     ) -> EventuallyPeriodicSet:
         start = max(len(self.prefix), len(other.prefix))
         count = start + lcm(len(self.pattern), len(other.pattern))
+        # The operators map bools to bools, so only the normal form is left.
         bits = tuple(map(op, self.bits(count), other.bits(count)))
-        return EventuallyPeriodicSet(bits[:start], bits[start:])
+        return _in_normal_form(*_normalized(bits[:start], bits[start:]))
 
     def union(self, other: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
         return self._combine(other, or_)
@@ -169,10 +216,7 @@ class EventuallyPeriodicSet:
     def complement(self) -> EventuallyPeriodicSet:
         # Complementing keeps the period minimal and the last prefix bit
         # unlike the last pattern bit, so the result is already normal.
-        out = object.__new__(EventuallyPeriodicSet)
-        object.__setattr__(out, "prefix", tuple(map(not_, self.prefix)))
-        object.__setattr__(out, "pattern", tuple(map(not_, self.pattern)))
-        return out
+        return _in_normal_form(tuple(map(not_, self.prefix)), tuple(map(not_, self.pattern)))
 
     __or__ = union
     __and__ = intersection

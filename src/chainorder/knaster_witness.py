@@ -134,14 +134,17 @@ def exhaustive_branch_oracle(depth: int) -> dict:
         raise ValueError("oracle depth must be small enough to enumerate")
     f = tent()
     half = Fraction(1, 2)
+    # Step k's coordinates are dyadic over 2^(k+1), so all of them are
+    # compared as integer numerators over the deepest denominator.
+    scale = 2 << depth
 
     words = [[(w >> k) & 1 for k in range(depth)] for w in range(2**depth)]
-    values: list[list[Fraction]] = []
+    values: list[list[int]] = []
     for w in words:
         coords = [half]
         for letter in w:
             coords.append(f.preimages(coords[-1])[letter])
-        values.append(coords)
+        values.append([_numerator_over(v, scale) for v in coords])
 
     checked = 0
     for a_idx, wa in enumerate(words):
@@ -166,3 +169,11 @@ def exhaustive_branch_oracle(depth: int) -> dict:
                     }
                 checked += 1
     return {"pass": True, "pairs_checked": checked, "words": len(words)}
+
+
+def _numerator_over(value: Fraction, scale: int) -> int:
+    """The numerator of ``value`` over ``scale``, which its denominator divides."""
+    numerator, rest = divmod(value.numerator * scale, value.denominator)
+    if rest:
+        raise AssertionError(f"{value} is not a multiple of 1/{scale}")
+    return numerator

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -29,10 +29,15 @@ class SearchBoundExceeded(ValueError):
 # The characters "0"/"1" and the integers 0/1 (bools included) are the
 # bits; keying on the type keeps out 1.0 and other digits int() accepts.
 _BITS = {(str, "0"): 0, (str, "1"): 1, (int, 0): 0, (int, 1): 1, (bool, False): 0, (bool, True): 1}
+_INT = {int}
+_BIT_VALUES = {0, 1}
 
 
 def parse_word(text: str | Iterable[int]) -> Word:
     """Normalize ``"0110"`` or any iterable of 0/1 to a tuple of ints."""
+    # A tuple of exact ints 0/1 is already normal: return it as it is.
+    if type(text) is tuple and _INT.issuperset(map(type, text)) and _BIT_VALUES.issuperset(text):
+        return text
     items = tuple(text)
     try:
         return tuple(map(_BITS.__getitem__, zip(map(type, items), items)))
@@ -138,13 +143,39 @@ class ReachResult:
     def verify(self, depth: int) -> bool:
         """Check, word by word at length ``depth``, that the composition
         maps the words extending ``source`` exactly onto those extending
-        ``image``."""
-        got = {
-            apply_composition(self.composition, self.source + tail)
-            for tail in product((0, 1), repeat=depth - len(self.source))
-        }
-        want = product((0, 1), repeat=depth - len(self.image))
-        return got == {self.image + tail for tail in want}
+        ``image``.
+
+        The flips commute and each complements a tail, so the
+        composition xors every word with one mask, its image of the zero
+        word.  Words are compared as the binary numerals they spell.
+        """
+        free = depth - len(self.source)
+        if free < 0:
+            raise ValueError(f"depth {depth} is shorter than the source {self.source}")
+        start = _numeral(parse_word(self.source)) << free
+        mask = _numeral(apply_composition(self.composition, (0,) * depth))
+        got = {word ^ mask for word in range(start, start + (1 << free))}
+        rest = depth - len(self.image)
+        if rest < 0:
+            raise ValueError(f"depth {depth} is shorter than the image {self.image}")
+        try:
+            image = _numeral(parse_word(self.image))
+        except ValueError:
+            return False
+        return got == set(range(image << rest, (image + 1) << rest))
+
+
+def _numeral(word: Word) -> int:
+    """The word read as a binary numeral, position 0 most significant."""
+    value = 0
+    for bit in word:
+        value = value << 1 | bit
+    return value
+
+
+def _word(value: int, length: int) -> Word:
+    """The word of the given length that spells ``value``."""
+    return tuple(value >> k & 1 for k in range(length - 1, -1, -1))
 
 
 def reach_with_parity(
@@ -167,25 +198,29 @@ def reach_with_parity(
         raise ValueError(f"depth {depth} too shallow: need at least {length + 2}")
     bound = 2 * (len(tgt) + 2)
     want_odd = parity == ODD
+    # A prefix is the numeral it spells, so the flip at i xors its last
+    # length - i bits; the fresh index flips nothing in the prefix.
+    masks = [(1 << (length - i)) - 1 for i in range(length)] + [0]
+    goal, shift = _numeral(tgt), length - len(tgt)
 
-    def is_goal(prefix: Word, odd: bool) -> bool:
-        return odd == want_odd and prefix[: len(tgt)] == tgt
+    def is_goal(prefix: int, odd: bool) -> bool:
+        return odd == want_odd and prefix >> shift == goal
 
-    # Every extension of the source to the working length starts a path.
-    starts = [src + tail for tail in product((0, 1), repeat=length - len(src))]
-    seen: dict[tuple[Word, bool], tuple] = {(w, False): (None, None, w) for w in starts}
-    queue: deque[tuple[Word, bool]] = deque(seen)
+    # Every extension of the source to the working length starts a path,
+    # in ascending binary order.
+    first = _numeral(src) << (length - len(src))
+    starts = range(first, first + (1 << (length - len(src))))
+    seen: dict[tuple[int, bool], tuple] = {(w, False): (None, None, w) for w in starts}
+    queue: deque[tuple[int, bool]] = deque(seen)
 
-    moves = list(range(length)) + [length]  # the last entry is the fresh index
-
-    def unwind(state: tuple[Word, bool]) -> ReachResult:
+    def unwind(state: tuple[int, bool]) -> ReachResult:
         path: list[int] = []
         prefix, odd = state
         image = prefix
         while True:
             parent, move, origin = seen[(prefix, odd)]
             if parent is None:
-                return ReachResult(tuple(path), origin, image)
+                return ReachResult(tuple(path), _word(origin, length), _word(image, length))
             path.insert(0, move)
             prefix, odd = parent
 
@@ -197,8 +232,8 @@ def reach_with_parity(
         steps += 1
         for _ in range(len(queue)):
             prefix, odd = queue.popleft()
-            for i in moves:
-                nxt = (_prefix_flip(i, prefix), not odd)
+            for i, mask in enumerate(masks):
+                nxt = (prefix ^ mask, not odd)
                 if nxt in seen:
                     continue
                 seen[nxt] = ((prefix, odd), i, seen[(prefix, odd)][2])

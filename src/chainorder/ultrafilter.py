@@ -115,10 +115,13 @@ class SimulatedUltrafilter:
             raise ValueError("period must be positive")
         if self.moduli[-1] % period == 0:  # each modulus divides the top one
             return self
-        new_modulus = math.lcm(self.moduli[-1], period)
-        return SimulatedUltrafilter(
-            self.moduli + (new_modulus,), self.residues + (self.residues[-1],)
-        )
+        # The new modulus is a strict multiple of the top one, and the top
+        # residue is reduced below it and compatible with it, so the tower
+        # is valid as built and skips the checks of ``__post_init__``.
+        out = object.__new__(SimulatedUltrafilter)
+        object.__setattr__(out, "moduli", self.moduli + (math.lcm(self.moduli[-1], period),))
+        object.__setattr__(out, "residues", self.residues + (self.residues[-1],))
+        return out
 
     def decide(self, s: EventuallyPeriodicSet) -> Decision:
         """The verdict 'is s in the ultrafilter', from the residue class alone.

@@ -53,7 +53,7 @@ from chainorder.chains import (
     equal_or_opposite,
     never_between_after,
 )
-from chainorder.foundations import IndexRange, rational_str
+from chainorder.foundations import EQ, GE, LE, ComparisonVerdict, IndexRange, rational_str
 
 
 def direction(family, x, y, depth=8):
@@ -335,7 +335,41 @@ class TestSeparationData:
             )
 
 
+def fraction_arc_certify(family, x, y, depth):
+    """ArcChainFamily._certify as it was, in Fractions, as its oracle."""
+    s, t = family._param(x), family._param(y)
+    if s == t:
+        return ComparisonVerdict.stabilized(EQ, 1, depth)
+    lo, hi = min(s, t), max(s, t)
+    for n in range(1, depth + 1):
+        k = 2**n
+        m = math.ceil(k * lo + Fraction(1, 4))
+        if m <= k * hi - Fraction(1, 4):
+            forward = LE if s < t else GE
+            if family.variant == "reversed":
+                forward = GE if forward == LE else LE
+            certificate = {"kind": "interval-gap", "witness_index": m, "links": k}
+            return ComparisonVerdict.stabilized(forward, n, depth, certificate=certificate)
+    return ComparisonVerdict.unknown(depth)
+
+
 class TestArcFamily:
+    def test_certify_matches_the_fraction_oracle(self):
+        grid = sorted(
+            {Fraction(k, 16) for k in range(17)}
+            | {Fraction(1, 3), Fraction(2, 7), Fraction(5, 9), Fraction(1, 10**6)}
+            | {Fraction(50001, 10**5)}
+        )
+        for variant in ("standard", "reversed"):
+            family = arc_family(variant)
+            for x, y in itertools.product(grid, repeat=2):
+                for depth in range(1, 25):
+                    got = family._certify(x, y, depth)
+                    assert got == fraction_arc_certify(family, x, y, depth)
+                    if got.certificate:
+                        assert type(got.certificate["witness_index"]) is int
+
+
     def test_frozen_endpoint_indices(self):
         assert arc_family("standard").level(3).index_of(0) == IndexRange(1, 1)
         assert arc_family("standard").level(3).index_of(1) == IndexRange(8, 8)
@@ -548,6 +582,20 @@ class TestToothForestFamilies:
                 family.level(m)
         info = _gap_shape.cache_info()
         assert (info.currsize, info.misses) == (72, 72)
+
+    def test_gap_shape_memo_is_bounded(self):
+        # Four prefixes give every bit pair at every gap: levels 1-33 make
+        # 2,178 distinct shapes, more than the bound holds.
+        _gap_shape.cache_clear()
+        depth = 33
+        for bits in ("0" * depth, "1" * depth, "01" * depth, "10" * depth):
+            family = ToothForestChainFamily(tuple(map(int, bits[:depth])))
+            for m in range(1, depth + 1):
+                family._plan(m)
+        info = _gap_shape.cache_info()
+        assert info.misses > info.maxsize == catalog._GAP_SHAPES
+        assert info.currsize == catalog._GAP_SHAPES
+        _gap_shape.cache_clear()
 
     def test_gap_index_shifts_with_the_gap_base(self):
         rng = random.Random(3)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chainorder.cli import (
     LEVEL_BUDGET,
     ORIENTATION_BUDGET_LOG2,
+    SPIRAL_CIRCUIT_LIMIT,
     _decompose_log2_steps,
     _reach_log2_steps,
     _render,
@@ -122,6 +123,48 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--space", "arc", "--x", "1e-5000", "--y", "1/2"],
+            ["--space", "arc", "--x", "1/4", "--y", "1e10000000"],
+            ["--space", "s1", "--variant", "D", "--x", "wave:1e-5000", "--y", "bar:0"],
+            ["--space", "arc", "--x", "0." + "1" * 4300, "--y", "1/2"],
+        ],
+    )
+    def test_decimals_too_long_to_print_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "compare", *argv)
+        assert code == 2
+        assert out == ""
+        assert "is too long" in err and "4000 digits" in err
+
+    @pytest.mark.parametrize(
+        "x,value", [("2.5e-3", "1/400"), ("1e-3", "1/1000"), ("25E-2", "1/4")]
+    )
+    def test_decimal_exponents_still_parse(self, capsys, x, value):
+        code, report = run_json(capsys, "compare", "--space", "arc", "--x", x, "--y", "1/2")
+        assert code == 0
+        assert report["inputs"]["x"] == value
+
+    def test_spiral_points_up_to_the_circuit_limit(self, capsys):
+        # 3/1024 lies on circuit 9, the deepest accepted; 3/128 (circuit 6)
+        # is the deepest point the benchmark workloads ask about.
+        for v in ("3/1024", f"1/{2 ** (SPIRAL_CIRCUIT_LIMIT - 1)}", "3/128"):
+            code, out, err = run(
+                capsys, "compare", "--space", "t", "--variant", "D",
+                "--x", f"spiral:{v}", "--y", "bar:0", "--depth", "2",
+            )
+            assert code in (0, 1) and err == ""
+
+    @pytest.mark.parametrize("v,circuit", [("1/512", 10), ("1/1024", 11), ("1/1048576", 21)])
+    def test_spiral_points_past_the_circuit_limit_are_refused(self, capsys, v, circuit):
+        code, out, err = run(
+            capsys, "compare", "--space", "t", "--variant", "D",
+            "--x", f"spiral:{v}", "--y", "bar:0", "--depth", "4",
+        )
+        assert code == 2 and out == ""
+        assert f"circuit {circuit}, past the limit of circuit {SPIRAL_CIRCUIT_LIMIT}" in err
 
     def test_bad_point_syntax(self, capsys):
         code, out, err = run(capsys, "compare", "--space", "s1", "--x", "1/2", "--y", "bar:0")

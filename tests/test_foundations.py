@@ -6,10 +6,13 @@ from fractions import Fraction
 from math import lcm
 from operator import and_, gt, or_
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chainorder import foundations
 from chainorder.foundations import (
     EQ,
     GE,
@@ -41,6 +44,34 @@ def test_rational_coercions():
     assert rational("3/4") == Fraction(3, 4)
     assert rational(2) == Fraction(2)
     assert rational(Fraction(1, 3)) == Fraction(1, 3)
+
+
+def test_rational_decimals_and_exponents():
+    assert rational("2.5e3") == 2500
+    assert rational("1e-3") == Fraction(1, 1000)
+    assert rational("-1.5E+2") == -150
+    assert rational("1e-3999") == Fraction(1, 10**3999)
+    assert rational("0." + "1" * 3999) == Fraction(int("1" * 3999), 10**3999)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e-5000", "1e4001", "1.5e3999", "1e-10000000", "0." + "1" * 4001]
+)
+def test_rational_refuses_decimals_past_the_digit_limit(text):
+    with pytest.raises(ValueError, match="^decimal .* is too long: .* more than 4000 digits$"):
+        rational(text)
+
+
+def test_rational_refuses_an_exponent_too_long_to_read():
+    # int() refuses to read it, in rational's check and again in Fraction.
+    with pytest.raises(ValueError, match="4300 digits"):
+        rational("1e" + "9" * 5000)
+
+
+@pytest.mark.parametrize("text", ["1e", "e5", "1e5/2", "1.2.3e4"])
+def test_rational_leaves_malformed_exponents_to_fraction(text):
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        rational(text)
 
 
 class TestIndexRange:
@@ -182,6 +213,70 @@ class TestSlicedAgainstMembership:
         assert (got.prefix, got.pattern) == (built.prefix, built.pattern)
         assert all(type(b) is bool for b in got.prefix + got.pattern)
         assert got.bits(20) == tuple(not raw_member(prefix, pattern, n) for n in range(20))
+
+
+def loop_normal(prefix, pattern):
+    """The constructor's normalization before its one-step cut, as its oracle."""
+    pattern = tuple(map(bool, pattern))
+    for d in range(1, len(pattern) + 1):
+        if len(pattern) % d == 0 and pattern == pattern[:d] * (len(pattern) // d):
+            pattern = pattern[:d]
+            break
+    prefix = tuple(map(bool, prefix))
+    while prefix and prefix[-1] == pattern[-1]:
+        prefix = prefix[:-1]
+        pattern = pattern[-1:] + pattern[:-1]
+    return prefix, pattern
+
+
+def words_up_to(size, least=0):
+    return [w for k in range(least, size + 1) for w in itertools.product((False, True), repeat=k)]
+
+
+def fields(s):
+    return s.prefix, s.pattern
+
+
+def rebuilt(s):
+    """``s`` run again through the full, normalizing constructor."""
+    return fields(EventuallyPeriodicSet(s.prefix, s.pattern))
+
+
+class TestShortcutsAgainstFullConstructor:
+    """Results built without the constructor are already in its normal form."""
+
+    raw = [(p, q) for p in words_up_to(6) for q in words_up_to(6, least=1)]
+
+    def test_normalization_matches_the_loop(self):
+        for prefix, pattern in self.raw:
+            want = loop_normal(prefix, pattern)
+            assert foundations._normalized(prefix, pattern) == want
+            assert fields(EventuallyPeriodicSet(prefix, pattern)) == want
+
+    def test_combine(self):
+        # Every set with prefix and pattern up to length 6, against a
+        # panel of partners with other periods and prefixes.
+        sets = {EventuallyPeriodicSet(p, q) for p, q in self.raw}
+        panel = (
+            EventuallyPeriodicSet.evens(),
+            EventuallyPeriodicSet.residue_class(1, 3),
+            EventuallyPeriodicSet((True, False, False, True), (False, True, True, True, False)),
+            EventuallyPeriodicSet.cofinite_from(4),
+        )
+        for a in sets:
+            for b in panel:
+                for got in (a | b, a & b, a - b, b - a):
+                    assert fields(got) == rebuilt(got)
+
+    def test_cofinite_from(self):
+        for start in range(40):
+            got = EventuallyPeriodicSet.cofinite_from(start)
+            assert fields(got) == rebuilt(got) == ((False,) * start, (True,))
+
+    def test_complement(self):
+        for prefix, pattern in self.raw:
+            got = ~EventuallyPeriodicSet(prefix, pattern)
+            assert fields(got) == rebuilt(got)
 
 
 class TestComparisonVerdict:

@@ -23,6 +23,7 @@ from chainorder.inverse_limit import (
     inverse_limit_order,
     tent_system,
 )
+from chainorder.plmaps import tent
 from chainorder.knaster_witness import (
     _LETTER_TABLE,
     WitnessPair,
@@ -184,7 +185,43 @@ class TestOrders:
         assert report["distinct"]
 
 
+def fraction_branch_oracle(depth):
+    """exhaustive_branch_oracle as it was, comparing Fractions, as its oracle."""
+    f = tent()
+    words = [[(w >> k) & 1 for k in range(depth)] for w in range(2**depth)]
+    values = []
+    for w in words:
+        coords = [F(1, 2)]
+        for letter in w:
+            coords.append(f.preimages(coords[-1])[letter])
+        values.append(coords)
+    checked = 0
+    for wa, va in zip(words, values):
+        for wb, vb in zip(words, values):
+            sign = "EQ"
+            for step in range(depth):
+                la, lb = wa[step], wb[step]
+                if la == lb:
+                    if sign != "EQ" and la == 1:
+                        sign = "LT" if sign == "GT" else "GT"
+                else:
+                    sign = "LT" if la < lb else "GT"
+                a, b = va[step + 1], vb[step + 1]
+                if ("EQ" if a == b else "LT" if a < b else "GT") != sign:
+                    return {
+                        "pass": False,
+                        "pairs_checked": checked,
+                        "counterexample": {"a": wa, "b": wb, "step": step},
+                    }
+                checked += 1
+    return {"pass": True, "pairs_checked": checked, "words": len(words)}
+
+
 class TestBranchOracle:
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_matches_the_fraction_oracle(self, depth):
+        assert exhaustive_branch_oracle(depth) == fraction_branch_oracle(depth)
+
     def test_depth_four_exhaustive(self):
         result = exhaustive_branch_oracle(4)
         assert result["pass"]

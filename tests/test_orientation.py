@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -39,6 +40,76 @@ def flip_by_flip(composition, w):
     for i in composition:
         word = loop_flip(i, word)
     return word
+
+
+_TABLE = {
+    (str, "0"): 0, (str, "1"): 1, (int, 0): 0, (int, 1): 1, (bool, False): 0, (bool, True): 1
+}
+
+
+def general_parse_word(text):
+    """parse_word without its fast path for tuples of ints, as its oracle."""
+    items = tuple(text)
+    try:
+        return tuple(map(_TABLE.__getitem__, zip(map(type, items), items)))
+    except (KeyError, TypeError):
+        raise ValueError(f"not a binary word: {text!r}") from None
+
+
+def word_by_word_verify(result, depth):
+    """ReachResult.verify as it was, one apply_composition per word, as its oracle."""
+    got = {
+        apply_composition(result.composition, result.source + tail)
+        for tail in itertools.product((0, 1), repeat=depth - len(result.source))
+    }
+    want = itertools.product((0, 1), repeat=depth - len(result.image))
+    return got == {result.image + tail for tail in want}
+
+
+def tuple_reach(s, target, parity, depth):
+    """reach_with_parity as it was, searching over tuples, as its oracle."""
+    src, tgt = parse_word(s), parse_word(target)
+    length = max(len(src), len(tgt))
+    bound = 2 * (len(tgt) + 2)
+
+    def prefix_flip(i, prefix):
+        return prefix if i >= len(prefix) else prefix[:i] + tuple(1 - b for b in prefix[i:])
+
+    def is_goal(prefix, odd):
+        return odd == (parity == ODD) and prefix[: len(tgt)] == tgt
+
+    starts = [src + tail for tail in itertools.product((0, 1), repeat=length - len(src))]
+    seen = {(w, False): (None, None, w) for w in starts}
+    queue = deque(seen)
+
+    def unwind(state):
+        path = []
+        prefix, odd = state
+        image = prefix
+        while True:
+            parent, move, origin = seen[(prefix, odd)]
+            if parent is None:
+                return ReachResult(tuple(path), origin, image)
+            path.insert(0, move)
+            prefix, odd = parent
+
+    for state in list(queue):
+        if is_goal(*state):
+            return unwind(state)
+    steps = 0
+    while queue and steps < bound:
+        steps += 1
+        for _ in range(len(queue)):
+            prefix, odd = queue.popleft()
+            for i in range(length + 1):
+                nxt = (prefix_flip(i, prefix), not odd)
+                if nxt in seen:
+                    continue
+                seen[nxt] = ((prefix, odd), i, seen[(prefix, odd)][2])
+                if is_goal(*nxt):
+                    return unwind(nxt)
+                queue.append(nxt)
+    raise SearchBoundExceeded(f"no composition of length <= {bound}")
 
 
 def outcome(fn, *args):
@@ -213,6 +284,78 @@ class TestReach:
         assert issubclass(SearchBoundExceeded, ValueError)
 
 
+class TestVerifyAgainstWordByWord:
+    prefixes = [p for k in range(4) for p in itertools.product((0, 1), repeat=k)]
+
+    def test_reach_results(self):
+        for src in self.prefixes:
+            for tgt in self.prefixes:
+                for parity in (EVEN, ODD):
+                    result = reach_with_parity(src, tgt, parity, 7)
+                    for depth in (5, 7, 9):
+                        assert result.verify(depth) is word_by_word_verify(result, depth) is True
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=5), max_size=6).map(tuple),
+        st.lists(st.integers(min_value=0, max_value=1), max_size=4).map(tuple),
+        st.lists(st.integers(min_value=0, max_value=1), max_size=4).map(tuple),
+        st.integers(min_value=4, max_value=7),
+    )
+    def test_any_triple(self, composition, source, image, depth):
+        result = ReachResult(composition, source, image)
+        assert outcome(result.verify, depth) == outcome(word_by_word_verify, result, depth)
+
+    def test_tampering_is_caught(self):
+        result = reach_with_parity((0, 1), (1, 1, 0), ODD, 8)
+        assert result.verify(8)
+        comp, source, image = result.composition, result.source, result.image
+        tampered = (
+            ReachResult(comp + (2,), source, image),
+            ReachResult(comp[1:], source, image),
+            ReachResult(comp, (1 - source[0],) + source[1:], image),
+            ReachResult(comp, source, image[:-1] + (1 - image[-1],)),
+            ReachResult(comp, source, image + (0,)),
+        )
+        for bad in tampered:
+            assert bad.verify(8) is False
+            assert word_by_word_verify(bad, 8) is False
+
+    def test_bad_index_keeps_its_error(self):
+        result = ReachResult((1, 8), (0,), (1,))
+        with pytest.raises(ValueError, match="^flip index 8 outside word of length 8$"):
+            result.verify(8)
+        with pytest.raises(ValueError, match="^flip index 8 outside word of length 8$"):
+            word_by_word_verify(result, 8)
+
+    def test_depth_below_the_source_is_refused(self):
+        result = ReachResult((), (0, 1, 1), (0, 1, 1))
+        with pytest.raises(ValueError, match="shorter than the source"):
+            result.verify(2)
+        with pytest.raises(ValueError):
+            word_by_word_verify(result, 2)
+
+
+class TestReachAgainstTupleSearch:
+    def test_all_short_prefixes(self):
+        prefixes = [p for k in range(5) for p in itertools.product((0, 1), repeat=k)]
+        for src in prefixes:
+            for tgt in prefixes:
+                for parity in (EVEN, ODD):
+                    depth = max(len(src), len(tgt)) + 2
+                    got = reach_with_parity(src, tgt, parity, depth)
+                    assert got == tuple_reach(src, tgt, parity, depth)
+                    assert all(type(b) is int for b in got.source + got.image)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=1), max_size=9),
+        st.lists(st.integers(min_value=0, max_value=1), max_size=9),
+        st.sampled_from((EVEN, ODD)),
+    )
+    def test_longer_prefixes(self, src, tgt, parity):
+        depth = max(len(src), len(tgt)) + 2
+        assert reach_with_parity(src, tgt, parity, depth) == tuple_reach(src, tgt, parity, depth)
+
+
 class TestParseWord:
     def test_string_and_iterable_agree(self):
         assert parse_word("0110") == parse_word([0, 1, 1, 0]) == (0, 1, 1, 0)
@@ -233,3 +376,25 @@ class TestParseWord:
     def test_rejects_what_is_not_a_bit(self, text):
         with pytest.raises(ValueError, match="^not a binary word: "):
             parse_word(text)
+
+    bits_and_lookalikes = st.sampled_from([0, 1, True, False, 1.0, 0.0, 2, -1, "1", "0"])
+
+    @given(st.lists(bits_and_lookalikes, max_size=8))
+    def test_fast_path_agrees_with_the_general_path(self, items):
+        for text in (tuple(items), items):
+            assert outcome(parse_word, text) == outcome(general_parse_word, text)
+        word = tuple(items)
+        if all(type(b) is int and b in (0, 1) for b in word):
+            assert parse_word(word) is word
+
+    @pytest.mark.parametrize(
+        "item,bit", [(True, 1), (False, 0), (1.0, None), (2, None), ("1", 1)]
+    )
+    def test_lookalikes_take_the_general_path(self, item, bit):
+        word = (0, item, 1)
+        got = outcome(parse_word, word)
+        assert got == outcome(general_parse_word, word)
+        if bit is None:
+            assert got == (ValueError, f"not a binary word: {word!r}")
+        else:
+            assert got == (0, bit, 1) and all(type(b) is int for b in got)

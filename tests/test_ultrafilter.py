@@ -210,6 +210,17 @@ class TestAgainstEnsureThenScan:
         assert got.tower == want.tower
         assert (got.tower is u) == (want.tower is u)
 
+    @given(any_towers, st.integers(min_value=1, max_value=60))
+    def test_extension_passes_the_full_constructor(self, u, period):
+        # ensure_period builds its tower without __post_init__'s checks.
+        got = u.ensure_period(period)
+        rebuilt = SimulatedUltrafilter(got.moduli, got.residues)
+        assert (got.moduli, got.residues) == (rebuilt.moduli, rebuilt.residues)
+        if got is not u:
+            top = math.lcm(u.moduli[-1], period)
+            assert got == SimulatedUltrafilter(u.moduli + (top,), u.residues + (u.residues[-1],))
+        assert got.moduli[-1] % period == 0
+
     def test_filter_axiom_reports_on_seeded_sets(self):
         rng = random.Random(7120)
 
