@@ -35,7 +35,6 @@ from .chains import (
     IntervalChain,
     _spot_check,
     reverse_bounds,
-    reverse_range,
 )
 from .foundations import (
     EQ,
@@ -43,7 +42,6 @@ from .foundations import (
     LE,
     STABILIZED,
     ComparisonVerdict,
-    IndexRange,
     rational,
     rational_str,
 )
@@ -962,11 +960,13 @@ class ChainFamily:
     A family names its space in ``SPACE`` and its variants in
     ``VARIANTS``.  Level n comes from a plan: ``_build_plan(n)`` returns
     a record with the link count ``size`` and the mesh bound ``mesh``,
-    and ``_index(plan, point)`` places a point on that level's links.
-    Comparisons are certified by ``_certify``, which by default scans
-    the levels and needs ``_pair_settled``.  The validator reads
-    ``link_windows(n)``, the inverse of ``_index``, and the points of
-    ``sampled_parts(n)``, which stand for what no window lists.
+    and ``_index(plan, point)`` places a point on that level's links as
+    a plain ``(lo, hi)`` pair, which the level's ``index_of`` validates
+    into an ``IndexRange``.  Comparisons are certified by ``_certify``,
+    which by default scans the levels and needs ``_pair_settled``.  The
+    validator reads ``link_windows(n)``, the inverse of ``_index``, and
+    the points of ``sampled_parts(n)``, which stand for what no window
+    lists.
     """
 
     SPACE: ClassVar[str]
@@ -1041,9 +1041,9 @@ class ArcChainFamily(ChainFamily):
         chain = IntervalChain(2**n)
         return _ArcPlan(chain, chain.k, chain.mesh)
 
-    def _index(self, plan: _ArcPlan, point) -> IndexRange:
-        r = plan.chain.index_of(self._param(point))
-        return reverse_range(plan.size, r) if self.variant == "reversed" else r
+    def _index(self, plan: _ArcPlan, point) -> tuple[int, int]:
+        lo, hi = plan.chain.bounds(self._param(point))
+        return reverse_bounds(plan.size, lo, hi) if self.variant == "reversed" else (lo, hi)
 
     def _certify(self, x, y, depth: int) -> ComparisonVerdict:
         s, t = self._param(x), self._param(y)
@@ -1104,11 +1104,11 @@ class _SinePlan(NamedTuple):
     tail_o: Pair
 
 
-def _placed(lo: int, hi: int, plan: _SinePlan, offset: int) -> IndexRange:
+def _placed(lo: int, hi: int, plan: _SinePlan, offset: int) -> tuple[int, int]:
     """Links lo..hi of a walk, numbered backwards if it is flipped, after ``offset`` others."""
     if plan.flip:
         lo, hi = reverse_bounds(plan.size, lo, hi)
-    return IndexRange(lo + offset, hi + offset)
+    return lo + offset, hi + offset
 
 
 @dataclass(frozen=True)
@@ -1176,14 +1176,14 @@ class SineChainFamily(ChainFamily):
         )
         # The walk enters from the free end: the outermost trough is in
         # the first link, and the limit strand is first met by its entry slab.
-        if self._index(plan, CatalogPoint("wave", 0)) != IndexRange(1, 1):
+        if self._index(plan, CatalogPoint("wave", 0)) != (1, 1):
             raise AssertionError("free end must open the walk")
-        entry_link = IndexRange(plan.windows + 1, plan.windows + 1)
+        entry_link = (plan.windows + 1, plan.windows + 1)
         if self._index(plan, CatalogPoint(self.LIMIT, entry)) != entry_link:
             raise AssertionError("limit entry must follow the last window")
         return plan._replace(flip=self.variant in self.REVERSED)
 
-    def _index(self, plan: _SinePlan, point: CatalogPoint, offset: int = 0) -> IndexRange:
+    def _index(self, plan: _SinePlan, point: CatalogPoint, offset: int = 0) -> tuple[int, int]:
         """The links holding ``point``, moved up by ``offset`` when the walk
         is a block of a larger chain."""
         a, b = point.param.numerator, point.param.denominator
@@ -1485,10 +1485,10 @@ class ToothForestChainFamily(ChainFamily):
             mesh=Fraction(4 * m + 1, 4 * m * (m + 1)),
         )
 
-    def _tooth_index(self, plan: _S3Plan, i: int, a: int, b: int) -> IndexRange:
+    def _tooth_index(self, plan: _S3Plan, i: int, a: int, b: int) -> tuple[int, int]:
         """The links holding height a/b (b > 0) on tooth i."""
         if i > plan.m:
-            return IndexRange(plan.blob, plan.blob)
+            return plan.blob, plan.blob
         # Clamp y to 0..1/i, then measure it from the end the walk enters at.
         if a < 0:
             a = 0
@@ -1498,11 +1498,11 @@ class ToothForestChainFamily(ChainFamily):
             a, b = b - i * a, i * b
         tooth = plan.teeth[i]
         lo, hi = _window_range(tooth.grid, a, b)
-        return IndexRange(lo + tooth.base, hi + tooth.base)
+        return lo + tooth.base, hi + tooth.base
 
-    def _gap_index(self, plan: _S3Plan, i: int, w: Fraction) -> IndexRange:
+    def _gap_index(self, plan: _S3Plan, i: int, w: Fraction) -> tuple[int, int]:
         if i > plan.m:
-            return IndexRange(plan.blob, plan.blob)
+            return plan.blob, plan.blob
         g, base = plan.gaps[i], plan.gap_base[i]
         part = _gap_part(g, w)
         a, b = w.numerator, w.denominator
@@ -1511,21 +1511,21 @@ class ToothForestChainFamily(ChainFamily):
                 if a * leg.lo[1] >= leg.lo[0] * b:
                     lo, hi = _window_range(leg.grid, leg.hi[0] * b - a * leg.hi[1], leg.hi[1] * b)
                     first = base + leg.link_base
-                    return IndexRange(lo + first, hi + first)
+                    return lo + first, hi + first
             raise AssertionError("gap legs must cover the span between the cuts")
         if part == "margin_r":
-            return IndexRange(base, base + 1)
+            return base, base + 1
         if part == "margin_l":
-            return IndexRange(base + g.total, base + g.total + 1)
+            return base + g.total, base + g.total + 1
         if part == "tail_l" and g.kind_l == "blob":
-            return IndexRange(plan.blob, plan.blob)
+            return plan.blob, plan.blob
         # A flank's tail is placed on its tooth by height.
         return self._tooth_index(plan, i if part == "tail_r" else i + 1, *_q(_gap_point(i, w)[1]))
 
-    def _index(self, plan: _S3Plan, point: CatalogPoint) -> IndexRange:
+    def _index(self, plan: _S3Plan, point: CatalogPoint) -> tuple[int, int]:
         kind, i = _parse_s3_strand(point.strand)
         if kind == "origin":
-            return IndexRange(plan.blob, plan.blob)
+            return plan.blob, plan.blob
         if kind == "tooth":
             return self._tooth_index(plan, i, *_q(point.param))
         return self._gap_index(plan, i, point.param)
@@ -1743,7 +1743,7 @@ class SpiralChainFamily(ChainFamily):
             handover=spiral_count if is_d else off_spiral,
         )
 
-    def _spiral_index(self, plan: _TPlan, v: Fraction) -> IndexRange:
+    def _spiral_index(self, plan: _TPlan, v: Fraction) -> tuple[int, int]:
         if plan.spiral_count:
             sn, sd = _q(_spiral_arclength(v))
             # s and spiral_len as numerators over sd * plan.end[1]
@@ -1751,12 +1751,12 @@ class SpiralChainFamily(ChainFamily):
             if s <= end:
                 al, be = plan.along
                 lo, hi = _window_range(plan.grid, al * s + be * end, sd * plan.end[1])
-                return IndexRange(lo + plan.off_spiral, hi + plan.off_spiral)
+                return lo + plan.off_spiral, hi + plan.off_spiral
             if sn * plan.reach[1] < plan.reach[0] * sd:
-                return IndexRange(plan.handover, plan.handover + 1)
+                return plan.handover, plan.handover + 1
         return self._sine._index(plan.sine, _spiral_host(v), plan.off_sine)
 
-    def _index(self, plan: _TPlan, point: CatalogPoint) -> IndexRange:
+    def _index(self, plan: _TPlan, point: CatalogPoint) -> tuple[int, int]:
         if point.strand == "spiral":
             return self._spiral_index(plan, point.param)
         return self._sine._index(plan.sine, point, plan.off_sine)

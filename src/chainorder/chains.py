@@ -46,13 +46,15 @@ _SIGN_OF = {LE_ONLY: "LT", GE_ONLY: "GT", BOTH: "EQ"}
 
 def level_preorder(range_x: IndexRange, range_y: IndexRange) -> str:
     """Which of x-before-y / y-before-x the two index ranges allow."""
-    le = range_x.lo <= range_y.hi
-    ge = range_y.lo <= range_x.hi
-    if not (le or ge):
-        raise AssertionError("index ranges allow neither direction")
-    if le and ge:
-        return BOTH
-    return LE_ONLY if le else GE_ONLY
+    return _pair_relation(range_x.lo, range_x.hi, range_y.lo, range_y.hi)
+
+
+def _pair_relation(lo_x: int, hi_x: int, lo_y: int, hi_y: int) -> str:
+    """``level_preorder`` on the bounds of two valid ranges.  Each range
+    has lo <= hi, so at least one direction is always allowed."""
+    if lo_x > hi_y:
+        return GE_ONLY
+    return LE_ONLY if lo_y > hi_x else BOTH
 
 
 def relation_allows_le(relation: str) -> bool:
@@ -63,13 +65,8 @@ def relation_allows_ge(relation: str) -> bool:
     return relation in (GE_ONLY, BOTH)
 
 
-def reverse_range(k: int, r: IndexRange) -> IndexRange:
-    """Index range in the reversely numbered chain d'_i = d_{k-i+1}."""
-    return IndexRange(*reverse_bounds(k, r.lo, r.hi))
-
-
 def reverse_bounds(k: int, lo: int, hi: int) -> tuple[int, int]:
-    """``reverse_range`` on the bounds of a range, for callers that build it once."""
+    """Links lo..hi renumbered in the reverse chain d'_i = d_{k-i+1}."""
     if hi > k:
         raise ValueError("range exceeds the chain")
     return k - hi + 1, k - lo + 1
@@ -77,43 +74,56 @@ def reverse_bounds(k: int, lo: int, hi: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ChainLevel:
-    """One cover in a chain sequence, with exact point-to-links assignment."""
+    """One cover in a chain sequence, with exact point-to-links assignment.
+
+    ``index_fn`` places a point as a ``(lo, hi)`` pair of link indices;
+    ``index_of`` returns it as a validated ``IndexRange``.  Relations and
+    traces compare the pairs directly, checking the same contract.
+    """
 
     level: int
     size: int
     mesh_bound: Fraction
     index_fn: Callable = field(compare=False, repr=False)
-    # (x, y, range of x, range of y) for the last pair related here: one
-    # comparison's certificate, spot check and trace then place each point
-    # once per level.  Points are immutable, so the same objects have the
-    # same ranges; one entry per level keeps memory flat.
+    # (x, y, lo_x, hi_x, lo_y, hi_y, relation) for the last pair related
+    # here: one comparison's certificate, spot check and trace then place
+    # each point once per level.  Points are immutable, so the same objects
+    # have the same links; one entry per level keeps memory flat.
     _last_pair: list = field(
         default_factory=lambda: [None], init=False, compare=False, repr=False
     )
 
     def index_of(self, point) -> IndexRange:
-        return self.index_fn(point)
+        return IndexRange(*self.index_fn(point))
 
-    def _ranges(self, x, y) -> tuple[IndexRange, IndexRange]:
+    def _pair(self, x, y) -> tuple:
         last = self._last_pair[0]
         if last is not None and last[0] is x and last[1] is y:
-            return last[2], last[3]
-        rx, ry = self.index_of(x), self.index_of(y)
-        self._last_pair[0] = (x, y, rx, ry)
-        return rx, ry
+            return last
+        # A pair that is not one link or two consecutive ones raises
+        # IndexRange's error.
+        lo_x, hi_x = self.index_fn(x)
+        if not 1 <= lo_x <= hi_x <= lo_x + 1:
+            IndexRange(lo_x, hi_x)
+        lo_y, hi_y = self.index_fn(y)
+        if not 1 <= lo_y <= hi_y <= lo_y + 1:
+            IndexRange(lo_y, hi_y)
+        last = (x, y, lo_x, hi_x, lo_y, hi_y, _pair_relation(lo_x, hi_x, lo_y, hi_y))
+        self._last_pair[0] = last
+        return last
 
     def relation(self, x, y) -> str:
-        return level_preorder(*self._ranges(x, y))
+        return self._pair(x, y)[6]
 
     def trace_entry(self, x, y) -> dict:
-        rx, ry = self._ranges(x, y)
+        _, _, lo_x, hi_x, lo_y, hi_y, relation = self._pair(x, y)
         return {
             "level": self.level,
             "k": self.size,
             "mesh": rational_str(self.mesh_bound),
-            "idx_x": [rx.lo, rx.hi],
-            "idx_y": [ry.lo, ry.hi],
-            "relation": level_preorder(rx, ry),
+            "idx_x": [lo_x, hi_x],
+            "idx_y": [lo_y, hi_y],
+            "relation": relation,
         }
 
 
@@ -150,6 +160,10 @@ class IntervalChain:
         return lo < rational(t) < hi
 
     def index_of(self, t: int | Fraction) -> IndexRange:
+        return IndexRange(*self.bounds(t))
+
+    def bounds(self, t: int | Fraction) -> tuple[int, int]:
+        """``index_of`` as a plain ``(lo, hi)`` pair."""
         t = rational(t)
         a, b = t.numerator, t.denominator
         if not 0 <= a <= b:
@@ -159,7 +173,7 @@ class IntervalChain:
         scaled, den = 4 * self.k * a, 4 * b
         lo = (scaled - b) // den + 1
         hi = -(-(scaled + 5 * b) // den) - 1
-        return IndexRange(max(lo, 1), min(hi, self.k))
+        return max(lo, 1), min(hi, self.k)
 
 
 @dataclass(frozen=True)
@@ -187,7 +201,7 @@ class PullbackSequence:
                 level=n,
                 size=base.k,
                 mesh_bound=eps_n,
-                index_fn=lambda point: base.index_of(point.coordinate(n)),
+                index_fn=lambda point: base.bounds(point.coordinate(n)),
             )
         return self._levels[n]
 
@@ -325,9 +339,8 @@ def never_between_after(seq, x, y, z, threshold_mesh: Fraction, depth: int) -> N
         if lvl.mesh_bound >= threshold_mesh:
             continue
         checked.append(n)
-        rx, ry, rz = lvl.index_of(x), lvl.index_of(y), lvl.index_of(z)
-        xz = level_preorder(rx, rz)
-        zy = level_preorder(rz, ry)
+        _, _, lo_x, hi_x, lo_z, hi_z, xz = lvl._pair(x, z)
+        _, _, _, _, lo_y, hi_y, zy = lvl._pair(z, y)
         between = (relation_allows_le(xz) and relation_allows_le(zy)) or (
             relation_allows_ge(xz) and relation_allows_ge(zy)
         )
@@ -337,9 +350,9 @@ def never_between_after(seq, x, y, z, threshold_mesh: Fraction, depth: int) -> N
                 tuple(checked),
                 {
                     "level": n,
-                    "idx_x": [rx.lo, rx.hi],
-                    "idx_y": [ry.lo, ry.hi],
-                    "idx_z": [rz.lo, rz.hi],
+                    "idx_x": [lo_x, hi_x],
+                    "idx_y": [lo_y, hi_y],
+                    "idx_z": [lo_z, hi_z],
                 },
             )
     return NeverBetweenReport(True, tuple(checked), None)

@@ -118,7 +118,25 @@ def _parse_point(space: str, text: str):
     return point
 
 
-_JSON_WORDS = {None: "null", True: "true", False: "false"}
+# Exact scalar types and how each format writes them.  Containers write
+# such children inline; any other type, subclasses included, takes the
+# general path in ``_render``.
+_JSON_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    Fraction: lambda value: _quote(rational_str(value)),
+}
+_TEXT_SCALARS = {
+    str: str,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: bool.__repr__,
+    type(None): repr,
+    Fraction: rational_str,
+}
 
 
 def _render(value, out: list[str], text: bool, indent: str = "", label: str | None = None):
@@ -128,44 +146,62 @@ def _render(value, out: list[str], text: bool, indent: str = "", label: str | No
     rationals become "p/q", tuples lists, sets sorted lists, ``as_dict``
     objects dicts and anything else its ``str``.  Text prints a scalar as
     ``label: value`` in a dict and ``- value`` in a list, a container's
-    ``label:`` line first, each level two spaces deeper.
+    ``label:`` line first, each level two spaces deeper.  Values dispatch
+    on their exact type, and containers write scalar children inline;
+    int and float subclasses print as ``json`` prints them.
     """
-    if isinstance(value, str):
-        scalar = value if text else _quote(value)
-    elif value is None or value is True or value is False:
-        scalar = str(value) if text else _JSON_WORDS[value]
-    elif isinstance(value, (int, float)):
-        scalar = repr(value)
+    scalars = _TEXT_SCALARS if text else _JSON_SCALARS
+    write = scalars.get(type(value))
+    if write is not None:
+        scalar = write(value)
     elif isinstance(value, (dict, list, tuple, set, frozenset)):
         keyed = isinstance(value, dict)
         if isinstance(value, (set, frozenset)):
             value = sorted(value)
         inner = indent + "  "
+        get = scalars.get
         if text:
             if label is not None:
                 out.append(f"{indent[:-2]}{label}:\n")
             for key, item in value.items() if keyed else enumerate(value):
-                _render(item, out, True, inner, str(key) if keyed else None)
+                write = get(type(item))
+                if write is None:
+                    _render(item, out, True, inner, str(key) if keyed else None)
+                else:
+                    out.append(f"{indent}{str(key) + ': ' if keyed else '- '}{write(item)}\n")
         elif not value:
             out.append("{}" if keyed else "[]")
-        elif keyed:
-            separator = "{\n" + inner
-            for key, item in value.items():
-                out.append(f"{separator}{_quote(str(key))}: ")
-                _render(item, out, False, inner)
-                separator = ",\n" + inner
-            out.append(f"\n{indent}}}")
         else:
-            separator = "[\n" + inner
-            for item in value:
-                out.append(separator)
-                _render(item, out, False, inner)
-                separator = ",\n" + inner
-            out.append(f"\n{indent}]")
+            separator, comma = ("{\n" if keyed else "[\n") + inner, ",\n" + inner
+            if keyed:
+                for key, item in value.items():
+                    write = get(type(item))
+                    if write is None:
+                        out.append(f"{separator}{_quote(str(key))}: ")
+                        _render(item, out, False, inner)
+                    else:
+                        out.append(f"{separator}{_quote(str(key))}: {write(item)}")
+                    separator = comma
+            else:
+                for item in value:
+                    write = get(type(item))
+                    if write is None:
+                        out.append(separator)
+                        _render(item, out, False, inner)
+                    else:
+                        out.append(separator + write(item))
+                    separator = comma
+            out.append(f"\n{indent}{'}' if keyed else ']'}")
         return
+    elif isinstance(value, str):
+        scalar = value if text else _quote(value)
+    elif isinstance(value, int):
+        scalar = int.__repr__(value)
+    elif isinstance(value, float):
+        scalar = float.__repr__(value)
     elif isinstance(value, Fraction):
-        # Tested after the common types: Fraction's metaclass is ABCMeta, so
-        # this check costs several times a plain isinstance check.
+        # After the common types: Fraction's metaclass is ABCMeta, so this
+        # check costs several times a plain isinstance check.
         scalar = rational_str(value) if text else _quote(rational_str(value))
     elif hasattr(value, "as_dict"):
         _render(value.as_dict(), out, text, indent, label)
@@ -183,14 +219,15 @@ def _emit(report: dict, fmt: str, experiment: str) -> None:
         parts: list[str] = []
         _render(report, parts, False)
         document = "".join(parts) + "\n"
+    # Flushed here, so a reader that went away is seen inside ``main``.
     if fmt == "json":
-        print(document, end="")
+        print(document, end="", flush=True)
     elif experiment == "suite":
-        print("\n".join(_suite_lines(report)))
+        print("\n".join(_suite_lines(report)), flush=True)
     else:
         parts = []
         _render(report, parts, True)
-        print("".join(parts), end="")
+        print("".join(parts), end="", flush=True)
     if directory:
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{experiment}.json")
@@ -563,7 +600,15 @@ def main(argv: list[str] | None = None) -> int:
     report.update(body)
     if args.timing:
         report["elapsed_s"] = round(time.perf_counter() - started, 4)
-    _emit(report, args.format, experiment)
+    try:
+        _emit(report, args.format, experiment)
+    except BrokenPipeError:
+        # The reader closed stdout.  As the signal module's docs advise,
+        # point it at devnull so the flush at shutdown does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0 if passed else 1
 
 

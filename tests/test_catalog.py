@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -49,8 +51,11 @@ from chainorder.catalog import (
 from chainorder.chains import (
     GE_ONLY,
     LE_ONLY,
+    ChainLevel,
     chain_order_compare,
+    chain_trace,
     equal_or_opposite,
+    level_preorder,
     never_between_after,
 )
 from chainorder.foundations import EQ, GE, LE, ComparisonVerdict, IndexRange, rational_str
@@ -1369,3 +1374,91 @@ def test_close_pairs_on_one_strand(case):
     assert late.kind == "stabilized", late
     strict = LE_ONLY if late.direction == "le" else GE_ONLY
     assert family.level(later).relation(x, y) == strict
+
+
+# -- the level scan on link pairs against IndexRange objects ---------------------
+
+
+def reference_relation(level, x, y):
+    """The relation as levels computed it from validated IndexRange objects."""
+    return level_preorder(IndexRange(*level.index_fn(x)), IndexRange(*level.index_fn(y)))
+
+
+def reference_trace_entry(level, x, y):
+    rx, ry = IndexRange(*level.index_fn(x)), IndexRange(*level.index_fn(y))
+    return {
+        "level": level.level,
+        "k": level.size,
+        "mesh": rational_str(level.mesh_bound),
+        "idx_x": [rx.lo, rx.hi],
+        "idx_y": [ry.lo, ry.hi],
+        "relation": level_preorder(rx, ry),
+    }
+
+
+def _settled_points(family):
+    """Points in the part of each strand the walks have settled by level 8."""
+    F = Fraction
+    if family.SPACE == "arc":
+        return [F(k, 64) for k in range(65)]
+    wave = [CatalogPoint("wave", F(k, 2)) for k in range(67)]
+    if family.SPACE == "s1":
+        return wave + [CatalogPoint("bar", F(k, 8)) for k in range(-8, 9)]
+    if family.SPACE == "s2":
+        return wave + [CatalogPoint("ell", F(k, 4)) for k in range(21)]
+    if family.SPACE == "s3":
+        teeth = [CatalogPoint(f"tooth_{i}", F(j, 2 * i)) for i in range(1, 9) for j in range(3)]
+        gaps = [CatalogPoint(f"gap_{i}", F(j, 4)) for i in range(1, 9) for j in (-1, 0, 1)]
+        return teeth + gaps
+    spiral = [CatalogPoint("spiral", F(c, 2 ** (p + 1))) for p in range(1, 7) for c in (2, 3)]
+    return spiral + [CatalogPoint("bar", F(k, 4)) for k in range(-4, 5)] + wave
+
+
+_SCAN_FAMILIES = [
+    *[arc_family(v) for v in ArcChainFamily.VARIANTS],
+    *[s1_family(v) for v in SineChainFamily.VARIANTS],
+    *[s2_family(v) for v in OuterArcChainFamily.VARIANTS],
+    s3_family((0, 1, 1, 0, 1, 0, 0, 1)),
+    *[t_family(v) for v in SpiralChainFamily.VARIANTS],
+]
+
+
+def _scan_reports(family, queries):
+    return [
+        (chain_order_compare(family, x, y, None, depth).as_dict(), chain_trace(family, x, y, depth))
+        for x, y, depth in queries
+    ]
+
+
+# SHA-256 of the JSON of every family's verdicts and traces below, and of
+# its validate_level reports at levels 1-4, recorded from the levels that
+# placed points as IndexRange objects.
+SCAN_DIGESTS = {
+    "ArcChainFamily(variant='standard')": "f9aea9ece22539db4c25a0a4991c51977e48666a105261f3f78217fa633a211a",
+    "ArcChainFamily(variant='reversed')": "4901269d8b638bf2722d57379a4201375011d6060b3685d8fd7bf6e696edd28d",
+    "SineChainFamily(variant='D')": "afc4528cc75c6cfe8258006a154555f65623fba4cabed08dfe20c6347c12a8a5",
+    'SineChainFamily(variant="D\'")': "35b6947130a0fa964868ca7daffa1abaf6b8e6d8b954e2c1f688493408a4c8d1",
+    "SineChainFamily(variant='E')": "7098c166f22f4a09fc99606d29b3a6b7a768b71dcbb0ae9fb99b3d2257cfbeee",
+    'SineChainFamily(variant="E\'")': "34636fce3a0aed032e2e8e3abe1abcf26c7b0ac5576d7eb310f434f5f5343e48",
+    "OuterArcChainFamily(variant='standard')": "b41b8009fc78ceb76a56159d713c092d878fbcccd128ead7a059919b2e77b844",
+    "OuterArcChainFamily(variant='reversed')": "b23c29e7895eec653066bd039d25bcdda03d1203fc2e0a1c5e9c12554a558f59",
+    'ToothForestChainFamily(bits=(0, 1, 1, 0, 1, 0, 0, 1))': "19d6f22d54240fb3751c580ca5f0dff7852aef747ec6328d1dc4fb1c1cf0b8bf",
+    "SpiralChainFamily(variant='D')": "706716bd78bad2e1084c13d1474935ee35b5d1fa483c5963524b6bc49c3820b5",
+    "SpiralChainFamily(variant='E')": "d8684c0b8652b7707ffd771de06305da2824ee2fc350dbc354424ea6368f59c8",
+}
+
+
+@pytest.mark.parametrize("family", _SCAN_FAMILIES, ids=repr)
+def test_level_scan_matches_the_index_range_reference(family, monkeypatch):
+    rng = random.Random(17)
+    points = _settled_points(family)
+    queries = [(*rng.sample(points, 2), rng.randint(1, 8)) for _ in range(16)]
+    got = _scan_reports(family, queries)
+    with monkeypatch.context() as m:
+        m.setattr(ChainLevel, "relation", reference_relation)
+        m.setattr(ChainLevel, "trace_entry", reference_trace_entry)
+        assert got == _scan_reports(family, queries)
+    assert sum(verdict["kind"] == "stabilized" for verdict, _ in got) >= 6
+    validated = [validate_level(family, n) for n in range(1, 5)]
+    text = json.dumps([got, validated], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_DIGESTS[repr(family)]

@@ -27,7 +27,7 @@ from chainorder.chains import (
     equal_or_opposite,
     level_preorder,
     never_between_after,
-    reverse_range,
+    reverse_bounds,
 )
 from chainorder.foundations import (
     EQ,
@@ -169,20 +169,19 @@ class TestLevelPreorder:
         assert level_preorder(IndexRange(2, 3), IndexRange(3, 4)) == BOTH
         assert level_preorder(IndexRange(4, 4), IndexRange(4, 4)) == BOTH
 
-    def test_reverse_range_frozen_example(self):
-        assert reverse_range(10, IndexRange(2, 2)) == IndexRange(9, 9)
-        assert reverse_range(10, IndexRange(3, 4)) == IndexRange(7, 8)
+    def test_reverse_bounds_frozen_example(self):
+        assert reverse_bounds(10, 2, 2) == (9, 9)
+        assert reverse_bounds(10, 3, 4) == (7, 8)
 
-    def test_reverse_range_validation(self):
+    def test_reverse_bounds_validation(self):
         with pytest.raises(ValueError):
-            reverse_range(3, IndexRange(3, 4))
+            reverse_bounds(3, 3, 4)
 
     def test_reverse_is_an_involution(self):
         for k in range(1, 13):
             for lo in range(1, k + 1):
                 for hi in (lo, min(lo + 1, k)):
-                    r = IndexRange(lo, hi)
-                    assert reverse_range(k, reverse_range(k, r)) == r
+                    assert reverse_bounds(k, *reverse_bounds(k, lo, hi)) == (lo, hi)
 
     def test_reversal_flips_strict_relations(self):
         flip = {LE_ONLY: GE_ONLY, GE_ONLY: LE_ONLY, BOTH: BOTH}
@@ -192,7 +191,8 @@ class TestLevelPreorder:
             rx, ry = chain.index_of(t), chain.index_of(s)
             rel = level_preorder(rx, ry)
             reversed_rel = level_preorder(
-                reverse_range(6, rx), reverse_range(6, ry)
+                IndexRange(*reverse_bounds(6, rx.lo, rx.hi)),
+                IndexRange(*reverse_bounds(6, ry.lo, ry.hi)),
             )
             assert reversed_rel == flip[rel]
 
@@ -202,7 +202,7 @@ class TestLevelPreorder:
 
         def index_of(t):
             placed.append(t)
-            return chain.index_of(t)
+            return chain.bounds(t)
 
         level = ChainLevel(1, 8, chain.mesh, index_of)
         x, y = Fraction(1, 8), Fraction(3, 4)
@@ -213,6 +213,46 @@ class TestLevelPreorder:
         assert level.relation(y, x) == GE_ONLY
         assert level.relation(x, Fraction(3, 16)) == BOTH
         assert placed == [x, y, y, x, x, Fraction(3, 16)]
+
+
+class TestLinkPairs:
+    """Levels place points as plain (lo, hi) pairs and hold them to
+    IndexRange's contract wherever they read them."""
+
+    def test_level_preorder_follows_its_definition(self):
+        # x may come before y when some link of x is at or before some link of y.
+        ranges = [IndexRange(lo, hi) for lo in range(1, 6) for hi in (lo, lo + 1)]
+        for rx, ry in itertools.product(ranges, repeat=2):
+            le = any(i <= j for i in rx.indices() for j in ry.indices())
+            ge = any(j <= i for i in rx.indices() for j in ry.indices())
+            assert le or ge
+            assert level_preorder(rx, ry) == (BOTH if le and ge else LE_ONLY if le else GE_ONLY)
+
+    @pytest.mark.parametrize("bad", [(3, 5), (0, 1), (2, 1)])
+    def test_broken_pairs_raise_the_index_range_error(self, bad):
+        with pytest.raises(ValueError) as contract:
+            IndexRange(*bad)
+        message = str(contract.value)
+        good, broken = Fraction(1, 2), Fraction(1, 3)
+        level = ChainLevel(1, 8, Fraction(1), lambda t: bad if t == broken else (2, 3))
+
+        class OneLevel:
+            def level(self, n):
+                return level
+
+        calls = [
+            lambda: level.relation(broken, good),
+            lambda: level.relation(good, broken),
+            lambda: level.trace_entry(broken, good),
+            lambda: level.trace_entry(good, broken),
+            lambda: level.index_of(broken),
+            lambda: never_between_after(OneLevel(), good, Fraction(1, 4), broken, 2, 1),
+            lambda: never_between_after(OneLevel(), broken, good, Fraction(1, 4), 2, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
 
 
 class TestPullbackChain:
@@ -247,7 +287,9 @@ class TestPullbackChain:
     def test_index_of_uses_coordinates(self):
         seq = PullbackSequence(tent_system())
         half = thread_from_letters(tent_system(), Fraction(1, 2), cycle="L")
-        assert seq.level(1).index_of(half) == seq.level(1).index_fn(half)
+        level = seq.level(1)
+        assert level.index_fn(half) == (1, 2)
+        assert level.index_of(half) == IntervalChain(level.size).index_of(half.coordinate(1))
         assert seq.level(1).index_of(zero_thread(tent_system())) == IndexRange(1, 1)
 
 

@@ -1,6 +1,12 @@
-"""End-to-end runs of the command-line entry point, in process."""
+"""End-to-end runs of the command-line entry point, in process, and one
+in a subprocess whose stdout is closed."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import chainorder
 from chainorder.cli import (
     LEVEL_BUDGET,
     ORIENTATION_BUDGET_LOG2,
@@ -519,6 +526,27 @@ class Reported:
         return self.value
 
 
+class Color(IntEnum):
+    """An int subclass whose repr is not JSON."""
+
+    RED = 1
+    GREEN = -20
+
+
+class Real(float):
+    pass
+
+
+class Label(str):
+    pass
+
+
+class Items(list):
+    pass
+
+
+# Exact types take the renderer's type-dispatched path, subclasses its
+# general one.
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -527,12 +555,17 @@ scalars = st.one_of(
     st.text(),
     st.fractions(),
     st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    st.sampled_from(Color),
+    st.floats(allow_nan=False, allow_infinity=False).map(Real),
+    st.text(max_size=6).map(Label),
 )
 reports = st.recursive(
     scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(Items),
+        st.dictionaries(st.text(max_size=6), children, max_size=4).map(OrderedDict),
         st.dictionaries(st.text(max_size=6), children, max_size=4),
         st.dictionaries(st.integers(), children, max_size=4),
         st.sets(st.integers(), max_size=4),
@@ -599,3 +632,20 @@ class TestRepeatedCalls:
         assert "elapsed_s:" in out and not out.startswith("{")
 
         assert run(capsys, *self.GOLDEN) == (0, golden, "")
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_1_without_a_traceback(self):
+        argv = ["compare", "--space", "s1", "--variant", "D", "--x", "wave:4", "--y", "bar:1/2"]
+        src = str(Path(chainorder.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chainorder", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        # Closed long before the child has imported the package and
+        # computed its report, so the report meets a broken pipe.
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
