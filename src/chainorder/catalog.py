@@ -1042,7 +1042,7 @@ class ArcChainFamily(ChainFamily):
         return _ArcPlan(chain, chain.k, chain.mesh)
 
     def _index(self, plan: _ArcPlan, point) -> tuple[int, int]:
-        lo, hi = plan.chain.bounds(self._param(point))
+        lo, hi = plan.chain.bounds(*self._param(point).as_integer_ratio())
         return reverse_bounds(plan.size, lo, hi) if self.variant == "reversed" else (lo, hi)
 
     def _certify(self, x, y, depth: int) -> ComparisonVerdict:

@@ -23,7 +23,6 @@ from .foundations import (
     STABILIZED,
     ComparisonVerdict,
     IndexRange,
-    rational,
     rational_str,
 )
 from .inverse_limit import (
@@ -155,19 +154,10 @@ class IntervalChain:
         lo, hi = self.raw_link(i)
         return max(lo, Fraction(0)), min(hi, Fraction(1))
 
-    def contains(self, i: int, t: int | Fraction) -> bool:
-        lo, hi = self.raw_link(i)
-        return lo < rational(t) < hi
-
-    def index_of(self, t: int | Fraction) -> IndexRange:
-        return IndexRange(*self.bounds(t))
-
-    def bounds(self, t: int | Fraction) -> tuple[int, int]:
-        """``index_of`` as a plain ``(lo, hi)`` pair."""
-        t = rational(t)
-        a, b = t.numerator, t.denominator
+    def bounds(self, a: int, b: int) -> tuple[int, int]:
+        """The links whose open raw links hold the point a/b (b > 0), as (lo, hi)."""
         if not 0 <= a <= b:
-            raise ValueError(f"point outside [0,1]: {t}")
+            raise ValueError(f"point outside [0,1]: {Fraction(a, b)}")
         # i ranges over integers with (4kt-1)/4 < i < (4kt+5)/4; with
         # t = a/b those bounds are (4ka - b)/4b and (4ka + 5b)/4b.
         scaled, den = 4 * self.k * a, 4 * b
@@ -201,7 +191,7 @@ class PullbackSequence:
                 level=n,
                 size=base.k,
                 mesh_bound=eps_n,
-                index_fn=lambda point: base.bounds(point.coordinate(n)),
+                index_fn=lambda point: base.bounds(*point.coordinate_pair(n)),
             )
         return self._levels[n]
 
@@ -250,9 +240,8 @@ class PullbackSequence:
             lip = self.system.bonding(j).lipschitz()
             lam_n, lam_d = lam_n * lip.numerator, lam_d * lip.denominator
         while True:
-            a, b = x.coordinate(T), y.coordinate(T)
-            gap = abs(a.numerator * b.denominator - b.numerator * a.denominator)
-            if gap * lam_n * T >= a.denominator * b.denominator * lam_d:
+            (a, b), (c, d) = x.coordinate_pair(T), y.coordinate_pair(T)
+            if abs(a * d - c * b) * lam_n * T >= b * d * lam_d:
                 break
             lip = self.system.bonding(T).lipschitz()
             lam_n, lam_d = lam_n * lip.numerator, lam_d * lip.denominator

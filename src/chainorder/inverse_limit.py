@@ -71,16 +71,21 @@ def tent_system() -> InverseSystem:
     return _TENT_SYSTEM
 
 
+def _branch_letters(letters) -> tuple[int, ...]:
+    """Letters as a tuple of ints; anything but a natural int is refused."""
+    letters = tuple(letters)
+    if not all(isinstance(l, int) and l >= 0 for l in letters):
+        raise ValueError("branch letters are naturals")
+    return tuple(int(l) for l in letters)
+
+
 @dataclass(frozen=True)
 class WordTail:
     letters: tuple[int, ...]
     kind: str = field(default="word", init=False)
 
     def __post_init__(self) -> None:
-        letters = tuple(int(l) for l in self.letters)
-        if any(l < 0 for l in letters):
-            raise ValueError("branch letters are naturals")
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", _branch_letters(self.letters))
 
     def as_dict(self) -> dict:
         return {"kind": "word", "letters": list(self.letters)}
@@ -93,13 +98,10 @@ class PeriodicTail:
     kind: str = field(default="periodic", init=False)
 
     def __post_init__(self) -> None:
-        prefix = tuple(int(l) for l in self.prefix)
-        cycle = tuple(int(l) for l in self.cycle)
+        cycle = _branch_letters(self.cycle)
         if not cycle:
             raise ValueError("periodic tail needs a nonempty cycle")
-        if any(l < 0 for l in prefix + cycle):
-            raise ValueError("branch letters are naturals")
-        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "prefix", _branch_letters(self.prefix))
         object.__setattr__(self, "cycle", cycle)
 
     def as_dict(self) -> dict:
@@ -124,8 +126,8 @@ class ThreadPoint:
     system: InverseSystem
     stem: tuple[Fraction, ...]
     tail: Tail
-    # Coordinates 0..len-1 known so far: the stem, then each tail
-    # coordinate as it is first computed.
+    # Coordinates 0..len-1 known so far as reduced (numerator, denominator)
+    # pairs: the stem, then each tail coordinate as it is first computed.
     _coords: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -141,7 +143,7 @@ class ThreadPoint:
                     f"f_{i}({stem[i + 1]}) != {stem[i]}"
                 )
         object.__setattr__(self, "stem", stem)
-        object.__setattr__(self, "_coords", list(stem))
+        object.__setattr__(self, "_coords", [(v.numerator, v.denominator) for v in stem])
 
     @property
     def max_level(self) -> int | None:
@@ -166,6 +168,10 @@ class ThreadPoint:
         return self.tail.cycle[(offset - len(self.tail.prefix)) % len(self.tail.cycle)]
 
     def coordinate(self, n: int) -> Fraction:
+        return Fraction(*self.coordinate_pair(n))
+
+    def coordinate_pair(self, n: int) -> tuple[int, int]:
+        """Coordinate n as a reduced (numerator, denominator) pair."""
         if n < 0:
             raise ValueError("levels are naturals")
         coords = self._coords
@@ -178,12 +184,12 @@ class ThreadPoint:
             )
         for j in range(len(coords), n + 1):
             letter = self.letter_for_step(j)
-            value = coords[-1]
-            preimages = self.system.bonding(j - 1).preimages(value)
+            p, q = coords[-1]
+            preimages = self.system.bonding(j - 1).preimage_pairs(p, q)
             if letter >= len(preimages):
                 raise ValueError(
                     f"letter {letter} invalid at level {j}: "
-                    f"{value} has {len(preimages)} preimages"
+                    f"{Fraction(p, q)} has {len(preimages)} preimages"
                 )
             coords.append(preimages[letter])
         return coords[n]
@@ -230,8 +236,8 @@ def thread_from_letters(
 
 
 def compare_level(x: ThreadPoint, y: ThreadPoint, n: int) -> str:
-    a, b = x.coordinate(n), y.coordinate(n)
-    lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+    (a, b), (c, d) = x.coordinate_pair(n), y.coordinate_pair(n)
+    lhs, rhs = a * d, c * b
     if lhs < rhs:
         return LT
     if lhs > rhs:
@@ -296,8 +302,8 @@ def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate:
     cyc_x, cyc_y = x.letter_cycle(), y.letter_cycle()
     history = [compare_level(x, y, n) for n in range(start + 1)]
 
-    band_x = band_of(x.coordinate(start))
-    band_y = band_of(y.coordinate(start))
+    band_x = band_of(*x.coordinate_pair(start))
+    band_y = band_of(*y.coordinate_pair(start))
     rel = history[start]
     # Positions of the letters that will produce coordinate start+1.
     pos_x = (start + 1 - x.certificate_start()) % len(cyc_x)

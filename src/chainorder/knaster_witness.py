@@ -133,7 +133,6 @@ def exhaustive_branch_oracle(depth: int) -> dict:
     if not 1 <= depth <= 12:
         raise ValueError("oracle depth must be small enough to enumerate")
     f = tent()
-    half = Fraction(1, 2)
     # Step k's coordinates are dyadic over 2^(k+1), so all of them are
     # compared as integer numerators over the deepest denominator.
     scale = 2 << depth
@@ -141,10 +140,14 @@ def exhaustive_branch_oracle(depth: int) -> dict:
     words = [[(w >> k) & 1 for k in range(depth)] for w in range(2**depth)]
     values: list[list[int]] = []
     for w in words:
-        coords = [half]
+        coords = [(1, 2)]
         for letter in w:
-            coords.append(f.preimages(coords[-1])[letter])
-        values.append([_numerator_over(v, scale) for v in coords])
+            coords.append(f.preimage_pairs(*coords[-1])[letter])
+        # Reduced pairs: a denominator that does not divide the scale is off the grid.
+        stray = [Fraction(n, d) for n, d in coords if scale % d]
+        if stray:
+            raise AssertionError(f"{stray[0]} is not a multiple of 1/{scale}")
+        values.append([n * (scale // d) for n, d in coords])
 
     checked = 0
     for a_idx, wa in enumerate(words):
@@ -169,11 +172,3 @@ def exhaustive_branch_oracle(depth: int) -> dict:
                     }
                 checked += 1
     return {"pass": True, "pairs_checked": checked, "words": len(words)}
-
-
-def _numerator_over(value: Fraction, scale: int) -> int:
-    """The numerator of ``value`` over ``scale``, which its denominator divides."""
-    numerator, rest = divmod(value.numerator * scale, value.denominator)
-    if rest:
-        raise AssertionError(f"{value} is not a multiple of 1/{scale}")
-    return numerator

@@ -9,6 +9,8 @@ Each map compiles its segments into tables of integer numerators and
 denominators the first time it is evaluated or inverted, and keeps its
 laps, Lipschitz constant and lap geometry once computed.  All of it is
 stored on the map object, so it lives exactly as long as the map does.
+Preimages are solved and returned as reduced integer pairs
+(``preimage_pairs``); ``preimages`` wraps those pairs as Fractions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import lcm
+from math import gcd, lcm
 
 from .foundations import Rational
 
@@ -65,10 +67,11 @@ class Lap:
 _ZERO_BAND, _ONE_BAND, _INT_BAND = 0, 1, 2
 
 
-def band_of(v: Fraction) -> int:
-    if v.numerator == 0:
+def band_of(num: int, den: int) -> int:
+    """The band of the value num/den, given in lowest terms."""
+    if num == 0:
         return _ZERO_BAND
-    if v.numerator == v.denominator:
+    if num == den:
         return _ONE_BAND
     return _INT_BAND
 
@@ -175,23 +178,27 @@ class PLMap:
 
     def preimages(self, y: int | Fraction) -> tuple[Fraction, ...]:
         """All solutions of f(t) = y, ascending and exact."""
-        if type(y) is not Fraction:
-            y = Fraction(y)
-        p, q = y.numerator, y.denominator
+        pairs = self.preimage_pairs(*Fraction(y).as_integer_ratio())
+        return tuple(Fraction(n, d) for n, d in pairs)
+
+    def preimage_pairs(self, p: int, q: int) -> tuple[tuple[int, int], ...]:
+        """``preimages`` of p/q, q > 0, as reduced (numerator, denominator) pairs."""
         if not 0 <= p <= q:
-            raise ValueError(f"value outside [0,1]: {y}")
+            raise ValueError(f"value outside [0,1]: {Fraction(p, q)}")
         hits = []
         last_num, last_den = -1, 1
         for lo_n, lo_d, hi_n, hi_d, branch in self._inverse():
             if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q:
                 if len(branch) == 2:  # a flat segment, at the value y
+                    y = Fraction(p, q)
                     raise PreimageError(f"level set of {y} contains [{branch[0]}, {branch[1]}]")
                 c, s, d = branch
                 num, den = c * q + s * p, d * q
                 # Segments run left to right, so a hit can only repeat
                 # the previous one, at the breakpoint the two share.
                 if num * last_den != last_num * den:
-                    hits.append(Fraction(num, den))
+                    g = gcd(num, den)
+                    hits.append((num // g, den // g))
                     last_num, last_den = num, den
         return tuple(hits)
 
@@ -243,7 +250,7 @@ class PLMap:
             knots = self.preimages(y)
             if any(t not in knot_scale for t in knots):
                 raise AssertionError("extreme preimage not at a lap boundary")
-            boundary.append(tuple((band_of(t), knot_scale[t]) for t in knots))
+            boundary.append(tuple((band_of(*t.as_integer_ratio()), knot_scale[t]) for t in knots))
         interior = tuple((_INT_BAND, 2 * k + 1) for k in range(len(laps)))
         return LapGeometry(laps, (boundary[0], boundary[1], interior))
 

@@ -50,11 +50,29 @@ from chainorder.inverse_limit import (
 )
 from chainorder.plmaps import PLMap, tent
 from chainorder.ultrafilter import SimulatedUltrafilter
-from test_inverse_limit import zero_thread
+from test_inverse_limit import (
+    check_coordinates,
+    random_word,
+    stepped_coordinates,
+    tent_steps,
+    zero_thread,
+)
 
 
 def u_mod2(residue: int) -> SimulatedUltrafilter:
     return SimulatedUltrafilter((1, 2), (0, residue))
+
+
+def contains(chain: IntervalChain, i: int, t) -> bool:
+    """Definitional oracle for ``bounds``: t lies in the open raw link i."""
+    lo, hi = chain.raw_link(i)
+    return lo < Fraction(t) < hi
+
+
+def chain_index(chain: IntervalChain, t) -> IndexRange:
+    """The links holding t, placed by ``bounds`` and held to IndexRange."""
+    t = Fraction(t)
+    return IndexRange(*chain.bounds(t.numerator, t.denominator))
 
 
 class TestCanonicalChain:
@@ -67,12 +85,12 @@ class TestCanonicalChain:
 
     def test_midpoint_lands_in_two_links(self):
         chain = IntervalChain(4)
-        assert chain.index_of(Fraction(1, 2)) == IndexRange(2, 3)
+        assert chain_index(chain, Fraction(1, 2)) == IndexRange(2, 3)
 
     def test_endpoints_land_in_one_link(self):
         chain = IntervalChain(4)
-        assert chain.index_of(0) == IndexRange(1, 1)
-        assert chain.index_of(1) == IndexRange(4, 4)
+        assert chain_index(chain, 0) == IndexRange(1, 1)
+        assert chain_index(chain, 1) == IndexRange(4, 4)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -83,7 +101,7 @@ class TestCanonicalChain:
         with pytest.raises(ValueError):
             chain.link(4)
         with pytest.raises(ValueError):
-            chain.index_of(Fraction(3, 2))
+            chain_index(chain, Fraction(3, 2))
 
     @pytest.mark.parametrize("k", list(range(1, 65)))
     def test_is_a_chain(self, k):
@@ -104,8 +122,8 @@ class TestCanonicalChain:
         chain = IntervalChain(k)
         for num in range(8 * k + 1):
             t = Fraction(num, 8 * k)
-            direct = {i for i in range(1, k + 1) if chain.contains(i, t)}
-            assert direct == set(chain.index_of(t).indices())
+            direct = {i for i in range(1, k + 1) if contains(chain, i, t)}
+            assert direct == set(chain_index(chain, t).indices())
 
     @given(
         k=st.integers(min_value=1, max_value=40),
@@ -115,12 +133,12 @@ class TestCanonicalChain:
     def test_index_matches_membership_random(self, k, num, den):
         t = Fraction(min(num, den), den)
         chain = IntervalChain(k)
-        direct = {i for i in range(1, k + 1) if chain.contains(i, t)}
-        assert direct == set(chain.index_of(t).indices())
+        direct = {i for i in range(1, k + 1) if contains(chain, i, t)}
+        assert direct == set(chain_index(chain, t).indices())
 
 
 def fraction_index_of(chain: IntervalChain, t) -> IndexRange:
-    """The Fraction formula the integer index_of replaced, as its oracle."""
+    """The Fraction formula the integer bounds replaced, as its oracle."""
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"point outside [0,1]: {t}")
@@ -150,14 +168,16 @@ class TestIntegerIndexAgainstFractions:
                 st.fractions(min_value=-1, max_value=2, max_denominator=8 * k),
             )
         )
-        assert outcome(chain.index_of, t) == outcome(fraction_index_of, chain, t)
+        assert outcome(chain_index, chain, t) == outcome(fraction_index_of, chain, t)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 24, 1000])
     def test_every_link_end(self, k):
         chain = IntervalChain(k)
         for i in range(1, k + 1):
             for end in chain.raw_link(i) + chain.link(i):
-                assert outcome(chain.index_of, end) == outcome(fraction_index_of, chain, end)
+                assert outcome(chain_index, chain, end) == outcome(
+                    fraction_index_of, chain, end
+                )
 
 
 class TestLevelPreorder:
@@ -188,7 +208,7 @@ class TestLevelPreorder:
         chain = IntervalChain(6)
         grid = [Fraction(n, 24) for n in range(25)]
         for t, s in itertools.product(grid, repeat=2):
-            rx, ry = chain.index_of(t), chain.index_of(s)
+            rx, ry = chain_index(chain, t), chain_index(chain, s)
             rel = level_preorder(rx, ry)
             reversed_rel = level_preorder(
                 IndexRange(*reverse_bounds(6, rx.lo, rx.hi)),
@@ -202,7 +222,7 @@ class TestLevelPreorder:
 
         def index_of(t):
             placed.append(t)
-            return chain.bounds(t)
+            return chain.bounds(t.numerator, t.denominator)
 
         level = ChainLevel(1, 8, chain.mesh, index_of)
         x, y = Fraction(1, 8), Fraction(3, 4)
@@ -289,7 +309,7 @@ class TestPullbackChain:
         half = thread_from_letters(tent_system(), Fraction(1, 2), cycle="L")
         level = seq.level(1)
         assert level.index_fn(half) == (1, 2)
-        assert level.index_of(half) == IntervalChain(level.size).index_of(half.coordinate(1))
+        assert level.index_of(half) == chain_index(IntervalChain(level.size), half.coordinate(1))
         assert seq.level(1).index_of(zero_thread(tent_system())) == IndexRange(1, 1)
 
 
@@ -627,7 +647,7 @@ class TestNonTentSystem:
             chain_signs = ["GT"]
             for n in range(1, self.WINDOW):
                 chain = IntervalChain(seq.level(n).size)
-                relation = level_preorder(chain.index_of(cx[n]), chain.index_of(cy[n]))
+                relation = level_preorder(chain_index(chain, cx[n]), chain_index(chain, cy[n]))
                 chain_signs.append({LE_ONLY: "LT", GE_ONLY: "GT", BOTH: "EQ"}[relation])
             u = rng.choice(towers)
             for verdict, route_signs, first in (
@@ -646,6 +666,39 @@ class TestNonTentSystem:
                 else:
                     assert (verdict.direction, verdict.threshold) == (direction, threshold)
         assert kinds == {STABILIZED, ULTRAFILTER_DEPENDENT}
+
+    def test_coordinates_follow_the_bonding_formulas(self):
+        """Zigzag and tent/zigzag threads against their maps' own preimage
+        formulas at levels 0-60, for periodic and word tails."""
+        levels = 61
+        zigzag = InverseSystem("zigzag", True, lambda n: ZIGZAG)
+        rng = random.Random(6160)
+        for _ in range(10):
+            spec = self.spec(rng)
+            expected = zigzag_coordinates(*spec, levels)
+            check_coordinates(lambda: thread_from_letters(zigzag, *spec), expected)
+        for x0 in (0, 1, Fraction(1, 2), Fraction(2, 5)):
+            word = random_word(rng, lambda n, v: zigzag_preimages(v), x0, levels - 1)
+            expected = zigzag_coordinates(x0, word, (0,), levels)
+            check_coordinates(lambda: thread_from_letters(zigzag, x0, word), expected)
+
+        mixed = InverseSystem("tent-zigzag", False, lambda n: ZIGZAG if n % 2 else tent())
+
+        def steps(n, v):
+            return zigzag_preimages(v) if n % 2 else tent_steps(n, v)
+
+        # Interior values keep two tent and three zigzag preimages.
+        for x0, prefix, cycle in [
+            (Fraction(1, 2), (), (0, 2)),
+            (Fraction(1, 3), (1, 1), (1, 0, 0, 2)),
+            (Fraction(5, 7), (0,), (1,)),
+        ]:
+            expected = stepped_coordinates(steps, x0, prefix, cycle, levels)
+            check_coordinates(lambda: thread_from_letters(mixed, x0, prefix, cycle), expected)
+        for x0 in (0, 1, Fraction(3, 4)):
+            word = random_word(rng, steps, x0, levels - 1)
+            expected = stepped_coordinates(steps, x0, word, (), levels)
+            check_coordinates(lambda: thread_from_letters(mixed, x0, word), expected)
 
     @pytest.mark.parametrize(
         "system",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -44,6 +45,52 @@ def distance_bounds(x: ThreadPoint, y: ThreadPoint, depth: int) -> tuple[Fractio
         Fraction(0),
     )
     return head, head + Fraction(1, 2**depth)
+
+
+def tent_steps(n: int, v: Fraction) -> tuple[Fraction, ...]:
+    """The tent's branches v/2 and 1 - v/2, merged and sorted, at any level."""
+    return tuple(sorted({v / 2, 1 - v / 2}))
+
+
+def stepped_coordinates(preimages_at, x0, prefix, cycle, count) -> list[Fraction]:
+    """Oracle: coordinates 0..count-1 of the thread from x0, stepped by the
+    bonding maps' own preimage formulas; ``preimages_at(n, v)`` lists the
+    preimages of v under bonding map n in ascending order."""
+    coords = [Fraction(x0)]
+    for j in range(count - 1):
+        letter = prefix[j] if j < len(prefix) else cycle[(j - len(prefix)) % len(cycle)]
+        coords.append(preimages_at(j, coords[-1])[letter])
+    return coords
+
+
+def sign(a: Fraction, b: Fraction) -> str:
+    return "EQ" if a == b else ("LT" if a < b else "GT")
+
+
+def check_coordinates(make_thread, expected: list[Fraction]) -> None:
+    """Fresh threads read deepest level first and level by level must both
+    give the oracle's coordinates, each pair reduced over a positive
+    denominator."""
+    for order in (range(len(expected) - 1, -1, -1), range(len(expected))):
+        thread = make_thread()
+        for n in order:
+            p, q = thread.coordinate_pair(n)
+            assert type(p) is int and type(q) is int
+            assert q > 0 and gcd(p, q) == 1
+            assert Fraction(p, q) == expected[n], n
+            assert thread.coordinate(n) == expected[n], n
+
+
+def random_word(rng: random.Random, preimages_at, x0, length: int) -> tuple[int, ...]:
+    """A branch word whose every letter names one of the preimages there."""
+    word, v = [], Fraction(x0)
+    for j in range(length):
+        options = preimages_at(j, v)
+        word.append(rng.randrange(len(options)))
+        v = options[word[-1]]
+    return tuple(word)
+
+
 U0 = SimulatedUltrafilter.parse("r2=0")
 U1 = SimulatedUltrafilter.parse("r2=1")
 
@@ -84,6 +131,32 @@ class TestThreadValidation:
         p = thread_from_letters(SYS, 1, (1,))
         with pytest.raises(ValueError, match="preimages"):
             p.coordinate(1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PeriodicTail((1.7,), (0,)),
+            lambda: PeriodicTail((), (0.2,)),
+            lambda: PeriodicTail((0,), (1.0,)),
+            lambda: PeriodicTail((0,), (-1,)),
+            lambda: WordTail(("1",)),
+            lambda: WordTail((F(1),)),
+            lambda: WordTail((None,)),
+        ],
+    )
+    def test_non_natural_letters_refused(self, make):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == "branch letters are naturals"
+
+    def test_int_and_bool_letters_accepted(self):
+        word = WordTail((True, 0, 2))
+        assert word.letters == (1, 0, 2)
+        tail = PeriodicTail((False,), (True, 1))
+        assert tail.as_dict() == {"kind": "periodic", "prefix": [0], "cycle": [1, 1]}
+        assert all(type(l) is int for l in word.letters + tail.prefix + tail.cycle)
+        with pytest.raises(ValueError, match="nonempty cycle"):
+            PeriodicTail((-1,), ())
 
     def test_word_letters_parse(self):
         assert word_letters("LRL") == (0, 1, 0)
@@ -128,6 +201,41 @@ class TestCoordinates:
         }
 
 
+class TestCoordinatesAgainstStepping:
+    """Tent coordinates against v/2 and 1 - v/2 stepped by hand, levels 0-60."""
+
+    LEVELS = 61
+
+    @pytest.mark.parametrize(
+        "x0, prefix, cycle",
+        [
+            (0, (), (0,)),
+            (0, (1,), (0,)),
+            (1, (), (0, 1)),
+            (F(1, 2), (), (1,)),
+            (F(1, 3), (0, 1), (1, 1, 0)),
+            (F(2, 5), (), (0, 1)),
+            (F(63, 64), (1, 0, 0), (0, 0, 1, 1)),
+        ],
+    )
+    def test_periodic_tails(self, x0, prefix, cycle):
+        expected = stepped_coordinates(tent_steps, x0, prefix, cycle, self.LEVELS)
+        check_coordinates(lambda: thread_from_letters(SYS, x0, prefix, cycle), expected)
+
+    def test_word_tails(self):
+        rng = random.Random(6061)
+        for x0 in (0, 1, F(1, 2), F(1, 3), F(5, 7), F(rng.randrange(1, 64), 64)):
+            word = random_word(rng, tent_steps, x0, self.LEVELS - 1)
+            expected = stepped_coordinates(tent_steps, x0, word, (), self.LEVELS)
+            check_coordinates(lambda: thread_from_letters(SYS, x0, word), expected)
+
+    def test_stem_levels_come_from_the_stem(self):
+        x = ThreadPoint(SYS, (F(1, 2), F(3, 4), F(3, 8)), PeriodicTail((), (1,)))
+        expected = [F(1, 2), F(3, 4), F(3, 8)]
+        expected += stepped_coordinates(tent_steps, F(3, 8), (), (1,), self.LEVELS - 2)[1:]
+        check_coordinates(lambda: x, expected)
+
+
 class TestLevelComparison:
     def test_compare_level(self):
         x, y = alternating_pair()
@@ -164,20 +272,26 @@ class TestSignCertificate:
         assert set(cert.history) == {"EQ"}
 
     def test_seeded_sweep_against_exact_coordinates(self):
+        """Certificates and compare_level against signs of coordinates
+        stepped by the tent's own formulas."""
         rng = random.Random(1712)
         for trial in range(120):
-            def rand_thread():
+            def rand_spec():
                 if rng.random() < 0.15:
-                    return zero_thread(SYS)
+                    return 0, (), (0,)
                 x0 = F(rng.randrange(1, 16), 16)
                 prefix = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 4)))
                 cycle = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 5)))
-                return thread_from_letters(SYS, x0, prefix, cycle=cycle)
+                return x0, prefix, cycle
 
-            x, y = rand_thread(), rand_thread()
+            specs = rand_spec(), rand_spec()
+            x, y = (thread_from_letters(SYS, *spec) for spec in specs)
+            cx, cy = (stepped_coordinates(tent_steps, *spec, 30) for spec in specs)
+            signs = [sign(a, b) for a, b in zip(cx, cy)]
             cert = sign_certificate(x, y)
             for n in range(30):
-                assert cert.rel(n) == compare_level(x, y, n), (trial, n)
+                assert cert.rel(n) == signs[n], (trial, n)
+                assert compare_level(x, y, n) == signs[n], (trial, n)
 
     def test_rejects_finite_word_tails(self):
         x = thread_from_letters(SYS, F(1, 2), "LR")

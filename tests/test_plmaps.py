@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -112,6 +113,28 @@ class TestIteratedPreimages:
             assert all(p.denominator == 2 ** (i + 1) and p.numerator % 2 == 1 for p in level)
 
 
+ZIGZAG = PLMap((F(0), F(1, 3), F(2, 3), F(1)), (F(0), F(1), F(0), F(1)))
+
+
+class TestPreimagePairs:
+    def test_zigzag_matches_grid_oracle(self):
+        # A grid of 384 cells puts the breakpoints 1/3 and 2/3 on cell ends.
+        for y in [F(n, 24) for n in range(25)] + [F(2, 5), F(1, 7), F(6, 7)]:
+            pairs = ZIGZAG.preimage_pairs(y.numerator, y.denominator)
+            assert [F(p, q) for p, q in pairs] == brute_preimages(ZIGZAG, y, 384)
+            assert all(type(p) is int and q > 0 and gcd(p, q) == 1 for p, q in pairs)
+            assert ZIGZAG.preimages(y) == tuple(F(p, q) for p, q in pairs)
+
+    def test_unreduced_values_give_the_same_pairs(self):
+        assert ZIGZAG.preimage_pairs(2, 4) == ZIGZAG.preimage_pairs(1, 2) == (
+            (1, 6),
+            (1, 2),
+            (5, 6),
+        )
+        assert tent().preimage_pairs(0, 5) == ((0, 1), (1, 1))
+        assert tent().preimage_pairs(3, 3) == ((1, 2),)
+
+
 class TestFlatSegments:
     def setup_method(self):
         self.plateau = PLMap(
@@ -122,9 +145,12 @@ class TestFlatSegments:
     def test_preimage_at_plateau_value_rejected(self):
         with pytest.raises(PreimageError):
             self.plateau.preimages(F(1, 2))
+        with pytest.raises(PreimageError, match=r"^level set of 1/2 contains \[1/4, 3/4\]$"):
+            self.plateau.preimage_pairs(1, 2)
 
     def test_preimage_away_from_plateau_fine(self):
         assert self.plateau.preimages(F(1, 4)) == (F(1, 8),)
+        assert self.plateau.preimage_pairs(1, 4) == ((1, 8),)
 
     def test_laps_rejected(self):
         with pytest.raises(ValueError):
@@ -237,8 +263,12 @@ class TestCompiledAgainstFormulas:
         )
         got = outcome(f.preimages, y)
         assert got == outcome(formula_preimages, f, y)
-        if isinstance(got, tuple) and got and isinstance(got[0], Fraction):
+        pairs = outcome(f.preimage_pairs, *Fraction(y).as_integer_ratio())
+        if got and isinstance(got[0], type):  # the error both raise
+            assert pairs == got
+        else:
             assert all(type(t) is Fraction for t in got)
+            assert pairs == tuple(t.as_integer_ratio() for t in got)
 
     @given(any_pl_maps, st.data())
     def test_values(self, f, data):
