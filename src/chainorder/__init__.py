@@ -27,7 +27,7 @@ from .chains import (
     never_between_after,
     PullbackSequence,
 )
-from .foundations import EventuallyPeriodicSet, IndexRange, rational, rational_str
+from .foundations import EventuallyPeriodicSet, rational, rational_str
 from .inverse_limit import (
     InverseSystem,
     ThreadPoint,
@@ -50,7 +50,6 @@ __all__ = [
     "CatalogPoint",
     "ComparisonVerdict",
     "EventuallyPeriodicSet",
-    "IndexRange",
     "InverseSystem",
     "PullbackSequence",
     "SimulatedUltrafilter",

@@ -45,6 +45,7 @@ from .foundations import (
     rational,
     rational_str,
 )
+from .orientation import parse_word
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -88,7 +89,7 @@ def _window_range(g: _Grid, a: int, b: int) -> Pair:
     """The windows of ``g`` that hold the coordinate a/b (b > 0).
 
     With ov < step/2 a point meets one window or two consecutive ones,
-    which is exactly the IndexRange contract.
+    which is exactly the link-pair contract of ``ChainLevel.index_of``.
     """
     eq, cq, ep, lo, hi = g
     x, y, den = a * eq, b * cq, b * ep
@@ -252,7 +253,6 @@ class StrandSpace:
 
     name: str
     strands: tuple[Strand, ...]
-    limit_points: tuple[CatalogPoint, ...] = ()
     resolver: Callable = field(compare=False, repr=False, default=None)
 
     def strand(self, name: str) -> Strand:
@@ -315,11 +315,7 @@ def _wave_strand(component: str) -> Strand:
 
 @lru_cache(maxsize=None)
 def s1_space() -> StrandSpace:
-    return StrandSpace(
-        "s1",
-        (_wave_strand("sine"), _bar_strand("limit_interval")),
-        limit_points=(CatalogPoint("bar", 1), CatalogPoint("bar", -1)),
-    )
+    return StrandSpace("s1", (_wave_strand("sine"), _bar_strand("limit_interval")))
 
 
 def _ell_point(p: Fraction) -> Point2:
@@ -346,11 +342,7 @@ def s2_space() -> StrandSpace:
         position=_ell_point,
         polyline=_ell_polyline,
     )
-    return StrandSpace(
-        "s2",
-        (_wave_strand("sine"), ell),
-        limit_points=(CatalogPoint("ell", 0), CatalogPoint("ell", 2)),
-    )
+    return StrandSpace("s2", (_wave_strand("sine"), ell))
 
 
 # -- S3 geometry: teeth and the gaps between them -----------------------------
@@ -473,12 +465,7 @@ def s3_space() -> StrandSpace:
     strands.append(
         Strand("origin", "origin", _ZERO, _ZERO, position=lambda t: (_ZERO, _ZERO))
     )
-    return StrandSpace(
-        "s3",
-        tuple(strands),
-        limit_points=(CatalogPoint("origin", 0),),
-        resolver=_s3_resolver,
-    )
+    return StrandSpace("s3", tuple(strands), resolver=_s3_resolver)
 
 
 # -- the spiral strand of space T ---------------------------------------------
@@ -756,11 +743,7 @@ def t_space() -> StrandSpace:
         position=_spiral_point,
         polyline=_spiral_polyline,
     )
-    return StrandSpace(
-        "t",
-        (_bar_strand("T1"), _wave_strand("T2"), spiral),
-        limit_points=(CatalogPoint("bar", 1), CatalogPoint("bar", -1)),
-    )
+    return StrandSpace("t", (_bar_strand("T1"), _wave_strand("T2"), spiral))
 
 
 @lru_cache(maxsize=None)
@@ -961,8 +944,8 @@ class ChainFamily:
     ``VARIANTS``.  Level n comes from a plan: ``_build_plan(n)`` returns
     a record with the link count ``size`` and the mesh bound ``mesh``,
     and ``_index(plan, point)`` places a point on that level's links as
-    a plain ``(lo, hi)`` pair, which the level's ``index_of`` validates
-    into an ``IndexRange``.  Comparisons are certified by ``_certify``,
+    a plain ``(lo, hi)`` pair, which the level's ``index_of`` holds to
+    the chain contract.  Comparisons are certified by ``_certify``,
     which by default scans the levels and needs ``_pair_settled``.  The
     validator reads ``link_windows(n)``, the inverse of ``_index``, and
     the points of ``sampled_parts(n)``, which stand for what no window
@@ -1837,7 +1820,8 @@ def _s3_family_cached(bits: tuple[int, ...]) -> ToothForestChainFamily:
 
 
 def s3_family(bits) -> ToothForestChainFamily:
-    return _s3_family_cached(tuple(int(b) for b in bits))
+    """The S3 family on a binary word, given as "0110" or as 0/1 ints."""
+    return _s3_family_cached(parse_word(bits))
 
 
 @lru_cache(maxsize=None)
@@ -2000,7 +1984,8 @@ def _check_strand(
             return at("windows of non-adjacent links overlap", t, links=sorted(links))
         if len(links) == 2:
             shared.add(min(links))
-        got = level.index_of(CatalogPoint(strand.name, t)).indices()
+        lo, hi = level.index_of(CatalogPoint(strand.name, t))
+        got = tuple(range(lo, hi + 1))
         if got != tuple(sorted(links)):
             return at(
                 "index_of disagrees with the windows", t, index_of=list(got), windows=sorted(links)
@@ -2024,7 +2009,8 @@ def _link_boxes(family, level: ChainLevel, windows: list[Window], sampled: dict)
     for pts in sampled.values():
         for p in pts:
             x, y = space.position(p)
-            for link in level.index_of(p).indices():
+            lo, hi = level.index_of(p)
+            for link in range(lo, hi + 1):
                 xs.setdefault(link, []).append(x)
                 ys.setdefault(link, []).append(y)
     return {link: (*_extent(xs[link]), *_extent(ys[link])) for link in xs}

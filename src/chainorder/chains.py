@@ -16,20 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .foundations import (
-    EQ,
-    GE,
-    LE,
-    STABILIZED,
-    ComparisonVerdict,
-    IndexRange,
-    rational_str,
-)
+from .foundations import EQ, GE, LE, STABILIZED, ComparisonVerdict, rational_str
 from .inverse_limit import (
     InverseSystem,
     epsilon_map_modulus,
     fiber_diameter_bound,
-    sign_certifiable,
     sign_certificate,
     sign_verdict,
 )
@@ -41,27 +32,6 @@ BOTH = "both"
 
 # The coordinate sign a level relation stands for in a sign sequence.
 _SIGN_OF = {LE_ONLY: "LT", GE_ONLY: "GT", BOTH: "EQ"}
-
-
-def level_preorder(range_x: IndexRange, range_y: IndexRange) -> str:
-    """Which of x-before-y / y-before-x the two index ranges allow."""
-    return _pair_relation(range_x.lo, range_x.hi, range_y.lo, range_y.hi)
-
-
-def _pair_relation(lo_x: int, hi_x: int, lo_y: int, hi_y: int) -> str:
-    """``level_preorder`` on the bounds of two valid ranges.  Each range
-    has lo <= hi, so at least one direction is always allowed."""
-    if lo_x > hi_y:
-        return GE_ONLY
-    return LE_ONLY if lo_y > hi_x else BOTH
-
-
-def relation_allows_le(relation: str) -> bool:
-    return relation in (LE_ONLY, BOTH)
-
-
-def relation_allows_ge(relation: str) -> bool:
-    return relation in (GE_ONLY, BOTH)
 
 
 def reverse_bounds(k: int, lo: int, hi: int) -> tuple[int, int]:
@@ -76,8 +46,8 @@ class ChainLevel:
     """One cover in a chain sequence, with exact point-to-links assignment.
 
     ``index_fn`` places a point as a ``(lo, hi)`` pair of link indices;
-    ``index_of`` returns it as a validated ``IndexRange``.  Relations and
-    traces compare the pairs directly, checking the same contract.
+    ``index_of`` holds that pair to the chain contract, and relations and
+    traces read every pair through it.
     """
 
     level: int
@@ -92,22 +62,28 @@ class ChainLevel:
         default_factory=lambda: [None], init=False, compare=False, repr=False
     )
 
-    def index_of(self, point) -> IndexRange:
-        return IndexRange(*self.index_fn(point))
+    def index_of(self, point) -> tuple[int, int]:
+        """The links holding ``point`` as ``(lo, hi)``.  Adjacent links
+        overlap, so a point lies in one link or in two consecutive ones;
+        any other pair means the cover is broken."""
+        lo, hi = self.index_fn(point)
+        if not 1 <= lo <= hi <= lo + 1:
+            raise ValueError(f"not one or two consecutive links: [{lo}, {hi}]")
+        return lo, hi
 
     def _pair(self, x, y) -> tuple:
         last = self._last_pair[0]
         if last is not None and last[0] is x and last[1] is y:
             return last
-        # A pair that is not one link or two consecutive ones raises
-        # IndexRange's error.
-        lo_x, hi_x = self.index_fn(x)
-        if not 1 <= lo_x <= hi_x <= lo_x + 1:
-            IndexRange(lo_x, hi_x)
-        lo_y, hi_y = self.index_fn(y)
-        if not 1 <= lo_y <= hi_y <= lo_y + 1:
-            IndexRange(lo_y, hi_y)
-        last = (x, y, lo_x, hi_x, lo_y, hi_y, _pair_relation(lo_x, hi_x, lo_y, hi_y))
+        lo_x, hi_x = self.index_of(x)
+        lo_y, hi_y = self.index_of(y)
+        # x may come first when some link of x is at or before some link
+        # of y; each pair has lo <= hi, so one direction always is allowed.
+        if lo_x > hi_y:
+            relation = GE_ONLY
+        else:
+            relation = LE_ONLY if lo_y > hi_x else BOTH
+        last = (x, y, lo_x, hi_x, lo_y, hi_y, relation)
         self._last_pair[0] = last
         return last
 
@@ -209,19 +185,19 @@ class PullbackSequence:
             raise ValueError("points do not live on this sequence's system")
         if x == y:
             verdict, settled = ComparisonVerdict.stabilized(EQ, 1, depth), 1
-        elif not sign_certifiable(x, y):
-            return ComparisonVerdict.unknown(depth)
         else:
-            verdict, settled = self._certify(x, y, ultrafilter, depth)
+            cert = sign_certificate(x, y)
+            if cert is None:
+                return ComparisonVerdict.unknown(depth)
+            verdict, settled = self._certify(x, y, cert, ultrafilter, depth)
         if verdict.kind == STABILIZED:
             t = verdict.threshold
             _spot_check(self, x, y, verdict, (t - 1, t, t + 1, t + 3, settled))
         return verdict
 
-    def _certify(self, x, y, ultrafilter, depth) -> tuple[ComparisonVerdict, int]:
-        """The verdict, and one period past the level from which the
-        chain relations repeat."""
-        cert = sign_certificate(x, y)
+    def _certify(self, x, y, cert, ultrafilter, depth) -> tuple[ComparisonVerdict, int]:
+        """The verdict from the pair's sign certificate, and one period
+        past the level from which the chain relations repeat."""
         if set(cert.cycle) == {"EQ"}:
             # Equal tails leave no gap to dominate the mesh.
             verdict = sign_verdict((), cert.cycle, depth, ultrafilter, cert.as_dict(), first=1)
@@ -318,7 +294,7 @@ def never_between_after(seq, x, y, z, threshold_mesh: Fraction, depth: int) -> N
     """Check that z never sits between x and y once the mesh is fine enough.
 
     Levels whose mesh bound is below the threshold are examined; at each,
-    betweenness means the index ranges allow x <= z <= y or y <= z <= x.
+    betweenness means the link pairs allow x <= z <= y or y <= z <= x.
     """
     if z == x or z == y:
         raise ValueError("z must differ from both endpoints")
@@ -330,10 +306,9 @@ def never_between_after(seq, x, y, z, threshold_mesh: Fraction, depth: int) -> N
         checked.append(n)
         _, _, lo_x, hi_x, lo_z, hi_z, xz = lvl._pair(x, z)
         _, _, _, _, lo_y, hi_y, zy = lvl._pair(z, y)
-        between = (relation_allows_le(xz) and relation_allows_le(zy)) or (
-            relation_allows_ge(xz) and relation_allows_ge(zy)
-        )
-        if between:
+        # x <= z <= y is allowed unless either relation is GE_ONLY, and
+        # y <= z <= x unless either is LE_ONLY.
+        if GE_ONLY not in (xz, zy) or LE_ONLY not in (xz, zy):
             return NeverBetweenReport(
                 False,
                 tuple(checked),

@@ -74,7 +74,7 @@ def _family(space: str, variant: str | None, bits: str | None):
     if space == "s3":
         if not bits:
             raise UsageError("space s3 needs --bits, e.g. --bits 011")
-        return s3_family(parse_word(bits))
+        return s3_family(bits)
     if bits:
         raise UsageError("--bits only applies to space s3")
     if space == "arc":

@@ -1,9 +1,9 @@
 """Shared exact primitives.
 
 Everything in this module is small, pure, and hashable: exact rationals,
-the narrow index ranges produced by chain covers, eventually periodic
-subsets of the naturals, and the verdict record that order comparisons
-return.  No floating point anywhere; geometry stays in ``Fraction``.
+eventually periodic subsets of the naturals, and the verdict record that
+order comparisons return.  No floating point anywhere; geometry stays in
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import and_, gt, not_, or_
-from typing import Callable, Iterable
-
-Rational = Fraction
+from typing import Callable
 
 
 # A decimal string's exact value has about as many digits as the string
@@ -55,28 +53,6 @@ def rational_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-@dataclass(frozen=True)
-class IndexRange:
-    """The 1-based link indices containing a point of a chain cover.
-
-    Adjacent links overlap, so a point lies in one link or in two
-    consecutive ones; any wider range means the cover is broken.
-    """
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.lo <= self.hi <= self.lo + 1:
-            raise ValueError(f"not one or two consecutive links: [{self.lo}, {self.hi}]")
-
-    def __contains__(self, index: int) -> bool:
-        return self.lo <= index <= self.hi
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(range(self.lo, self.hi + 1))
 
 
 def _minimal_period(pattern: tuple[bool, ...]) -> tuple[bool, ...]:
@@ -154,14 +130,6 @@ class EventuallyPeriodicSet:
     @classmethod
     def odds(cls) -> EventuallyPeriodicSet:
         return cls((), (False, True))
-
-    @classmethod
-    def finite(cls, elements: Iterable[int]) -> EventuallyPeriodicSet:
-        members = set(elements)
-        if any(n < 0 for n in members):
-            raise ValueError("members must be naturals")
-        size = max(members) + 1 if members else 0
-        return cls(tuple(n in members for n in range(size)), (False,))
 
     @classmethod
     def cofinite_from(cls, start: int) -> EventuallyPeriodicSet:

@@ -81,11 +81,19 @@ def _branch_letters(letters) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class WordTail:
+    """A finite branch word: as a ``(prefix, cycle)`` view, the letters
+    with an empty cycle, so coordinates end where the word does."""
+
     letters: tuple[int, ...]
     kind: str = field(default="word", init=False)
+    cycle = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", _branch_letters(self.letters))
+
+    @property
+    def prefix(self) -> tuple[int, ...]:
+        return self.letters
 
     def as_dict(self) -> dict:
         return {"kind": "word", "letters": list(self.letters)}
@@ -148,24 +156,23 @@ class ThreadPoint:
     @property
     def max_level(self) -> int | None:
         """Deepest computable coordinate, or None when unbounded."""
-        if isinstance(self.tail, WordTail):
-            return len(self.stem) - 1 + len(self.tail.letters)
-        return None
+        if self.tail.cycle:
+            return None
+        return len(self.stem) - 1 + len(self.tail.prefix)
 
     def letter_for_step(self, j: int) -> int:
         """The branch letter producing coordinate j from coordinate j-1."""
         offset = j - len(self.stem)
         if offset < 0:
             raise ValueError("step lies inside the stem")
-        if isinstance(self.tail, WordTail):
-            if offset >= len(self.tail.letters):
-                raise DepthExceededError(
-                    f"coordinate {j} exceeds the branch word (max level {self.max_level})"
-                )
-            return self.tail.letters[offset]
-        if offset < len(self.tail.prefix):
-            return self.tail.prefix[offset]
-        return self.tail.cycle[(offset - len(self.tail.prefix)) % len(self.tail.cycle)]
+        prefix, cycle = self.tail.prefix, self.tail.cycle
+        if offset < len(prefix):
+            return prefix[offset]
+        if not cycle:
+            raise DepthExceededError(
+                f"coordinate {j} exceeds the branch word (max level {self.max_level})"
+            )
+        return cycle[(offset - len(prefix)) % len(cycle)]
 
     def coordinate(self, n: int) -> Fraction:
         return Fraction(*self.coordinate_pair(n))
@@ -193,20 +200,6 @@ class ThreadPoint:
                 )
             coords.append(preimages[letter])
         return coords[n]
-
-    def has_periodic_certificate(self) -> bool:
-        return isinstance(self.tail, PeriodicTail)
-
-    def certificate_start(self) -> int:
-        """First level from which the branch letters are purely cyclic."""
-        if isinstance(self.tail, PeriodicTail):
-            return len(self.stem) + len(self.tail.prefix)
-        raise ValueError("finite branch words carry no periodic certificate")
-
-    def letter_cycle(self) -> tuple[int, ...]:
-        if isinstance(self.tail, PeriodicTail):
-            return self.tail.cycle
-        raise ValueError("finite branch words carry no periodic certificate")
 
     def as_dict(self) -> dict:
         return {
@@ -270,44 +263,35 @@ class SignCertificate:
         }
 
 
-def sign_certifiable(x: ThreadPoint, y: ThreadPoint) -> bool:
-    """Whether the sign machine can certify the pair: a constant full-lap
-    system and periodic tails on both points.  Every other pair compares
-    as Unknown, whichever route asks."""
-    return (
-        x.system.constant
-        and x.has_periodic_certificate()
-        and y.has_periodic_certificate()
-        and x.system.bonding(0).is_full_lap()
-    )
-
-
-def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate:
+def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate | None:
     """Certify the full coordinatewise sign pattern of (x, y).
 
-    Requires a shared constant full-lap system and periodic-capable tails.
-    Exact coordinates drive the preperiod; after both letter streams are
-    cyclic, transitions no longer depend on the exact values, so a state
-    recurrence pins the pattern forever.
+    The sign machine needs a shared constant full-lap system and letter
+    cycles on both tails; for any other pair it returns None, and the
+    pair compares as Unknown, whichever route asks.  Exact coordinates
+    drive the preperiod; after both letter streams are cyclic, transitions
+    no longer depend on the exact values, so a state recurrence pins the
+    pattern forever.
     """
     if x.system != y.system:
         raise ValueError("points live on different systems")
-    if not x.system.constant:
-        raise ValueError("sign machine needs a constant system")
-    if not (x.has_periodic_certificate() and y.has_periodic_certificate()):
-        raise ValueError("both points need periodic branch representations")
+    cyc_x, cyc_y = x.tail.cycle, y.tail.cycle
+    if not (x.system.constant and cyc_x and cyc_y and x.system.bonding(0).is_full_lap()):
+        return None
     geo = x.system.bonding(0).lap_geometry()
 
-    start = max(x.certificate_start(), y.certificate_start())
-    cyc_x, cyc_y = x.letter_cycle(), y.letter_cycle()
+    # The first levels from which each point's letters are purely cyclic.
+    start_x = len(x.stem) + len(x.tail.prefix)
+    start_y = len(y.stem) + len(y.tail.prefix)
+    start = max(start_x, start_y)
     history = [compare_level(x, y, n) for n in range(start + 1)]
 
     band_x = band_of(*x.coordinate_pair(start))
     band_y = band_of(*y.coordinate_pair(start))
     rel = history[start]
     # Positions of the letters that will produce coordinate start+1.
-    pos_x = (start + 1 - x.certificate_start()) % len(cyc_x)
-    pos_y = (start + 1 - y.certificate_start()) % len(cyc_y)
+    pos_x = (start + 1 - start_x) % len(cyc_x)
+    pos_y = (start + 1 - start_y) % len(cyc_y)
 
     seen: dict[tuple, int] = {}
     state = (pos_x, pos_y, band_x, band_y, rel)
@@ -442,10 +426,9 @@ def inverse_limit_orders(
     if x == y:
         return [ComparisonVerdict.stabilized(EQ, 0, depth) for _ in ultrafilters]
 
-    if not sign_certifiable(x, y):
-        return [ComparisonVerdict.unknown(depth) for _ in ultrafilters]
-
     cert = sign_certificate(x, y)
+    if cert is None:
+        return [ComparisonVerdict.unknown(depth) for _ in ultrafilters]
     if set(cert.cycle) == {EQL} and set(cert.history) != {EQL}:
         raise AssertionError("equal tails must be equal at every level")
     history, certificate = cert.history[: cert.cycle_start], cert.as_dict()

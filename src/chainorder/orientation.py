@@ -84,13 +84,6 @@ def composition_parity(composition: Sequence[int]) -> str:
     return ODD if len(composition) % 2 else EVEN
 
 
-def _prefix_flip(i: int, prefix: Word) -> Word:
-    # Flips at indices >= len(prefix) fix the cylinder setwise.
-    if i >= len(prefix):
-        return prefix
-    return prefix[:i] + tuple(1 - b for b in prefix[i:])
-
-
 def decompose_on_cylinder(n: int, s: Sequence[int]) -> Word:
     """Odd-length flip composition agreeing with ``flip(n, .)`` on B_s.
 
@@ -109,7 +102,7 @@ def decompose_on_cylinder(n: int, s: Sequence[int]) -> Word:
     for i in range(n):
         if cur[i] != target[i]:
             mover.append(i)
-            cur = _prefix_flip(i, cur)
+            cur = flip(i, cur)
     assert in_A_n(n, cur), "mover failed to land in A_n"
     return tuple(mover) + (n,) + tuple(reversed(mover))
 

@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
 
-from .foundations import Rational
-
 
 class PreimageError(ValueError):
     """Raised when a level set contains a whole segment (flat at the value)."""

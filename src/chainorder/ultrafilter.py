@@ -41,8 +41,11 @@ class SimulatedUltrafilter:
     residues: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        moduli = tuple(int(m) for m in self.moduli)
-        residues = tuple(int(r) for r in self.residues)
+        moduli, residues = tuple(self.moduli), tuple(self.residues)
+        # Exact ints only (bools included), so 2.7 is never truncated to 2.
+        if not all(isinstance(v, int) for v in moduli + residues):
+            raise ValueError("moduli and residues must be integers")
+        moduli, residues = tuple(map(int, moduli)), tuple(map(int, residues))
         if not moduli or len(moduli) != len(residues):
             raise ValueError("need one residue per modulus, at least one modulus")
         if any(m < 1 for m in moduli):

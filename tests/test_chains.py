@@ -25,7 +25,6 @@ from chainorder.chains import (
     chain_order_compare,
     chain_trace,
     equal_or_opposite,
-    level_preorder,
     never_between_after,
     reverse_bounds,
 )
@@ -37,7 +36,6 @@ from chainorder.foundations import (
     ULTRAFILTER_DEPENDENT,
     UNKNOWN,
     EventuallyPeriodicSet,
-    IndexRange,
 )
 from chainorder.inverse_limit import (
     InverseSystem,
@@ -45,6 +43,7 @@ from chainorder.inverse_limit import (
     ThreadPoint,
     epsilon_map_modulus,
     inverse_limit_order,
+    sign_certificate,
     tent_system,
     thread_from_letters,
 )
@@ -69,10 +68,23 @@ def contains(chain: IntervalChain, i: int, t) -> bool:
     return lo < Fraction(t) < hi
 
 
-def chain_index(chain: IntervalChain, t) -> IndexRange:
-    """The links holding t, placed by ``bounds`` and held to IndexRange."""
-    t = Fraction(t)
-    return IndexRange(*chain.bounds(t.numerator, t.denominator))
+def chain_index(chain: IntervalChain, t) -> tuple[int, int]:
+    """The links holding t as (lo, hi), placed by ``bounds`` and read
+    through a level's ``index_of``, which holds the pair to the contract."""
+    level = ChainLevel(1, chain.k, chain.mesh, lambda s: chain.bounds(s.numerator, s.denominator))
+    return level.index_of(Fraction(t))
+
+
+def links(pair: tuple[int, int]) -> set[int]:
+    lo, hi = pair
+    return set(range(lo, hi + 1))
+
+
+def pair_relation(pair_x: tuple[int, int], pair_y: tuple[int, int]) -> str:
+    """The relation a level computes for two points it places at these pairs."""
+    placed = {"x": pair_x, "y": pair_y}
+    level = ChainLevel(1, max(pair_x[1], pair_y[1]), Fraction(1), placed.__getitem__)
+    return level.relation("x", "y")
 
 
 class TestCanonicalChain:
@@ -85,12 +97,12 @@ class TestCanonicalChain:
 
     def test_midpoint_lands_in_two_links(self):
         chain = IntervalChain(4)
-        assert chain_index(chain, Fraction(1, 2)) == IndexRange(2, 3)
+        assert chain_index(chain, Fraction(1, 2)) == (2, 3)
 
     def test_endpoints_land_in_one_link(self):
         chain = IntervalChain(4)
-        assert chain_index(chain, 0) == IndexRange(1, 1)
-        assert chain_index(chain, 1) == IndexRange(4, 4)
+        assert chain_index(chain, 0) == (1, 1)
+        assert chain_index(chain, 1) == (4, 4)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -123,7 +135,7 @@ class TestCanonicalChain:
         for num in range(8 * k + 1):
             t = Fraction(num, 8 * k)
             direct = {i for i in range(1, k + 1) if contains(chain, i, t)}
-            assert direct == set(chain_index(chain, t).indices())
+            assert direct == links(chain_index(chain, t))
 
     @given(
         k=st.integers(min_value=1, max_value=40),
@@ -134,10 +146,10 @@ class TestCanonicalChain:
         t = Fraction(min(num, den), den)
         chain = IntervalChain(k)
         direct = {i for i in range(1, k + 1) if contains(chain, i, t)}
-        assert direct == set(chain_index(chain, t).indices())
+        assert direct == links(chain_index(chain, t))
 
 
-def fraction_index_of(chain: IntervalChain, t) -> IndexRange:
+def fraction_index_of(chain: IntervalChain, t) -> tuple[int, int]:
     """The Fraction formula the integer bounds replaced, as its oracle."""
     t = Fraction(t)
     if not 0 <= t <= 1:
@@ -146,7 +158,7 @@ def fraction_index_of(chain: IntervalChain, t) -> IndexRange:
     b = (4 * chain.k * t + 5) / 4
     lo = a.numerator // a.denominator + 1
     hi = -((-b.numerator) // b.denominator) - 1
-    return IndexRange(max(lo, 1), min(hi, chain.k))
+    return max(lo, 1), min(hi, chain.k)
 
 
 def outcome(fn, *args):
@@ -182,12 +194,12 @@ class TestIntegerIndexAgainstFractions:
 
 class TestLevelPreorder:
     def test_disjoint_ranges_are_strict(self):
-        assert level_preorder(IndexRange(1, 2), IndexRange(3, 3)) == LE_ONLY
-        assert level_preorder(IndexRange(5, 5), IndexRange(2, 3)) == GE_ONLY
+        assert pair_relation((1, 2), (3, 3)) == LE_ONLY
+        assert pair_relation((5, 5), (2, 3)) == GE_ONLY
 
     def test_overlap_allows_both(self):
-        assert level_preorder(IndexRange(2, 3), IndexRange(3, 4)) == BOTH
-        assert level_preorder(IndexRange(4, 4), IndexRange(4, 4)) == BOTH
+        assert pair_relation((2, 3), (3, 4)) == BOTH
+        assert pair_relation((4, 4), (4, 4)) == BOTH
 
     def test_reverse_bounds_frozen_example(self):
         assert reverse_bounds(10, 2, 2) == (9, 9)
@@ -209,11 +221,8 @@ class TestLevelPreorder:
         grid = [Fraction(n, 24) for n in range(25)]
         for t, s in itertools.product(grid, repeat=2):
             rx, ry = chain_index(chain, t), chain_index(chain, s)
-            rel = level_preorder(rx, ry)
-            reversed_rel = level_preorder(
-                IndexRange(*reverse_bounds(6, rx.lo, rx.hi)),
-                IndexRange(*reverse_bounds(6, ry.lo, ry.hi)),
-            )
+            rel = pair_relation(rx, ry)
+            reversed_rel = pair_relation(reverse_bounds(6, *rx), reverse_bounds(6, *ry))
             assert reversed_rel == flip[rel]
 
     def test_level_places_a_pair_once(self):
@@ -236,23 +245,22 @@ class TestLevelPreorder:
 
 
 class TestLinkPairs:
-    """Levels place points as plain (lo, hi) pairs and hold them to
-    IndexRange's contract wherever they read them."""
+    """Levels place points as plain (lo, hi) pairs, and every relation
+    and trace reads them through ``index_of``, which holds them to the
+    chain contract: one link or two consecutive ones."""
 
     def test_level_preorder_follows_its_definition(self):
         # x may come before y when some link of x is at or before some link of y.
-        ranges = [IndexRange(lo, hi) for lo in range(1, 6) for hi in (lo, lo + 1)]
-        for rx, ry in itertools.product(ranges, repeat=2):
-            le = any(i <= j for i in rx.indices() for j in ry.indices())
-            ge = any(j <= i for i in rx.indices() for j in ry.indices())
+        pairs = [(lo, hi) for lo in range(1, 6) for hi in (lo, lo + 1)]
+        for rx, ry in itertools.product(pairs, repeat=2):
+            le = any(i <= j for i in links(rx) for j in links(ry))
+            ge = any(j <= i for i in links(rx) for j in links(ry))
             assert le or ge
-            assert level_preorder(rx, ry) == (BOTH if le and ge else LE_ONLY if le else GE_ONLY)
+            assert pair_relation(rx, ry) == (BOTH if le and ge else LE_ONLY if le else GE_ONLY)
 
-    @pytest.mark.parametrize("bad", [(3, 5), (0, 1), (2, 1)])
+    @pytest.mark.parametrize("bad", [(3, 5), (0, 1), (2, 1), (2, 4)])
     def test_broken_pairs_raise_the_index_range_error(self, bad):
-        with pytest.raises(ValueError) as contract:
-            IndexRange(*bad)
-        message = str(contract.value)
+        message = f"not one or two consecutive links: [{bad[0]}, {bad[1]}]"
         good, broken = Fraction(1, 2), Fraction(1, 3)
         level = ChainLevel(1, 8, Fraction(1), lambda t: bad if t == broken else (2, 3))
 
@@ -269,10 +277,12 @@ class TestLinkPairs:
             lambda: never_between_after(OneLevel(), good, Fraction(1, 4), broken, 2, 1),
             lambda: never_between_after(OneLevel(), broken, good, Fraction(1, 4), 2, 1),
         ]
-        for call in calls:
+        # Twice over: a refused pair is never kept as the level's last pair.
+        for call in calls * 2:
             with pytest.raises(ValueError) as raised:
                 call()
             assert str(raised.value) == message
+        assert level.index_of(good) == (2, 3) and type(level.index_of(good)) is tuple
 
 
 class TestPullbackChain:
@@ -310,7 +320,7 @@ class TestPullbackChain:
         level = seq.level(1)
         assert level.index_fn(half) == (1, 2)
         assert level.index_of(half) == chain_index(IntervalChain(level.size), half.coordinate(1))
-        assert seq.level(1).index_of(zero_thread(tent_system())) == IndexRange(1, 1)
+        assert seq.level(1).index_of(zero_thread(tent_system())) == (1, 1)
 
 
 def alternating_pair():
@@ -506,6 +516,12 @@ HALF_LAP = PLMap(
     (Fraction(0), Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(1), Fraction(1, 2))
 )
 
+# Flat at 1/2 on [1/4, 3/4]: no full laps, and that level set is a segment.
+PLATEAU = PLMap(
+    (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)),
+    (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1)),
+)
+
 
 def zigzag_preimages(v: Fraction) -> tuple[Fraction, ...]:
     """The zigzag's branches v/3, (2-v)/3 and (2+v)/3, merged and sorted."""
@@ -647,7 +663,7 @@ class TestNonTentSystem:
             chain_signs = ["GT"]
             for n in range(1, self.WINDOW):
                 chain = IntervalChain(seq.level(n).size)
-                relation = level_preorder(chain_index(chain, cx[n]), chain_index(chain, cy[n]))
+                relation = pair_relation(chain_index(chain, cx[n]), chain_index(chain, cy[n]))
                 chain_signs.append({LE_ONLY: "LT", GE_ONLY: "GT", BOTH: "EQ"}[relation])
             u = rng.choice(towers)
             for verdict, route_signs, first in (
@@ -701,18 +717,35 @@ class TestNonTentSystem:
             check_coordinates(lambda: thread_from_letters(mixed, x0, word), expected)
 
     @pytest.mark.parametrize(
-        "system",
+        "system,x_letters,y_letters",
         [
-            InverseSystem("tent-zigzag", False, lambda n: ZIGZAG if n % 2 else tent()),
-            InverseSystem("half-lap", True, lambda n: HALF_LAP),
+            pytest.param(
+                InverseSystem("tent-zigzag", False, lambda n: ZIGZAG if n % 2 else tent()),
+                ((), (0,)),
+                ((1,), (0,)),
+                id="non-constant",
+            ),
+            pytest.param(
+                InverseSystem("half-lap", True, lambda n: HALF_LAP),
+                ((), (0,)),
+                ((1,), (0,)),
+                id="not-full-lap",
+            ),
+            pytest.param(
+                InverseSystem("plateau", True, lambda n: PLATEAU),
+                ((), (0,)),
+                ((0,), (0,)),
+                id="plateau",
+            ),
+            pytest.param(tent_system(), ((0,) * 12,), ((0,), (0,)), id="word-tail"),
         ],
-        ids=["non-constant", "not-full-lap"],
     )
-    def test_uncertifiable_systems_are_unknown_on_both_routes(self, system):
-        """Where the sign machine cannot certify, both routes answer
-        Unknown rather than one of them raising."""
-        x = thread_from_letters(system, Fraction(1, 4), (), (0,))
-        y = thread_from_letters(system, Fraction(3, 4), (1,), (0,))
+    def test_uncertifiable_systems_are_unknown_on_both_routes(self, system, x_letters, y_letters):
+        """Where the sign machine cannot certify, it answers None, and both
+        routes answer Unknown rather than one of them raising."""
+        x = thread_from_letters(system, Fraction(1, 4), *x_letters)
+        y = thread_from_letters(system, Fraction(3, 4), *y_letters)
+        assert sign_certificate(x, y) is None and sign_certificate(y, x) is None
         for u in (None, u_mod2(0)):
             assert inverse_limit_order(x, y, u, 10).kind == UNKNOWN
             assert chain_order_compare(PullbackSequence(system), x, y, u, 10).kind == UNKNOWN

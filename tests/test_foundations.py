@@ -1,4 +1,4 @@
-"""Tests for exact primitives: index ranges, periodic sets, verdicts."""
+"""Tests for exact primitives: link index ranges, periodic sets, verdicts."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainorder import foundations
+from chainorder.chains import ChainLevel
 from chainorder.foundations import (
     EQ,
     GE,
@@ -22,7 +23,6 @@ from chainorder.foundations import (
     UNKNOWN,
     ComparisonVerdict,
     EventuallyPeriodicSet,
-    IndexRange,
     rational,
 )
 
@@ -74,17 +74,25 @@ def test_rational_leaves_malformed_exponents_to_fraction(text):
         rational(text)
 
 
+def placed_at(lo: int, hi: int) -> ChainLevel:
+    """A level that places every point at links lo..hi."""
+    return ChainLevel(1, 8, Fraction(1), lambda point: (lo, hi))
+
+
 class TestIndexRange:
+    """Link index ranges, which chain levels hand out from ``index_of``
+    as plain (lo, hi) pairs: one link or two consecutive ones."""
+
     def test_contains_and_indices(self):
-        r = IndexRange(5, 6)
-        assert 5 in r and 6 in r
-        assert 4 not in r and 7 not in r
-        assert r.indices() == (5, 6)
+        lo, hi = placed_at(5, 6).index_of("p")
+        assert lo <= 5 <= hi and lo <= 6 <= hi
+        assert not lo <= 4 <= hi and not lo <= 7 <= hi
+        assert tuple(range(lo, hi + 1)) == (5, 6)
 
     @pytest.mark.parametrize("lo,hi", [(0, 0), (0, 1), (2, 1), (1, 3)])
     def test_rejects_bad_ranges(self, lo, hi):
         with pytest.raises(ValueError):
-            IndexRange(lo, hi)
+            placed_at(lo, hi).index_of("p")
 
 
 class TestNormalization:
@@ -125,11 +133,11 @@ class TestMembership:
         T, F = True, False
         assert EventuallyPeriodicSet.evens().bits(7) == (T, F, T, F, T, F, T)
         assert EventuallyPeriodicSet.odds().bits(6) == (F, T, F, T, F, T)
-        assert EventuallyPeriodicSet.finite([4, 1]).bits(7) == (F, T, F, F, T, F, F)
+        assert EventuallyPeriodicSet((F, T, F, F, T), (F,)).bits(7) == (F, T, F, F, T, F, F)
         assert EventuallyPeriodicSet.cofinite_from(3).bits(6) == (F, F, F, T, T, T)
         assert EventuallyPeriodicSet.residue_class(2, 5).bits(8) == (F, F, T, F, F, F, F, T)
         assert EventuallyPeriodicSet.residue_class(7, 5) == EventuallyPeriodicSet.residue_class(2, 5)
-        assert EventuallyPeriodicSet.finite([]) == EventuallyPeriodicSet.empty()
+        assert EventuallyPeriodicSet((F, F, F), (F,)) == EventuallyPeriodicSet.empty()
         assert EventuallyPeriodicSet.cofinite_from(0) == EventuallyPeriodicSet.full()
 
     def test_negative_membership_rejected(self):

@@ -182,6 +182,33 @@ class TestCoordinates:
         with pytest.raises(DepthExceededError):
             p.coordinate(3)
 
+    def test_word_and_periodic_tails_share_one_view(self):
+        """A word tail reads as its letters with an empty cycle, so one
+        code path steps both kinds of tail and ends the word on time."""
+        word, periodic = WordTail((0, 1)), PeriodicTail((0, 1), (1,))
+        assert (word.prefix, word.cycle) == ((0, 1), ())
+        assert (periodic.prefix, periodic.cycle) == ((0, 1), (1,))
+        x, y = ThreadPoint(SYS, (F(1, 2),), word), ThreadPoint(SYS, (F(1, 2),), periodic)
+        assert (x.max_level, y.max_level) == (2, None)
+        assert [x.letter_for_step(j) for j in (1, 2)] == [y.letter_for_step(j) for j in (1, 2)]
+        assert [x.coordinate(n) for n in range(3)] == [y.coordinate(n) for n in range(3)]
+        assert y.letter_for_step(3) == 1
+        for call in (lambda: x.letter_for_step(3), lambda: x.coordinate(3)):
+            with pytest.raises(DepthExceededError) as err:
+                call()
+            assert str(err.value) == "coordinate 3 exceeds the branch word (max level 2)"
+        with pytest.raises(ValueError, match="^step lies inside the stem$"):
+            x.letter_for_step(0)
+        # The view is no field: equality, hashing and both renderings stay.
+        assert word == WordTail([0, 1]) and hash(word) == hash(WordTail((0, 1)))
+        assert repr(word) == "WordTail(letters=(0, 1), kind='word')"
+        assert word.as_dict() == {"kind": "word", "letters": [0, 1]}
+        assert x.as_dict() == {"stem": ["1/2"], "tail": {"kind": "word", "letters": [0, 1]}}
+        bad = thread_from_letters(SYS, 1, (1,))
+        with pytest.raises(ValueError) as err:
+            bad.coordinate(1)
+        assert str(err.value) == "letter 1 invalid at level 1: 1 has 1 preimages"
+
     def test_periodic_tail_unbounded(self):
         p = thread_from_letters(SYS, F(1, 2), cycle="L")
         assert p.max_level is None
@@ -296,8 +323,7 @@ class TestSignCertificate:
     def test_rejects_finite_word_tails(self):
         x = thread_from_letters(SYS, F(1, 2), "LR")
         y = zero_thread(SYS)
-        with pytest.raises(ValueError, match="periodic"):
-            sign_certificate(x, y)
+        assert sign_certificate(x, y) is None
 
 
 class TestInverseLimitOrder:

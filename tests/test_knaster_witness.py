@@ -41,7 +41,7 @@ U1 = SimulatedUltrafilter.parse("r2=1")
 
 class TestConstruction:
     def test_singleton_one(self):
-        pair = build_witness(EventuallyPeriodicSet.finite((1,)), 1)
+        pair = build_witness(EventuallyPeriodicSet((False, True), (False,)), 1)
         assert pair.x.coordinate(1) == F(3, 4)
         assert pair.y.coordinate(1) == F(1, 4)
 
@@ -75,7 +75,7 @@ class TestConstruction:
             assert (compare_level(pair.x, pair.y, i) == "GT") == (i % 2 == 0)
 
     def test_finite_set_not_mixed_beyond_its_span(self):
-        pair = build_witness(EventuallyPeriodicSet.finite((1,)), 12)
+        pair = build_witness(EventuallyPeriodicSet((False, True), (False,)), 12)
         assert pair.signs == (1,)
         assert pair.mixed_on_window
 
@@ -171,7 +171,7 @@ class TestOrders:
             demonstrate_distinct_orders(cofinite, 8, U0, U1)
 
     def test_finite_set_stabilizes_le(self):
-        pair = build_witness(EventuallyPeriodicSet.finite((1,)), 10)
+        pair = build_witness(EventuallyPeriodicSet((False, True), (False,)), 10)
         verdict = inverse_limit_order(pair.x, pair.y, U0, 10)
         assert verdict.kind == STABILIZED
         assert verdict.direction == LE

@@ -50,6 +50,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimulatedUltrafilter.parse("mod2=1")
 
+    @pytest.mark.parametrize(
+        "moduli, residues",
+        [
+            ((1, 2.7), (0, 1.9)),  # once truncated to the tower r2=1
+            ((1, 2.0), (0, 1)),
+            ((1, 2), (0, "1")),
+            ((1, 2), (0, None)),
+        ],
+    )
+    def test_non_integers_refused(self, moduli, residues):
+        with pytest.raises(ValueError) as err:
+            SimulatedUltrafilter(moduli, residues)
+        assert str(err.value) == "moduli and residues must be integers"
+
+    def test_int_and_bool_accepted(self):
+        u = SimulatedUltrafilter((True, 2), (False, True))
+        assert (u.moduli, u.residues) == ((1, 2), (0, 1))
+        assert all(type(v) is int for v in u.moduli + u.residues)
+        assert u == SimulatedUltrafilter.parse("r2=1")
+        # The tower constructors still build towers of ints.
+        assert SimulatedUltrafilter.binary_tower((True, 0)).residues == (0, 1, 1)
+        assert SimulatedUltrafilter.factorial_tower((1, 2)).residues == (0, 1, 5)
+
 
 class TestDecide:
     def test_evens_by_residue(self):
@@ -72,7 +95,8 @@ class TestDecide:
     def test_cofinite_and_finite(self):
         u = SimulatedUltrafilter.binary_tower((0, 1, 1))
         assert u.decides(EventuallyPeriodicSet.cofinite_from(40))
-        assert not u.decides(EventuallyPeriodicSet.finite((0, 7, 13)))
+        finite = EventuallyPeriodicSet(tuple(n in (0, 7, 13) for n in range(14)), (False,))
+        assert not u.decides(finite)
         assert u.decides(EventuallyPeriodicSet.full())
         assert not u.decides(EventuallyPeriodicSet.empty())
 
