@@ -6,9 +6,10 @@ schema version field) or as indented text; golden files pin both.
 Identical invocations produce byte-identical JSON; wall-clock readings
 only enter with --timing.  Set CHAINORDER_REPORT_DIR to also write the
 JSON bytes of each report into that directory.  ``orientation`` refuses
-inputs over a stated cost budget, ``compare``, ``orders-count`` and
-``knaster-witness`` depths over a level budget, and ``compare`` spiral
-points past a circuit limit.  Exit codes:
+inputs over a stated cost budget; ``compare``, ``orders-count`` and
+``knaster-witness`` take their default depth from one table, ``_DEPTHS``,
+and refuse depths, spiral circuits, moduli and cofinite starts over its
+limits.  Exit codes:
 0 when every assertion the experiment embeds holds, 1 when one fails, 2
 on usage or input errors.
 """
@@ -88,12 +89,40 @@ def _family(space: str, variant: str | None, bits: str | None):
     raise UsageError(f"unknown space: {space!r}")
 
 
-# Placing a spiral point traces every circuit down to its own, and circuit
-# p (v in (2^-p, 2^-(p-1)]) costs about twice circuit p - 1.  Measured in a
-# subprocess with --depth 1 to 8 (Python 3.11, one core of a 2-vCPU virtual
-# machine): circuit 9 takes 0.8 to 1.1 s, circuit 10 about 1.9 s and
-# circuit 11 over 4 s, so points past circuit 9 are refused.
-SPIRAL_CIRCUIT_LIMIT = 9
+# (command, space): (default depth, limit).  Each limit is the largest depth
+# whose slowest measured query answers within 2 s and 128 MB peak RSS in a
+# fresh process (Python 3.11 on a 2-vCPU virtual machine); compare and
+# orders-count keep every level up to their depth.  T's level n traces
+# spiral circuits 1..n and a point on circuit n traces the same, so T's
+# compare limit also bounds the circuit of a spiral point.  knaster-witness
+# builds its witness threads level by level on any level set, so its limit
+# also bounds the modulus of mod:m,r and the start of cofinite:k.
+_DEPTHS = {
+    ("compare", "arc"): (20, 4096),
+    ("compare", "s1"): (20, 4096),
+    ("compare", "s2"): (20, 4096),
+    ("compare", "s3"): (20, 48),
+    ("compare", "t"): (10, 10),
+    ("orders-count", "arc"): (20, 4096),
+    ("orders-count", "s1"): (20, 2048),
+    ("orders-count", "s2"): (20, 4096),
+    ("orders-count", "s3"): (6, 6),
+    ("orders-count", "t"): (6, 6),
+    ("knaster-witness", None): (16, 4096),
+}
+
+
+def _depth(command: str, space: str | None, value: int | None, what: str = "--depth") -> int:
+    """``value`` checked against its row of ``_DEPTHS``, or the row's default if None."""
+    default, limit = _DEPTHS[command, space]
+    if value is None:
+        return default
+    if value < 1:
+        raise UsageError(f"{command} {what} must be at least 1")
+    if value > limit:
+        where = f" on {space}" if space else ""
+        raise UsageError(f"{command} {what} {value} is over the limit of {limit}{where}")
+    return value
 
 
 def _parse_point(space: str, text: str):
@@ -107,14 +136,10 @@ def _parse_point(space: str, text: str):
         raise UsageError(f"point {text!r} must look like strand:param")
     catalog_spaces()[space].validate(point)
     if strand == "spiral":
+        # v in (2^-p, 2^-(p-1)] lies on circuit p.
         v = point.param
         circuit = (v.denominator // v.numerator).bit_length()
-        if circuit > SPIRAL_CIRCUIT_LIMIT:
-            raise UsageError(
-                f"point {text!r} lies on spiral circuit {circuit}, past the limit of "
-                f"circuit {SPIRAL_CIRCUIT_LIMIT} (spiral parameters above "
-                f"1/{2 ** SPIRAL_CIRCUIT_LIMIT})"
-            )
+        _depth("compare", space, circuit, f"point {text!r} on spiral circuit")
     return point
 
 
@@ -258,15 +283,18 @@ def _cmd_catalog_list(args) -> tuple[dict, bool]:
 
 
 def _cmd_compare(args) -> tuple[dict, bool]:
-    _within_levels("compare --depth", args.depth)
+    depth = _depth("compare", args.space, args.depth)
     if args.trace_depth < 0:
         raise UsageError("compare --trace-depth must be at least 0")
     family = _family(args.space, args.variant, args.bits)
+    if args.space == "s3" and args.depth is None:
+        # The default never asks for more levels than the prefix has bits.
+        depth = min(depth, len(family.bits))
     x = _parse_point(args.space, args.x)
     y = _parse_point(args.space, args.y)
     ultrafilter = SimulatedUltrafilter.parse(args.ultrafilter) if args.ultrafilter else None
-    verdict = chain_order_compare(family, x, y, ultrafilter, args.depth)
-    trace = chain_trace(family, x, y, min(args.depth, args.trace_depth))
+    verdict = chain_order_compare(family, x, y, ultrafilter, depth)
+    trace = chain_trace(family, x, y, min(depth, args.trace_depth))
     report = {
         "inputs": {
             "space": args.space,
@@ -274,7 +302,7 @@ def _cmd_compare(args) -> tuple[dict, bool]:
             "bits": args.bits,
             "x": x,
             "y": y,
-            "depth": args.depth,
+            "depth": depth,
             "ultrafilter": ultrafilter.label() if ultrafilter else None,
         },
         "verdict": verdict.as_dict(),
@@ -283,27 +311,14 @@ def _cmd_compare(args) -> tuple[dict, bool]:
     return report, verdict.kind != "unknown"
 
 
-# s3 compares all 2^depth prefixes, and each T level traces one more spiral
-# circuit at a cost that grows steeply, so orders-count answers these two
-# spaces up to depth 6, which is also their default.
-_ORDERS_DEPTH_LIMIT = {"s3": 6, "t": 6}
-
-
 def _cmd_orders_count(args) -> tuple[dict, bool]:
     """Count the distinct stabilized orders a space's chain variants induce.
 
     Reuses the acceptance experiments so the CLI and the test suite
     agree on what counts as one order.
     """
-    space, depth = args.space, args.depth
-    limit = _ORDERS_DEPTH_LIMIT.get(space)
-    if depth is None:
-        depth = limit or 20
-    if depth < 1:
-        raise UsageError("orders-count --depth must be at least 1")
-    _within_levels("orders-count --depth", depth)
-    if limit is not None and depth > limit:
-        raise UsageError(f"orders-count --depth {depth} is over the limit of {limit} on {space}")
+    space = args.space
+    depth = _depth("orders-count", space, args.depth)
     if space == "arc":
         rep = acceptance.arc_order_count(depth=depth)
         distinct, expected = rep["detail"]["distinct_orders"], 2
@@ -341,29 +356,17 @@ _NAMED_SETS = {
 }
 
 
-# knaster-witness builds exact witness threads level by level: depth 2,048
-# takes 0.34 s, 4,096 about 0.8 s and 8,192 about 3.5 s (Python 3.11, one
-# core of a 2-vCPU virtual machine); compare and orders-count keep every
-# level up to --depth.  Larger depths, moduli and cofinite starts are refused first.
-LEVEL_BUDGET = 4096
-
-
-def _within_levels(what: str, levels: int) -> None:
-    if levels > LEVEL_BUDGET:
-        raise UsageError(f"{what} {levels} is over the budget of {LEVEL_BUDGET} levels")
-
-
 def _parse_level_set(text: str) -> EventuallyPeriodicSet:
     if text in _NAMED_SETS:
         return _NAMED_SETS[text]()
     try:
         if text.startswith("mod:"):
             modulus, residue = (int(v) for v in text[4:].split(","))
-            _within_levels("modulus", modulus)
+            _depth("knaster-witness", None, modulus, "modulus")
             return EventuallyPeriodicSet.residue_class(residue, modulus)
         if text.startswith("cofinite:"):
             start = int(text[9:])
-            _within_levels("cofinite start", start)
+            _depth("knaster-witness", None, start, "cofinite start")
             return EventuallyPeriodicSet.cofinite_from(start)
     except ValueError as exc:
         raise UsageError(f"bad level set {text!r}: {exc}") from exc
@@ -371,13 +374,13 @@ def _parse_level_set(text: str) -> EventuallyPeriodicSet:
 
 
 def _cmd_knaster_witness(args) -> tuple[dict, bool]:
-    _within_levels("knaster-witness --depth", args.depth)
+    depth = _depth("knaster-witness", None, args.depth)
     level_set = _parse_level_set(args.set)
     u1 = SimulatedUltrafilter.parse(args.u1)
     u2 = SimulatedUltrafilter.parse(args.u2)
-    demo = demonstrate_distinct_orders(level_set, args.depth, u1, u2)
+    demo = demonstrate_distinct_orders(level_set, depth, u1, u2)
     report = {
-        "inputs": {"set": args.set, "depth": args.depth, "u1": u1.label(), "u2": u2.label()},
+        "inputs": {"set": args.set, "depth": depth, "u1": u1.label(), "u2": u2.label()},
         "witness": demo["witness"],
         "verdict_u1": demo["verdict_u1"],
         "verdict_u2": demo["verdict_u2"],
@@ -502,6 +505,15 @@ def _suite_lines(report: dict) -> list[str]:
 # -- argument parsing ----------------------------------------------------------
 
 
+def _depth_help(command: str) -> str:
+    rows = ", ".join(
+        f"{default}/{limit}" + (f" on {space}" if space else "")
+        for (name, space), (default, limit) in _DEPTHS.items()
+        if name == command
+    )
+    return f"levels, default/limit: {rows}"
+
+
 # Built once per process on the first ``main`` call: parsing leaves the
 # parser unchanged, so repeated in-process calls share it.
 @functools.lru_cache(maxsize=1)
@@ -533,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--bits", help="binary prefix for s3, e.g. 011")
     compare.add_argument("--x", required=True, help="strand:param, or a rational on arc")
     compare.add_argument("--y", required=True)
-    compare.add_argument("--depth", type=int, default=20)
+    compare.add_argument("--depth", type=int, help=_depth_help("compare"))
     compare.add_argument("--trace-depth", type=int, default=8)
     compare.add_argument("--ultrafilter", help="residue tower, e.g. r2=0")
 
@@ -541,13 +553,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "orders-count", help="count distinct stabilized orders", parents=[common]
     )
     orders.add_argument("--space", required=True, choices=sorted(_VARIANTS))
-    orders.add_argument("--depth", type=int, help="default 20, or 6 on s3 and t")
+    orders.add_argument("--depth", type=int, help=_depth_help("orders-count"))
 
     knaster = sub.add_parser(
         "knaster-witness", help="two-tower witness comparison", parents=[common]
     )
     knaster.add_argument("--set", required=True, help="even, odd, mod:m,r, or cofinite:k")
-    knaster.add_argument("--depth", type=int, default=16)
+    knaster.add_argument("--depth", type=int, help=_depth_help("knaster-witness"))
     knaster.add_argument("--u1", required=True, help="residue tower, e.g. r2=0")
     knaster.add_argument("--u2", required=True, help="residue tower, e.g. r2=1")
 

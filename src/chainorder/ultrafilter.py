@@ -67,7 +67,7 @@ class SimulatedUltrafilter:
         moduli = [1]
         residues = [0]
         for k, bit in enumerate(bits):
-            if bit not in (0, 1):
+            if not isinstance(bit, int) or bit not in (0, 1):
                 raise ValueError("binary tower digits must be 0 or 1")
             moduli.append(2 ** (k + 1))
             residues.append(residues[-1] + bit * 2**k)
@@ -80,7 +80,7 @@ class SimulatedUltrafilter:
         residues = [0]
         for k, digit in enumerate(digits):
             base = moduli[-1]
-            if not 0 <= digit < k + 2:
+            if not isinstance(digit, int) or not 0 <= digit < k + 2:
                 raise ValueError(f"factorial digit {k} must lie in [0, {k + 2})")
             moduli.append(base * (k + 2))
             residues.append(residues[-1] + digit * base)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import gc
 import hashlib
 import itertools
 import json
@@ -659,34 +658,6 @@ class TestSpiralFamilies:
         assert t_family("D").level(2).size == 423
         assert t_family("E").level(1).size == 112
         assert t_family("E").level(2).size == 332
-
-    def test_deep_circuits_are_traced_with_the_collector_paused(self, monkeypatch):
-        trace, enabled = catalog._trace_pass, []
-
-        def traced(p):
-            enabled.append(gc.isenabled())
-            return trace(p)
-
-        monkeypatch.setattr(catalog, "_trace_pass", traced)
-        _pass_data.cache_clear()
-        _pass_data(2)
-        assert enabled == [True, True]
-        # Circuits 2 and 1 (its predecessor's check) as if they were deep.
-        monkeypatch.setattr(catalog, "_DEEP_CIRCUIT", 1)
-        _pass_data.cache_clear()
-        _pass_data(2)
-        assert enabled[2:] == [False, False] and gc.isenabled()
-        with pytest.raises(ValueError, match="passes start at 1"):
-            _pass_data(0)
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            _pass_data.cache_clear()
-            _pass_data(2)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-        _pass_data.cache_clear()
 
     @pytest.mark.parametrize(
         "variant,diameters",

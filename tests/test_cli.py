@@ -1,24 +1,28 @@
 """End-to-end runs of the command-line entry point, in process, and one
 in a subprocess whose stdout is closed."""
 
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from collections import OrderedDict
+from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainorder
+from chainorder import catalog
 from chainorder.cli import (
-    LEVEL_BUDGET,
+    _DEPTHS,
+    _VARIANTS,
     ORIENTATION_BUDGET_LOG2,
-    SPIRAL_CIRCUIT_LIMIT,
     _decompose_log2_steps,
     _reach_log2_steps,
     _render,
@@ -155,23 +159,28 @@ class TestCompare:
         assert report["inputs"]["x"] == value
 
     def test_spiral_points_up_to_the_circuit_limit(self, capsys):
-        # 3/1024 lies on circuit 9, the deepest accepted; 3/128 (circuit 6)
-        # is the deepest point the benchmark workloads ask about.
-        for v in ("3/1024", f"1/{2 ** (SPIRAL_CIRCUIT_LIMIT - 1)}", "3/128"):
+        # T's compare limit bounds the circuit: 1/512 and 3/2048 lie on
+        # circuit 10, the deepest accepted; 3/128 (circuit 6) is the deepest
+        # point the benchmark workloads ask about.
+        limit = _DEPTHS["compare", "t"][1]
+        for v in (f"1/{2 ** (limit - 1)}", "3/2048", "3/128"):
             code, out, err = run(
                 capsys, "compare", "--space", "t", "--variant", "D",
                 "--x", f"spiral:{v}", "--y", "bar:0", "--depth", "2",
             )
             assert code in (0, 1) and err == ""
 
-    @pytest.mark.parametrize("v,circuit", [("1/512", 10), ("1/1024", 11), ("1/1048576", 21)])
+    @pytest.mark.parametrize("v,circuit", [("1/1024", 11), ("1/1048576", 21)])
     def test_spiral_points_past_the_circuit_limit_are_refused(self, capsys, v, circuit):
         code, out, err = run(
             capsys, "compare", "--space", "t", "--variant", "D",
             "--x", f"spiral:{v}", "--y", "bar:0", "--depth", "4",
         )
         assert code == 2 and out == ""
-        assert f"circuit {circuit}, past the limit of circuit {SPIRAL_CIRCUIT_LIMIT}" in err
+        assert err == (
+            f"error: compare point 'spiral:{v}' on spiral circuit {circuit} "
+            f"is over the limit of {_DEPTHS['compare', 't'][1]} on t\n"
+        )
 
     def test_bad_point_syntax(self, capsys):
         code, out, err = run(capsys, "compare", "--space", "s1", "--x", "1/2", "--y", "bar:0")
@@ -308,29 +317,232 @@ class TestKnasterWitness:
         code, out, err = run(capsys, "knaster-witness", *argv, "--u1", "r2=0", "--u2", "r2=1")
         assert code == 2
         assert out == ""
-        assert message in err
-        assert f"budget of {LEVEL_BUDGET} levels" in err
+        assert f"knaster-witness {message} the limit of 4096\n" in err
+
+
+# S3 queries share these prefixes, so a query at S3's limit after the first
+# reuses the memoized family.  The long one has room past the limit.
+S3_POOL = ("011", "0110100110010110" * 4)
+
+# One query per row of the depth table, for each row's default and limit.
+ROW_ARGV = {
+    ("compare", "arc"): ["--x", "1/4", "--y", "3/4"],
+    ("compare", "s1"): ["--x", "bar:1/2", "--y", "bar:-1/2"],
+    ("compare", "s2"): ["--x", "ell:1", "--y", "wave:4"],
+    ("compare", "s3"): ["--bits", S3_POOL[1], "--x", "tooth_1:1/2", "--y", "gap_2:1/3"],
+    ("compare", "t"): ["--x", "spiral:1", "--y", "bar:0"],
+    ("orders-count", "arc"): [],
+    ("orders-count", "s1"): [],
+    ("orders-count", "s2"): [],
+    ("orders-count", "s3"): [],
+    ("orders-count", "t"): [],
+    ("knaster-witness", None): ["--set", "even", "--u1", "r2=0", "--u2", "r2=1"],
+}
+
+
+def row_argv(command, space, depth=None):
+    argv = [command] + (["--space", space] if space else []) + ROW_ARGV[command, space]
+    return argv if depth is None else argv + ["--depth", str(depth)]
 
 
 class TestDepthBudget:
-    # Refused before any level is built; the default --depth 20 is far
-    # below the budget.
+    def test_every_row_has_a_query(self):
+        assert ROW_ARGV.keys() == _DEPTHS.keys()
+        assert all(1 <= default <= limit for default, limit in _DEPTHS.values())
+
+    # Refused before any level is built.
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["compare", "--space", "s1", "--x", "bar:1/2", "--y", "bar:-1/2"],
-            ["compare", "--space", "t", "--x", "spiral:1", "--y", "bar:0"],
-            ["orders-count", "--space", "arc"],
-            ["orders-count", "--space", "s3"],
-        ],
+        "row",
+        [("compare", "s1"), ("compare", "t"), ("orders-count", "arc"), ("orders-count", "s3")],
         ids=["compare-s1", "compare-t", "orders-arc", "orders-s3"],
     )
-    @pytest.mark.parametrize("depth", [LEVEL_BUDGET + 1, 10**12])
-    def test_over_budget_is_refused(self, capsys, argv, depth):
-        code, out, err = run(capsys, *argv, "--depth", str(depth))
+    @pytest.mark.parametrize("depth", [4097, 10**12])
+    def test_over_budget_is_refused(self, capsys, row, depth):
+        code, out, err = run(capsys, *row_argv(*row, depth))
         assert code == 2
         assert out == ""
-        assert f"{argv[0]} --depth {depth} is over the budget of {LEVEL_BUDGET} levels" in err
+        limit = _DEPTHS[row][1]
+        assert err == f"error: {row[0]} --depth {depth} is over the limit of {limit} on {row[1]}\n"
+
+    @pytest.mark.parametrize("row", list(_DEPTHS), ids=lambda row: "-".join(filter(None, row)))
+    def test_one_past_each_limit_is_refused(self, capsys, row):
+        limit = _DEPTHS[row][1]
+        code, out, err = run(capsys, *row_argv(*row, limit + 1))
+        assert (code, out) == (2, "")
+        where = f" on {row[1]}" if row[1] else ""
+        assert err == f"error: {row[0]} --depth {limit + 1} is over the limit of {limit}{where}\n"
+
+    # orders-count's rows: TestOrdersCount.test_depth_below_one_is_refused.
+    @pytest.mark.parametrize(
+        "row",
+        [row for row in _DEPTHS if row[0] != "orders-count"],
+        ids=lambda row: "-".join(filter(None, row)),
+    )
+    def test_depth_below_one_is_refused(self, capsys, row):
+        code, out, err = run(capsys, *row_argv(*row, 0))
+        assert (code, out) == (2, "")
+        assert err == f"error: {row[0]} --depth must be at least 1\n"
+
+    def test_t_answers_at_its_default(self, capsys):
+        code, report = run_json(capsys, *row_argv("compare", "t"))
+        assert code == 0
+        assert report["inputs"]["depth"] == _DEPTHS["compare", "t"][0] == 10
+        assert report["verdict"]["kind"] == "stabilized"
+
+    def test_s3_default_stops_at_the_prefix(self, capsys):
+        argv = ["compare", "--space", "s3", "--bits", "011", "--x", "tooth_1:0", "--y", "tooth_1:1"]
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert report["inputs"]["depth"] == 3
+        # An explicit depth past the prefix is the caller's, and refused.
+        code, out, err = run(capsys, *argv, "--depth", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: prefix too short: level 4 needs 4 bits, got 3\n"
+
+
+class OverBudget(Exception):
+    """A call ran past its budget.  Not a ValueError: ``main`` maps those to exit 2."""
+
+
+# Twice the stated cost of 2 s per query in a fresh process, to absorb
+# slower test machines; a query that never returns is caught all the same.
+CALL_BUDGET_S = 4.0
+
+# Mostly inputs a caller means, and odd ones: rationals such as 1/0 and 0.5,
+# 20-digit integers, unknown strands and spiral points on each side of the
+# circuit limit.
+POINTS = {
+    "arc": ["1/4", "3/4", "0", "0.5", "1/0", "12345678901234567890"],
+    "s1": ["bar:1/2", "bar:-1/2", "wave:4", "bar:0.5", "wave:1/0", "wave:12345678901234567890"],
+    "s2": ["ell:1", "ell:3", "wave:4", "bar:0", "ell:1/0", "ell:-12345678901234567890"],
+    "s3": ["tooth_1:0", "tooth_1:1", "tooth_2:1/2", "gap_2:1/3", "origin:0", "tooth_99:0"],
+    "t": ["spiral:1", "bar:0", "spiral:3/4", "wave:4", "spiral:1/512", "spiral:1/1024", "bar:1/0"],
+}
+TOWERS = ["r2=0", "r2=1", "r3=1", "r3=2", "r2=0,r4=2", "r4=5", "r2=x"]
+LEVEL_SETS = ["even", "odd", "mod:3,1", "cofinite:5", "mod:4097,1", "mod:0,0", "cofinite:4097",
+              f"cofinite:{10**20}", "primes", "mod:1/0,1"]
+WORDS = ["0", "11", "0101", "", "2", "1" * 20]
+
+
+def one_of(*choices):
+    return st.sampled_from(choices)
+
+
+def depth_flag(row):
+    """No --depth, or one of the depths around the row's default and limit."""
+    default, limit = _DEPTHS[row]
+    return one_of(None, 0, 1, default, limit, limit + 1, 10**12).map(
+        lambda depth: [] if depth is None else ["--depth", str(depth)]
+    )
+
+
+@st.composite
+def compare_argv(draw):
+    space = draw(one_of(*POINTS))
+    argv = ["compare", "--space", space]
+    if space == "s3":
+        argv += draw(one_of(*(["--bits", bits] for bits in S3_POOL), []))
+    else:
+        variants = _VARIANTS[space] + ("bogus",)
+        argv += draw(one_of([], *(["--variant", variant] for variant in variants)))
+    argv += ["--x", draw(one_of(*POINTS[space])), "--y", draw(one_of(*POINTS[space]))]
+    # A repeated [] weights the draw toward leaving the flag out.
+    argv += draw(one_of([], [], *(["--ultrafilter", tower] for tower in TOWERS)))
+    argv += draw(one_of([], [], ["--trace-depth", "0"], ["--trace-depth", "-1"]))
+    return argv + draw(depth_flag(("compare", space)))
+
+
+@st.composite
+def orders_argv(draw):
+    space = draw(one_of(*POINTS))
+    return ["orders-count", "--space", space] + draw(depth_flag(("orders-count", space)))
+
+
+@st.composite
+def knaster_argv(draw):
+    argv = ["knaster-witness", "--set", draw(one_of(*LEVEL_SETS))]
+    argv += ["--u1", draw(one_of(*TOWERS)), "--u2", draw(one_of(*TOWERS))]
+    return argv + draw(depth_flag(("knaster-witness", None)))
+
+
+@st.composite
+def orientation_argv(draw):
+    if draw(st.booleans()):
+        n = draw(one_of(3, 0, -1, 509, 510, 10**12))
+        prefix = draw(one_of("1" * min(max(n, 0), 510), "101", ""))
+        return ["orientation", "decompose", "--n", str(n), "--prefix", prefix]
+    argv = ["orientation", "reach", "--from", draw(one_of(*WORDS)), "--to", draw(one_of(*WORDS))]
+    argv += ["--parity", draw(one_of("even", "odd"))]
+    return argv + draw(one_of([], *(["--depth", str(d)] for d in (1, 8, 17, 18, 10**12))))
+
+
+cli_argv = st.tuples(
+    one_of([], ["--format", "text"], ["--timing"]),
+    st.one_of(
+        compare_argv(),
+        orders_argv(),
+        knaster_argv(),
+        orientation_argv(),
+        st.just(["catalog", "list"]),
+        one_of(*(["suite", "--seed", str(seed)] for seed in (0, 7, -1, 10**20))),
+    ),
+).map(lambda parts: parts[0] + parts[1])
+
+
+def call_in_budget(argv):
+    """(exit code, stderr) of ``main(argv)``; OverBudget past CALL_BUDGET_S."""
+
+    def expire(signum, frame):
+        raise OverBudget(f"chainorder {' '.join(argv)} took over {CALL_BUDGET_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, CALL_BUDGET_S)
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+class TestCostContract:
+    """Every CLI input is answered within a stated cost or refused with exit 2."""
+
+    def test_every_input_is_answered_or_refused_within_budget(self):
+        def check(argv):
+            code, err = call_in_budget(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+
+        # Every row at its default and its limit, then the draws.
+        for row, depths in _DEPTHS.items():
+            for depth in depths:
+                check(row_argv(*row, depth))
+        settings(max_examples=120, deadline=None, derandomize=True)(given(cli_argv)(check))()
+
+        # The caches the draws filled stay within the table's limits.
+        limits = {}
+        for (_, space), (_, limit) in _DEPTHS.items():
+            limits[space] = max(limit, limits.get(space, 0))
+        assert catalog._pass_data.cache_info().currsize <= limits["t"]
+        families = [catalog.s3_family(bits) for bits in S3_POOL]
+        for space, factory in [
+            ("arc", catalog.arc_family),
+            ("s1", catalog.s1_family),
+            ("s2", catalog.s2_family),
+            ("t", catalog.t_family),
+        ]:
+            families += [factory(variant) for variant in _VARIANTS[space]]
+        for family in families:
+            assert len(family._levels) <= limits[family.SPACE], family
+            assert len(family._plans) <= limits[family.SPACE], family
+        info = catalog._s3_family_cached.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 class TestBinaryWords:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,18 @@ class TestConstruction:
             SimulatedUltrafilter(moduli, residues)
         assert str(err.value) == "moduli and residues must be integers"
 
+    @pytest.mark.parametrize("bit", [1.0, 0.0, "1", None, Fraction(1)])
+    def test_binary_tower_refuses_non_integer_bits(self, bit):
+        with pytest.raises(ValueError) as err:
+            SimulatedUltrafilter.binary_tower((0, bit))
+        assert str(err.value) == "binary tower digits must be 0 or 1"
+
+    @pytest.mark.parametrize("digit", [1.5, 1.0, "1", None, Fraction(1)])
+    def test_factorial_tower_refuses_non_integer_digits(self, digit):
+        with pytest.raises(ValueError) as err:
+            SimulatedUltrafilter.factorial_tower((1, digit))
+        assert str(err.value) == "factorial digit 1 must lie in [0, 3)"
+
     def test_int_and_bool_accepted(self):
         u = SimulatedUltrafilter((True, 2), (False, True))
         assert (u.moduli, u.residues) == ((1, 2), (0, 1))
@@ -71,6 +84,7 @@ class TestConstruction:
         assert u == SimulatedUltrafilter.parse("r2=1")
         # The tower constructors still build towers of ints.
         assert SimulatedUltrafilter.binary_tower((True, 0)).residues == (0, 1, 1)
+        assert SimulatedUltrafilter.binary_tower((True,)).label() == "r2=1"
         assert SimulatedUltrafilter.factorial_tower((1, 2)).residues == (0, 1, 5)
 
 
