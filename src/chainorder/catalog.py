@@ -32,6 +32,7 @@ from .chains import (
     LE_ONLY,
     ChainLevel,
     IntervalChain,
+    LinkMemo,
     _spot_check,
     reverse_bounds,
 )
@@ -108,7 +109,7 @@ def _farther(s: Pair, t: Pair, g: _Grid) -> bool:
 
 # The level-independent geometry that placing a point needs (the wave's
 # height, a gap's point, the spiral's arclength and host) is memoized for the
-# last _MEMO points per helper: a comparison places both points on every level.
+# last _MEMO points per helper: a point is placed once on each level read.
 _MEMO = 64
 
 
@@ -209,6 +210,13 @@ class CatalogPoint:
 
     def as_dict(self) -> dict:
         return {"strand": self.strand, "param": rational_str(self.param)}
+
+
+def _link_key(point) -> tuple:
+    # A family's memo key: strand and parameter as integers, which hash
+    # without Fraction arithmetic.  A bare rational is an arc parameter.
+    p = point if isinstance(point, CatalogPoint) else CatalogPoint("segment", point)
+    return p.strand, p.param.numerator, p.param.denominator
 
 
 @dataclass(frozen=True)
@@ -875,40 +883,6 @@ def _pull_back(strand: str, knots: list, host: list[Window], box: Callable) -> l
 # -- the shared chain-family protocol -------------------------------------------
 
 
-def _scan_certificate(family, x, y, depth: int) -> ComparisonVerdict:
-    """Stabilization by direct scan plus a persistence gate.
-
-    The scan finds the earliest level from which the computed relation
-    is strict and constant through ``depth``; the verdict is only issued
-    from a level where both points are in settled zones and, on one
-    strand, farther apart than any link there spans, where the walk
-    layout pins their relative order at every finer level as well.
-    """
-    if x == y:
-        return ComparisonVerdict.stabilized(EQ, 1, depth)
-    rels = [family.level(n).relation(x, y) for n in range(1, depth + 1)]
-    final = rels[-1]
-    if final not in (LE_ONLY, GE_ONLY):
-        return ComparisonVerdict.unknown(depth)
-    first = depth
-    while first > 1 and rels[first - 2] == final:
-        first -= 1
-    threshold = None
-    for n in range(first, depth + 1):
-        if family._pair_settled(x, y, n):
-            threshold = n
-            break
-    if threshold is None:
-        return ComparisonVerdict.unknown(depth)
-    direction = LE if final == LE_ONLY else GE
-    certificate = {
-        "kind": "walk-scan",
-        "first_constant_level": first,
-        "settled_level": threshold,
-    }
-    return ComparisonVerdict.stabilized(direction, threshold, depth, certificate=certificate)
-
-
 @dataclass(frozen=True)
 class ChainFamily:
     """A chain sequence on one catalog space, one memoized level per depth.
@@ -919,16 +893,19 @@ class ChainFamily:
     and ``_index(plan, point)`` places a point on that level's links as
     a plain ``(lo, hi)`` pair, which the level's ``index_of`` holds to
     the chain contract.  Comparisons are certified by ``_certify``,
-    which by default scans the levels and needs ``_pair_settled``.  The
-    validator reads ``link_windows(n)``, the inverse of ``_index``, and
-    the points of ``sampled_parts(n)``, which stand for what no window
-    lists.
+    which by default scans the relations read from the family's memo
+    and needs ``_pair_settled``.  The validator reads
+    ``link_windows(n)``, the inverse of ``_index``, and the points of
+    ``sampled_parts(n)``, which stand for what no window lists.
     """
 
     SPACE: ClassVar[str]
     VARIANTS: ClassVar[tuple[str, ...]]
     _levels: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
     _plans: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
+    _links: LinkMemo = field(
+        default_factory=partial(LinkMemo, _link_key), compare=False, repr=False, kw_only=True
+    )
 
     def __post_init__(self) -> None:
         if self.variant not in self.VARIANTS:
@@ -953,17 +930,45 @@ class ChainFamily:
             )
         return self._levels[n]
 
-    def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        verdict = self._certify(x, y, depth)
+    def compare_certificate(self, x, y, ultrafilter, depth: int, relation) -> ComparisonVerdict:
+        verdict = self._certify(x, y, depth, relation)
         if verdict.kind == STABILIZED:
             t = verdict.threshold
-            _spot_check(self, x, y, verdict, (t, t + 1, t + 3, depth))
+            _spot_check(relation, verdict, (t, t + 1, t + 3, depth))
         return verdict
 
-    def _certify(self, x, y, depth: int) -> ComparisonVerdict:
-        return _scan_certificate(self, x, y, depth)
+    def _certify(self, x, y, depth: int, relation) -> ComparisonVerdict:
+        """Stabilization by direct scan plus a persistence gate.
+
+        The scan finds the earliest level from which the computed relation
+        is strict and constant through ``depth``; the verdict is only issued
+        from a level where both points are in settled zones and, on one
+        strand, farther apart than any link there spans, where the walk
+        layout pins their relative order at every finer level as well.
+        """
+        if x == y:
+            return ComparisonVerdict.stabilized(EQ, 1, depth)
+        rels = [relation(n) for n in range(1, depth + 1)]
+        final = rels[-1]
+        if final not in (LE_ONLY, GE_ONLY):
+            return ComparisonVerdict.unknown(depth)
+        first = depth
+        while first > 1 and rels[first - 2] == final:
+            first -= 1
+        threshold = None
+        for n in range(first, depth + 1):
+            if self._pair_settled(x, y, n):
+                threshold = n
+                break
+        if threshold is None:
+            return ComparisonVerdict.unknown(depth)
+        direction = LE if final == LE_ONLY else GE
+        certificate = {
+            "kind": "walk-scan",
+            "first_constant_level": first,
+            "settled_level": threshold,
+        }
+        return ComparisonVerdict.stabilized(direction, threshold, depth, certificate=certificate)
 
     def sampled_parts(self, n: int) -> dict[str, list[CatalogPoint]]:
         return {}
@@ -1001,7 +1006,7 @@ class ArcChainFamily(ChainFamily):
         lo, hi = plan.chain.bounds(*self._param(point).as_integer_ratio())
         return reverse_bounds(plan.size, lo, hi) if self.variant == "reversed" else (lo, hi)
 
-    def _certify(self, x, y, depth: int) -> ComparisonVerdict:
+    def _certify(self, x, y, depth: int, relation) -> ComparisonVerdict:
         s, t = self._param(x), self._param(y)
         if s == t:
             return ComparisonVerdict.stabilized(EQ, 1, depth)

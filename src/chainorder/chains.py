@@ -41,26 +41,30 @@ def reverse_bounds(k: int, lo: int, hi: int) -> tuple[int, int]:
     return k - hi + 1, k - lo + 1
 
 
+def _relation(px: tuple[int, int], py: tuple[int, int]) -> str:
+    """The level relation of two points placed at link pairs px and py."""
+    # x may come first when some link of x is at or before some link of y;
+    # each pair has lo <= hi, so one direction always is allowed.
+    if px[0] > py[1]:
+        return GE_ONLY
+    return LE_ONLY if py[0] > px[1] else BOTH
+
+
 @dataclass(frozen=True)
 class ChainLevel:
     """One cover in a chain sequence, with exact point-to-links assignment.
 
     ``index_fn`` places a point as a ``(lo, hi)`` pair of link indices;
-    ``index_of`` holds that pair to the chain contract, and relations and
-    traces read every pair through it.
+    ``index_of`` holds that pair to the chain contract.  Every placement
+    goes through ``index_of``: comparisons, spot checks and traces read
+    their pairs from their sequence's ``LinkMemo``, which fills itself
+    through it, and ``relation`` places both points afresh.
     """
 
     level: int
     size: int
     mesh_bound: Fraction
     index_fn: Callable = field(compare=False, repr=False)
-    # (x, y, lo_x, hi_x, lo_y, hi_y, relation) for the last pair related
-    # here: one comparison's certificate, spot check and trace then place
-    # each point once per level.  Points are immutable, so the same objects
-    # have the same links; one entry per level keeps memory flat.
-    _last_pair: list = field(
-        default_factory=lambda: [None], init=False, compare=False, repr=False
-    )
 
     def index_of(self, point) -> tuple[int, int]:
         """The links holding ``point`` as ``(lo, hi)``.  Adjacent links
@@ -71,35 +75,73 @@ class ChainLevel:
             raise ValueError(f"not one or two consecutive links: [{lo}, {hi}]")
         return lo, hi
 
-    def _pair(self, x, y) -> tuple:
-        last = self._last_pair[0]
-        if last is not None and last[0] is x and last[1] is y:
-            return last
-        lo_x, hi_x = self.index_of(x)
-        lo_y, hi_y = self.index_of(y)
-        # x may come first when some link of x is at or before some link
-        # of y; each pair has lo <= hi, so one direction always is allowed.
-        if lo_x > hi_y:
-            relation = GE_ONLY
-        else:
-            relation = LE_ONLY if lo_y > hi_x else BOTH
-        last = (x, y, lo_x, hi_x, lo_y, hi_y, relation)
-        self._last_pair[0] = last
-        return last
-
     def relation(self, x, y) -> str:
-        return self._pair(x, y)[6]
+        return _relation(self.index_of(x), self.index_of(y))
 
-    def trace_entry(self, x, y) -> dict:
-        _, _, lo_x, hi_x, lo_y, hi_y, relation = self._pair(x, y)
-        return {
-            "level": self.level,
-            "k": self.size,
-            "mesh": rational_str(self.mesh_bound),
-            "idx_x": [lo_x, hi_x],
-            "idx_y": [lo_y, hi_y],
-            "relation": relation,
-        }
+
+# Link pairs a sequence's memo keeps: some fifty points at depth 20.
+_LINK_PAIRS = 1024
+
+
+class LinkMemo:
+    """The link pairs a chain sequence's levels gave recently read points.
+
+    A row maps level n to the ``(lo, hi)`` pair ``ChainLevel.index_of``
+    returned for the point there, and holds only the levels some reader
+    asked for.  Rows are keyed by ``key(point)``, or by identity when
+    ``key`` is None, computed once per reader, and kept in order of last
+    use.  ``size`` counts the pairs, and
+    each row as one more, so a row that never read a level counts too.
+    Past ``bound`` the least recently used rows go, so a sequence keeps
+    at most ``bound`` pairs however long the process lives.
+    """
+
+    def __init__(self, key: Callable | None = None, bound: int = _LINK_PAIRS) -> None:
+        # key -> [{level: pair}, pin]: the row, None once evicted, and under
+        # an identity key the point itself, which keeps its id from reuse.
+        self.key, self.bound, self.size = key, bound, 0
+        self._rows: dict = {}
+
+    def reader(self, seq, point) -> Callable[[int], tuple[int, int]]:
+        """The links of ``point`` at level n of ``seq``, placed on the first read."""
+        if self.key is None:
+            key, pin = id(point), point
+        else:
+            key, pin = self.key(point), None
+        rows = self._rows
+        fresh = key not in rows
+        entry = rows[key] = [{}, pin] if fresh else rows.pop(key)
+        if fresh:
+            self.size += 1
+            if self.size > self.bound:
+                self._evict()
+        row = entry[0]
+
+        def links(n: int) -> tuple[int, int]:
+            pair = row.get(n)
+            if pair is None:
+                pair = row[n] = seq.level(n).index_of(point)
+                # An evicted row still serves its readers but no longer counts.
+                if entry[0] is not None:
+                    self.size += 1
+                    if self.size > self.bound:
+                        self._evict()
+            return pair
+
+        return links
+
+    def _evict(self) -> None:
+        while self.size > self.bound:
+            evicted = self._rows.pop(next(iter(self._rows)))
+            self.size -= len(evicted[0]) + 1
+            evicted[0] = None
+
+
+def _readers(seq, *points) -> list[Callable[[int], tuple[int, int]]]:
+    """One memo reader per point; a sequence that keeps no memo is read
+    through a fresh one."""
+    memo = getattr(seq, "_links", None) or LinkMemo()
+    return [memo.reader(seq, p) for p in points]
 
 
 @dataclass(frozen=True)
@@ -154,6 +196,8 @@ class PullbackSequence:
 
     system: InverseSystem
     _levels: dict = field(default_factory=dict, compare=False, repr=False)
+    # Threads are keyed by identity: hashing one costs more than placing it.
+    _links: LinkMemo = field(default_factory=LinkMemo, compare=False, repr=False)
 
     def level(self, n: int) -> ChainLevel:
         if n not in self._levels:
@@ -171,7 +215,7 @@ class PullbackSequence:
             )
         return self._levels[n]
 
-    def compare_certificate(self, x, y, ultrafilter, depth: int) -> ComparisonVerdict:
+    def compare_certificate(self, x, y, ultrafilter, depth: int, relation) -> ComparisonVerdict:
         """The coordinate sign certificate plus gap dominance.
 
         A stabilized verdict is spot-checked just below and above its
@@ -179,8 +223,6 @@ class PullbackSequence:
         relations repeat, never deeper: a deep probe would cost more
         than the comparison.
         """
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
         if x.system != self.system or y.system != self.system:
             raise ValueError("points do not live on this sequence's system")
         if x == y:
@@ -189,13 +231,13 @@ class PullbackSequence:
             cert = sign_certificate(x, y)
             if cert is None:
                 return ComparisonVerdict.unknown(depth)
-            verdict, settled = self._certify(x, y, cert, ultrafilter, depth)
+            verdict, settled = self._certify(x, y, cert, ultrafilter, depth, relation)
         if verdict.kind == STABILIZED:
             t = verdict.threshold
-            _spot_check(self, x, y, verdict, (t - 1, t, t + 1, t + 3, settled))
+            _spot_check(relation, verdict, (t - 1, t, t + 1, t + 3, settled))
         return verdict
 
-    def _certify(self, x, y, cert, ultrafilter, depth) -> tuple[ComparisonVerdict, int]:
+    def _certify(self, x, y, cert, ultrafilter, depth, relation) -> tuple[ComparisonVerdict, int]:
         """The verdict from the pair's sign certificate, and one period
         past the level from which the chain relations repeat."""
         if set(cert.cycle) == {"EQ"}:
@@ -230,7 +272,7 @@ class PullbackSequence:
         # the certified coordinate signs.
         start = max(T, cert.cycle_start)
         history = ["GT"]
-        history += [_SIGN_OF[self.level(n).relation(x, y)] for n in range(1, T)]
+        history += [_SIGN_OF[relation(n)] for n in range(1, T)]
         history += [cert.rel(n) for n in range(T, start)]
         cycle = tuple(cert.rel(start + j) for j in range(len(cert.cycle)))
         meta = {"sign": cert.as_dict(), "gap_dominance_level": T}
@@ -239,23 +281,36 @@ class PullbackSequence:
 
 
 def chain_trace(seq, x, y, depth: int) -> list[dict]:
-    """Per-level relation records for reporting."""
-    return [seq.level(n).trace_entry(x, y) for n in range(1, depth + 1)]
+    """Per-level relation records for reporting, read from the memo."""
+    links_x, links_y = _readers(seq, x, y)
+    trace = []
+    for n in range(1, depth + 1):
+        level, px, py = seq.level(n), links_x(n), links_y(n)
+        trace.append({
+            "level": level.level,
+            "k": level.size,
+            "mesh": rational_str(level.mesh_bound),
+            "idx_x": list(px),
+            "idx_y": list(py),
+            "relation": _relation(px, py),
+        })
+    return trace
 
 
 _RELATION_OF = {EQ: BOTH, LE: LE_ONLY, GE: GE_ONLY}
 
 
-def _spot_check(seq, x, y, verdict: ComparisonVerdict, probes) -> None:
+def _spot_check(relation, verdict: ComparisonVerdict, probes) -> None:
     """Verify a stabilized verdict against directly computed levels.
 
-    A probe at or past the threshold must show the claimed relation, one
-    below it must not.  Probes are capped at the verdict's depth, and
-    those below level 1 are skipped.
+    ``relation(n)`` is the pair's relation at level n.  A probe at or past
+    the threshold must show the claimed relation, one below it must not.
+    Probes are capped at the verdict's depth, and those below level 1 are
+    skipped.
     """
     t, claimed = verdict.threshold, _RELATION_OF[verdict.direction]
     for n in sorted({min(n, verdict.depth) for n in probes if n >= 1}):
-        rel = seq.level(n).relation(x, y)
+        rel = relation(n)
         if (rel == claimed) != (n >= t):
             raise AssertionError(
                 f"certificate claims {verdict.direction} from {t}, "
@@ -268,12 +323,21 @@ def chain_order_compare(
 ) -> ComparisonVerdict:
     """Compare two points in the order induced by a chain sequence.
 
-    Every sequence certifies its own verdicts and spot-checks each
-    stabilized one against directly computed levels: catalog families
-    from their level scans or closed forms, pullback sequences from the
-    coordinate sign certificate plus gap dominance.
+    Both points are looked up once in the sequence's memo, and
+    ``relation(n)`` reads their level-n relation from it.  Every sequence
+    certifies its own verdicts from those relations and spot-checks each
+    stabilized one against them: catalog families from their level
+    scans or closed forms, pullback sequences from the coordinate sign
+    certificate plus gap dominance.
     """
-    return seq.compare_certificate(x, y, ultrafilter, depth)
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    links_x, links_y = _readers(seq, x, y)
+
+    def relation(n: int) -> str:
+        return _relation(links_x(n), links_y(n))
+
+    return seq.compare_certificate(x, y, ultrafilter, depth, relation)
 
 
 @dataclass(frozen=True)
@@ -299,25 +363,20 @@ def never_between_after(seq, x, y, z, threshold_mesh: Fraction, depth: int) -> N
     if z == x or z == y:
         raise ValueError("z must differ from both endpoints")
     checked = []
+    links_x, links_y, links_z = _readers(seq, x, y, z)
     for n in range(1, depth + 1):
-        lvl = seq.level(n)
-        if lvl.mesh_bound >= threshold_mesh:
+        if seq.level(n).mesh_bound >= threshold_mesh:
             continue
         checked.append(n)
-        _, _, lo_x, hi_x, lo_z, hi_z, xz = lvl._pair(x, z)
-        _, _, _, _, lo_y, hi_y, zy = lvl._pair(z, y)
+        px, py, pz = links_x(n), links_y(n), links_z(n)
+        xz, zy = _relation(px, pz), _relation(pz, py)
         # x <= z <= y is allowed unless either relation is GE_ONLY, and
         # y <= z <= x unless either is LE_ONLY.
         if GE_ONLY not in (xz, zy) or LE_ONLY not in (xz, zy):
             return NeverBetweenReport(
                 False,
                 tuple(checked),
-                {
-                    "level": n,
-                    "idx_x": [lo_x, hi_x],
-                    "idx_y": [lo_y, hi_y],
-                    "idx_z": [lo_z, hi_z],
-                },
+                {"level": n, "idx_x": list(px), "idx_y": list(py), "idx_z": list(pz)},
             )
     return NeverBetweenReport(True, tuple(checked), None)
 

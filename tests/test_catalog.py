@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainorder import catalog
+from chainorder import catalog, chains
 from chainorder.catalog import (
     ArcChainFamily,
     CatalogPoint,
@@ -51,7 +52,7 @@ from chainorder.chains import (
     BOTH,
     GE_ONLY,
     LE_ONLY,
-    ChainLevel,
+    LinkMemo,
     chain_order_compare,
     chain_trace,
     equal_or_opposite,
@@ -374,7 +375,7 @@ class TestArcFamily:
             family = arc_family(variant)
             for x, y in itertools.product(grid, repeat=2):
                 for depth in range(1, 25):
-                    got = family._certify(x, y, depth)
+                    got = family._certify(x, y, depth, None)
                     assert got == fraction_arc_certify(family, x, y, depth)
                     if got.certificate:
                         assert type(got.certificate["witness_index"]) is int
@@ -1369,24 +1370,52 @@ def test_close_pairs_on_one_strand(case):
 # -- the level scan against relations read from index_of by definition -----------
 
 
-def reference_relation(level, x, y):
-    """The relation by its definition: x may come first when some link of
-    x is at or before some link of y, and y first in the mirror case."""
-    links_x, links_y = links_of(level, x), links_of(level, y)
+def reference_relation(px, py):
+    """The relation of two points placed at link pairs px and py, by its
+    definition: x may come first when some link of x is at or before some
+    link of y, and y first in the mirror case."""
+    links_x, links_y = range(px[0], px[1] + 1), range(py[0], py[1] + 1)
     le = any(i <= j for i in links_x for j in links_y)
     ge = any(j <= i for i in links_x for j in links_y)
     return BOTH if le and ge else LE_ONLY if le else GE_ONLY
 
 
 def reference_trace_entry(level, x, y):
+    px, py = level.index_of(x), level.index_of(y)
     return {
         "level": level.level,
         "k": level.size,
         "mesh": rational_str(level.mesh_bound),
-        "idx_x": list(level.index_of(x)),
-        "idx_y": list(level.index_of(y)),
-        "relation": reference_relation(level, x, y),
+        "idx_x": list(px),
+        "idx_y": list(py),
+        "relation": reference_relation(px, py),
     }
+
+
+def placing_reader(memo, seq, point):
+    """A memo reader that keeps nothing: every read places the point afresh."""
+    return lambda n: seq.level(n).index_of(point)
+
+
+def _reference_reports(family, queries, monkeypatch):
+    """Verdicts scanned with every pair placed afresh and related by its
+    definition, and traces built level by level from ``index_of``."""
+    with monkeypatch.context() as m:
+        m.setattr(chains, "_relation", reference_relation)
+        m.setattr(LinkMemo, "reader", placing_reader)
+        verdicts = [chain_order_compare(family, x, y, None, d).as_dict() for x, y, d in queries]
+    traces = [
+        [reference_trace_entry(family.level(n), x, y) for n in range(1, d + 1)]
+        for x, y, d in queries
+    ]
+    return list(zip(verdicts, traces))
+
+
+def _copy(point):
+    """A new object equal to ``point``."""
+    if isinstance(point, CatalogPoint):
+        return CatalogPoint(point.strand, point.param)
+    return Fraction(point.numerator, point.denominator)
 
 
 def _settled_points(family):
@@ -1443,14 +1472,29 @@ SCAN_DIGESTS = {
 
 @pytest.mark.parametrize("family", _SCAN_FAMILIES, ids=repr)
 def test_level_scan_matches_the_index_range_reference(family, monkeypatch):
+    """The shared family answers as the reference does on a freshly built
+    family, and so do small memos that meet each query forward, mirrored,
+    repeated, and again after more than their bound of other points
+    pushed it out, always on new, equal points."""
     rng = random.Random(17)
     points = _settled_points(family)
     queries = [(*rng.sample(points, 2), rng.randint(1, 8)) for _ in range(16)]
     got = _scan_reports(family, queries)
-    with monkeypatch.context() as m:
-        m.setattr(ChainLevel, "relation", reference_relation)
-        m.setattr(ChainLevel, "trace_entry", reference_trace_entry)
-        assert got == _scan_reports(family, queries)
+    fresh = dataclasses.replace(family, _levels={}, _plans={}, _links=LinkMemo(catalog._link_key))
+    assert got == _reference_reports(fresh, queries, monkeypatch)
+    mirrored = _reference_reports(fresh, [(y, x, d) for x, y, d in queries], monkeypatch)
+    # Below and above the 16 pairs one comparison at depth 8 reads.
+    for bound in (12, 40):
+        memo = LinkMemo(catalog._link_key, bound)
+        warm = dataclasses.replace(family, _links=memo)
+        for (x, y, depth), forward, backward in zip(queries, got, mirrored):
+            for a, b, expected in [(x, y, forward), (y, x, backward), (x, y, forward)]:
+                assert _scan_reports(warm, [(_copy(a), _copy(b), depth)]) == [expected]
+            for p in [p for p in points if p not in (x, y)][: bound + 1]:
+                memo.reader(warm, _copy(p))(1)
+            assert memo.key(_copy(x)) not in memo._rows and memo.key(_copy(y)) not in memo._rows
+            assert _scan_reports(warm, [(_copy(x), _copy(y), depth)]) == [forward]
+            assert memo.size == sum(len(row) + 1 for row, _ in memo._rows.values()) <= bound
     assert sum(verdict["kind"] == "stabilized" for verdict, _ in got) >= 6
     validated = [validate_level(family, n) for n in range(1, 5)]
     text = json.dumps([got, validated], sort_keys=True)

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainorder import chains
+from chainorder.catalog import CatalogPoint, SineChainFamily
 from chainorder.chains import (
     BOTH,
     GE_ONLY,
@@ -225,23 +226,63 @@ class TestLevelPreorder:
             reversed_rel = pair_relation(reverse_bounds(6, *rx), reverse_bounds(6, *ry))
             assert reversed_rel == flip[rel]
 
-    def test_level_places_a_pair_once(self):
-        chain = IntervalChain(8)
+    def test_points_are_placed_once_per_level_read(self, monkeypatch):
+        """A comparison plus its trace places each point at most once per
+        level it reads.  The family's memo keys catalog points by value, so
+        the mirrored query on new, equal points places nothing; a pullback
+        sequence keys threads by identity, so the same threads do not either."""
         placed = []
+        index = SineChainFamily._index
 
-        def index_of(t):
-            placed.append(t)
-            return chain.bounds(t.numerator, t.denominator)
+        def counting(family, plan, point, offset=0):
+            placed.append((point.strand, point.param, plan.n))
+            return index(family, plan, point, offset)
 
-        level = ChainLevel(1, 8, chain.mesh, index_of)
-        x, y = Fraction(1, 8), Fraction(3, 4)
-        assert level.relation(x, y) == LE_ONLY
-        assert level.trace_entry(x, y)["relation"] == LE_ONLY
-        assert placed == [x, y]
-        # Another pair, or the same pair swapped, is placed afresh.
-        assert level.relation(y, x) == GE_ONLY
-        assert level.relation(x, Fraction(3, 16)) == BOTH
-        assert placed == [x, y, y, x, x, Fraction(3, 16)]
+        monkeypatch.setattr(SineChainFamily, "_index", counting)
+        family = SineChainFamily("D")
+        for n in range(1, 21):
+            family.level(n)
+        placed.clear()  # building a plan places two points of its own
+        x, y = ("wave", Fraction(9, 2)), ("bar", Fraction(1, 2))
+        verdict = chain_order_compare(family, CatalogPoint(*x), CatalogPoint(*y), None, 20)
+        chain_trace(family, CatalogPoint(*x), CatalogPoint(*y), 8)
+        assert verdict.kind == STABILIZED
+        assert sorted(placed) == sorted({(*p, n) for p in (x, y) for n in range(1, 21)})
+        placed.clear()
+        mirror = chain_order_compare(family, CatalogPoint(*y), CatalogPoint(*x), None, 20)
+        chain_trace(family, CatalogPoint(*y), CatalogPoint(*x), 8)
+        assert placed == []
+        assert {verdict.direction, mirror.direction} == {LE, GE}
+
+        sys = tent_system()
+        seq = PullbackSequence(sys)
+        threads = zero_thread(sys), thread_from_letters(sys, Fraction(1, 2), cycle="L")
+        threaded = []
+        index_of = ChainLevel.index_of
+
+        def counting_threads(level, point):
+            threaded.append((threads.index(point), level.level))
+            return index_of(level, point)
+
+        monkeypatch.setattr(ChainLevel, "index_of", counting_threads)
+        chain_order_compare(seq, *threads, None, 12)
+        chain_trace(seq, *threads, 8)
+        assert threaded and len(threaded) == len(set(threaded))
+        threaded.clear()
+        chain_order_compare(seq, *threads[::-1], None, 12)
+        chain_trace(seq, *threads[::-1], 8)
+        assert threaded == []
+
+    def test_rows_that_place_nothing_still_count(self):
+        """A comparison refused at its first placement leaves the other
+        point's row empty; rows count toward the bound, so they cannot
+        pile up in a long-lived process."""
+        family = SineChainFamily("D")
+        for k in range(3000):
+            with pytest.raises(ValueError, match="unknown point"):
+                chain_order_compare(family, CatalogPoint("bar", 0), CatalogPoint("nope", k), None, 4)
+        memo = family._links
+        assert len(memo._rows) < memo.size <= memo.bound
 
 
 class TestLinkPairs:
@@ -271,13 +312,13 @@ class TestLinkPairs:
         calls = [
             lambda: level.relation(broken, good),
             lambda: level.relation(good, broken),
-            lambda: level.trace_entry(broken, good),
-            lambda: level.trace_entry(good, broken),
+            lambda: chain_trace(OneLevel(), broken, good, 1),
+            lambda: chain_trace(OneLevel(), good, broken, 1),
             lambda: level.index_of(broken),
             lambda: never_between_after(OneLevel(), good, Fraction(1, 4), broken, 2, 1),
             lambda: never_between_after(OneLevel(), broken, good, Fraction(1, 4), 2, 1),
         ]
-        # Twice over: a refused pair is never kept as the level's last pair.
+        # Twice over: a refused pair is never kept in a memo.
         for call in calls * 2:
             with pytest.raises(ValueError) as raised:
                 call()

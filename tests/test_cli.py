@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import chainorder
 from chainorder import catalog
+from chainorder.chains import ChainLevel, chain_order_compare
 from chainorder.cli import (
     _DEPTHS,
     _VARIANTS,
@@ -489,6 +490,11 @@ cli_argv = st.tuples(
 ).map(lambda parts: parts[0] + parts[1])
 
 
+def assert_memo_within_bound(memo):
+    """The memo counts each pair and each row exactly, within its bound."""
+    assert memo.size == sum(len(row) + 1 for row, _ in memo._rows.values()) <= memo.bound
+
+
 def call_in_budget(argv):
     """(exit code, stderr) of ``main(argv)``; OverBudget past CALL_BUDGET_S."""
 
@@ -541,8 +547,42 @@ class TestCostContract:
         for family in families:
             assert len(family._levels) <= limits[family.SPACE], family
             assert len(family._plans) <= limits[family.SPACE], family
+            assert_memo_within_bound(family._links)
         info = catalog._s3_family_cached.cache_info()
         assert info.currsize <= info.maxsize
+
+    def test_a_deep_arc_places_points_only_where_it_reads(self, capsys, monkeypatch):
+        """The arc certifies in closed form, and its level n has 2**n links:
+        a comparison at depth 4096 places each point once at each
+        spot-check probe and trace level, and nowhere else."""
+        placed = []
+        index_of = ChainLevel.index_of
+
+        def counting(level, point):
+            placed.append((point, level.level))
+            return index_of(level, point)
+
+        monkeypatch.setattr(ChainLevel, "index_of", counting)
+        # A family of its own, whose memo holds no rows yet.
+        monkeypatch.setattr("chainorder.cli.arc_family", catalog.ArcChainFamily)
+        x, y = "7/19", "700001/1900000"
+        code, report = run_json(capsys, "compare", "--space", "arc", "--x", x, "--y", y,
+                                "--depth", "4096")
+        assert code == 0
+        t = report["verdict"]["threshold"]
+        assert t > 8
+        reads = {t, t + 1, t + 3, 4096} | set(range(1, 9))
+        assert sorted(placed) == sorted((Fraction(p), n) for p in (x, y) for n in reads)
+
+    def test_a_deep_s1_memo_stays_within_its_bound(self):
+        """One point against 200 others at S1's limit: each comparison
+        reads 8192 pairs, more than the memo keeps."""
+        family = catalog.s1_family("D")
+        x = catalog.CatalogPoint("bar", Fraction(1, 2))
+        for k in range(200):
+            y = catalog.CatalogPoint("wave", Fraction(k, 7))
+            assert chain_order_compare(family, x, y, None, 4096).kind == "stabilized"
+            assert_memo_within_bound(family._links)
 
 
 class TestBinaryWords:
