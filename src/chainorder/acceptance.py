@@ -34,6 +34,7 @@ from .chains import (
     LE_ONLY,
     PullbackSequence,
     chain_order_compare,
+    chain_trace,
     equal_or_opposite,
     never_between_after,
 )
@@ -239,7 +240,9 @@ def s3_prefix_distinctness(length: int = 6) -> dict:
             verdict = chain_order_compare(family, low, high, None, length)
             ok = verdict.kind == STABILIZED and verdict.threshold == i
             vec.append(verdict.direction if ok else None)
-            rels.append(tuple(family.level(m).relation(low, high) for m in range(i, length + 1)))
+            # The comparison's scan left these relations in the family's memo.
+            trace = chain_trace(family, low, high, length)[i - 1:]
+            rels.append(tuple(entry["relation"] for entry in trace))
         directions[bits] = tuple(vec)
         relations[bits] = rels
 

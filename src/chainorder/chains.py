@@ -57,8 +57,9 @@ class ChainLevel:
     ``index_fn`` places a point as a ``(lo, hi)`` pair of link indices;
     ``index_of`` holds that pair to the chain contract.  Every placement
     goes through ``index_of``: comparisons, spot checks and traces read
-    their pairs from their sequence's ``LinkMemo``, which fills itself
-    through it, and ``relation`` places both points afresh.
+    their pairs through readers that fill themselves by it, from their
+    sequence's ``LinkMemo`` if it keeps one, and ``relation`` places both
+    points afresh.
     """
 
     level: int
@@ -84,64 +85,66 @@ _LINK_PAIRS = 1024
 
 
 class LinkMemo:
-    """The link pairs a chain sequence's levels gave recently read points.
+    """The ``(lo, hi)`` pairs ``ChainLevel.index_of`` gave recently read points.
 
-    A row maps level n to the ``(lo, hi)`` pair ``ChainLevel.index_of``
-    returned for the point there, and holds only the levels some reader
-    asked for.  Rows are keyed by ``key(point)``, or by identity when
-    ``key`` is None, computed once per reader, and kept in order of last
-    use.  ``size`` counts the pairs, and
-    each row as one more, so a row that never read a level counts too.
-    Past ``bound`` the least recently used rows go, so a sequence keeps
-    at most ``bound`` pairs however long the process lives.
+    A row holds one point's pairs, only for the levels some reader asked
+    for, under ``key(point)``, in order of last use.  ``size`` counts the
+    pairs and each row as one more; past ``_LINK_PAIRS`` the least
+    recently used rows go.
     """
 
-    def __init__(self, key: Callable | None = None, bound: int = _LINK_PAIRS) -> None:
-        # key -> [{level: pair}, pin]: the row, None once evicted, and under
-        # an identity key the point itself, which keeps its id from reuse.
-        self.key, self.bound, self.size = key, bound, 0
+    def __init__(self, key: Callable) -> None:
+        self.key, self.size = key, 0
         self._rows: dict = {}
 
     def reader(self, seq, point) -> Callable[[int], tuple[int, int]]:
         """The links of ``point`` at level n of ``seq``, placed on the first read."""
-        if self.key is None:
-            key, pin = id(point), point
-        else:
-            key, pin = self.key(point), None
+        key = self.key(point)
         rows = self._rows
-        fresh = key not in rows
-        entry = rows[key] = [{}, pin] if fresh else rows.pop(key)
-        if fresh:
-            self.size += 1
-            if self.size > self.bound:
-                self._evict()
-        row = entry[0]
+        row = rows.pop(key, None)
+        if row is None:
+            row = {}
+            self._count()
+        rows[key] = row
 
         def links(n: int) -> tuple[int, int]:
             pair = row.get(n)
             if pair is None:
                 pair = row[n] = seq.level(n).index_of(point)
                 # An evicted row still serves its readers but no longer counts.
-                if entry[0] is not None:
-                    self.size += 1
-                    if self.size > self.bound:
-                        self._evict()
+                if rows.get(key) is row:
+                    self._count()
             return pair
 
         return links
 
-    def _evict(self) -> None:
-        while self.size > self.bound:
-            evicted = self._rows.pop(next(iter(self._rows)))
-            self.size -= len(evicted[0]) + 1
-            evicted[0] = None
+    def _count(self) -> None:
+        """Count one more row or pair; past the bound, drop the least recently used rows."""
+        self.size += 1
+        while self.size > _LINK_PAIRS:
+            self.size -= len(self._rows.pop(next(iter(self._rows)))) + 1
 
 
 def _readers(seq, *points) -> list[Callable[[int], tuple[int, int]]]:
-    """One memo reader per point; a sequence that keeps no memo is read
-    through a fresh one."""
-    memo = getattr(seq, "_links", None) or LinkMemo()
+    """One memo reader per point.  A sequence with no memo of its own, such
+    as a pullback sequence, whose threads recur in no later call, gets
+    readers that keep the pairs they place for this call only."""
+    memo = getattr(seq, "_links", None)
+    if memo is None:
+        return [_call_reader(seq, p) for p in points]
     return [memo.reader(seq, p) for p in points]
+
+
+def _call_reader(seq, point) -> Callable[[int], tuple[int, int]]:
+    row = {}
+
+    def links(n: int) -> tuple[int, int]:
+        pair = row.get(n)
+        if pair is None:
+            pair = row[n] = seq.level(n).index_of(point)
+        return pair
+
+    return links
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,6 @@ class PullbackSequence:
 
     system: InverseSystem
     _levels: dict = field(default_factory=dict, compare=False, repr=False)
-    # Threads are keyed by identity: hashing one costs more than placing it.
-    _links: LinkMemo = field(default_factory=LinkMemo, compare=False, repr=False)
 
     def level(self, n: int) -> ChainLevel:
         if n not in self._levels:
@@ -281,7 +282,7 @@ class PullbackSequence:
 
 
 def chain_trace(seq, x, y, depth: int) -> list[dict]:
-    """Per-level relation records for reporting, read from the memo."""
+    """Per-level relation records for reporting, read through ``_readers``."""
     links_x, links_y = _readers(seq, x, y)
     trace = []
     for n in range(1, depth + 1):
@@ -323,8 +324,8 @@ def chain_order_compare(
 ) -> ComparisonVerdict:
     """Compare two points in the order induced by a chain sequence.
 
-    Both points are looked up once in the sequence's memo, and
-    ``relation(n)`` reads their level-n relation from it.  Every sequence
+    Each point gets one reader from ``_readers``, and ``relation(n)``
+    reads their level-n relation through them.  Every sequence
     certifies its own verdicts from those relations and spot-checks each
     stabilized one against them: catalog families from their level
     scans or closed forms, pullback sequences from the coordinate sign

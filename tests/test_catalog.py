@@ -1485,7 +1485,8 @@ def test_level_scan_matches_the_index_range_reference(family, monkeypatch):
     mirrored = _reference_reports(fresh, [(y, x, d) for x, y, d in queries], monkeypatch)
     # Below and above the 16 pairs one comparison at depth 8 reads.
     for bound in (12, 40):
-        memo = LinkMemo(catalog._link_key, bound)
+        monkeypatch.setattr(chains, "_LINK_PAIRS", bound)
+        memo = LinkMemo(catalog._link_key)
         warm = dataclasses.replace(family, _links=memo)
         for (x, y, depth), forward, backward in zip(queries, got, mirrored):
             for a, b, expected in [(x, y, forward), (y, x, backward), (x, y, forward)]:
@@ -1494,7 +1495,7 @@ def test_level_scan_matches_the_index_range_reference(family, monkeypatch):
                 memo.reader(warm, _copy(p))(1)
             assert memo.key(_copy(x)) not in memo._rows and memo.key(_copy(y)) not in memo._rows
             assert _scan_reports(warm, [(_copy(x), _copy(y), depth)]) == [forward]
-            assert memo.size == sum(len(row) + 1 for row, _ in memo._rows.values()) <= bound
+            assert memo.size == sum(len(row) + 1 for row in memo._rows.values()) <= bound
     assert sum(verdict["kind"] == "stabilized" for verdict, _ in got) >= 6
     validated = [validate_level(family, n) for n in range(1, 5)]
     text = json.dumps([got, validated], sort_keys=True)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainorder
-from chainorder import catalog
+from chainorder import catalog, chains
 from chainorder.chains import ChainLevel, chain_order_compare
 from chainorder.cli import (
     _DEPTHS,
@@ -492,7 +492,7 @@ cli_argv = st.tuples(
 
 def assert_memo_within_bound(memo):
     """The memo counts each pair and each row exactly, within its bound."""
-    assert memo.size == sum(len(row) + 1 for row, _ in memo._rows.values()) <= memo.bound
+    assert memo.size == sum(len(row) + 1 for row in memo._rows.values()) <= chains._LINK_PAIRS
 
 
 def call_in_budget(argv):
