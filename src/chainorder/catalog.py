@@ -28,23 +28,17 @@ from math import lcm
 from typing import Callable, ClassVar, NamedTuple
 
 from .chains import (
+    BOTH,
     GE_ONLY,
     LE_ONLY,
+    Certificate,
     ChainLevel,
     IntervalChain,
     LinkMemo,
-    _spot_check,
     reverse_bounds,
+    settled_from,
 )
-from .foundations import (
-    EQ,
-    GE,
-    LE,
-    STABILIZED,
-    ComparisonVerdict,
-    rational,
-    rational_str,
-)
+from .foundations import rational, rational_str
 from .orientation import parse_word
 
 _ZERO = Fraction(0)
@@ -892,9 +886,10 @@ class ChainFamily:
     a record with the link count ``size`` and the mesh bound ``mesh``,
     and ``_index(plan, point)`` places a point on that level's links as
     a plain ``(lo, hi)`` pair, which the level's ``index_of`` holds to
-    the chain contract.  Comparisons are certified by ``_certify``,
-    which by default scans the relations read from the family's memo
-    and needs ``_pair_settled``.  The validator reads
+    the chain contract.  ``compare_certificate`` certifies a pair's
+    relation from the level ``_settling_level`` names (by default a scan
+    of the relations in the family's memo, which needs ``_pair_settled``)
+    on, with the depth as the record's probe.  The validator reads
     ``link_windows(n)``, the inverse of ``_index``, and the points of
     ``sampled_parts(n)``, which stand for what no window lists.
     """
@@ -930,45 +925,31 @@ class ChainFamily:
             )
         return self._levels[n]
 
-    def compare_certificate(self, x, y, ultrafilter, depth: int, relation) -> ComparisonVerdict:
-        verdict = self._certify(x, y, depth, relation)
-        if verdict.kind == STABILIZED:
-            t = verdict.threshold
-            _spot_check(relation, verdict, (t, t + 1, t + 3, depth))
-        return verdict
+    def compare_certificate(self, x, y, depth: int, relation) -> Certificate | None:
+        settled = self._settling_level(x, y, depth, relation)
+        return settled and settled_from(*settled, probe=depth)
 
-    def _certify(self, x, y, depth: int, relation) -> ComparisonVerdict:
+    def _settling_level(self, x, y, depth: int, relation) -> tuple[int, str, dict] | None:
         """Stabilization by direct scan plus a persistence gate.
 
         The scan finds the earliest level from which the computed relation
-        is strict and constant through ``depth``; the verdict is only issued
-        from a level where both points are in settled zones and, on one
-        strand, farther apart than any link there spans, where the walk
-        layout pins their relative order at every finer level as well.
+        is strict and constant through ``depth``; the relation is only
+        certified from a level where both points are in settled zones and,
+        on one strand, farther apart than any link there spans, where the
+        walk layout pins their relative order at every finer level as well.
         """
-        if x == y:
-            return ComparisonVerdict.stabilized(EQ, 1, depth)
         rels = [relation(n) for n in range(1, depth + 1)]
         final = rels[-1]
         if final not in (LE_ONLY, GE_ONLY):
-            return ComparisonVerdict.unknown(depth)
+            return None
         first = depth
         while first > 1 and rels[first - 2] == final:
             first -= 1
-        threshold = None
         for n in range(first, depth + 1):
             if self._pair_settled(x, y, n):
-                threshold = n
-                break
-        if threshold is None:
-            return ComparisonVerdict.unknown(depth)
-        direction = LE if final == LE_ONLY else GE
-        certificate = {
-            "kind": "walk-scan",
-            "first_constant_level": first,
-            "settled_level": threshold,
-        }
-        return ComparisonVerdict.stabilized(direction, threshold, depth, certificate=certificate)
+                meta = {"kind": "walk-scan", "first_constant_level": first, "settled_level": n}
+                return n, final, meta
+        return None
 
     def sampled_parts(self, n: int) -> dict[str, list[CatalogPoint]]:
         return {}
@@ -1006,10 +987,11 @@ class ArcChainFamily(ChainFamily):
         lo, hi = plan.chain.bounds(*self._param(point).as_integer_ratio())
         return reverse_bounds(plan.size, lo, hi) if self.variant == "reversed" else (lo, hi)
 
-    def _certify(self, x, y, depth: int, relation) -> ComparisonVerdict:
+    def _settling_level(self, x, y, depth: int, relation) -> tuple[int, str, dict | None] | None:
         s, t = self._param(x), self._param(y)
         if s == t:
-            return ComparisonVerdict.stabilized(EQ, 1, depth)
+            # A bare rational and the segment point at its parameter.
+            return 1, BOTH, None
         lo, hi = min(s, t), max(s, t)
         a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         for n in range(1, depth + 1):
@@ -1021,12 +1003,9 @@ class ArcChainFamily(ChainFamily):
             # bound reads 4md <= 4kc - d.
             m = -(-(4 * k * a + b) // (4 * b))
             if 4 * m * d <= 4 * k * c - d:
-                forward = LE if s < t else GE
-                if self.variant == "reversed":
-                    forward = GE if forward == LE else LE
-                certificate = {"kind": "interval-gap", "witness_index": m, "links": k}
-                return ComparisonVerdict.stabilized(forward, n, depth, certificate=certificate)
-        return ComparisonVerdict.unknown(depth)
+                forward = LE_ONLY if (s < t) == (self.variant == "standard") else GE_ONLY
+                return n, forward, {"kind": "interval-gap", "witness_index": m, "links": k}
+        return None
 
     def link_windows(self, n: int) -> list[Window]:
         chain = self._plan(n).chain

@@ -6,15 +6,17 @@ x-before-y / y-before-x the link indices allow; a genuine chain always
 allows at least one.  Sequences of levels with shrinking mesh then give
 limit orders, decided levelwise and voted on by an ultrafilter when the
 levelwise answers keep alternating.  Every sequence, a catalog family or
-a pullback sequence on an inverse limit, certifies its own comparisons
-and spot-checks each stabilized verdict against directly computed levels.
+a pullback sequence on an inverse limit, certifies a pair's relations in
+a ``Certificate``; ``chain_order_compare`` alone issues the verdict and
+spot-checks it against directly computed levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .foundations import EQ, GE, LE, STABILIZED, ComparisonVerdict, rational_str
 from .inverse_limit import (
@@ -32,6 +34,24 @@ BOTH = "both"
 
 # The coordinate sign a level relation stands for in a sign sequence.
 _SIGN_OF = {LE_ONLY: "LT", GE_ONLY: "GT", BOTH: "EQ"}
+
+
+class Certificate(NamedTuple):
+    """A pair's certified signs as ``sign_verdict`` reads them, counted from
+    level ``first`` on; ``meta`` is the certificate the verdict reports, and
+    ``probe`` one more level its spot check reads."""
+
+    history: tuple[str, ...]
+    cycle: tuple[str, ...]
+    first: int
+    meta: dict | None
+    probe: int
+
+
+def settled_from(n: int, relation: str, meta: dict | None, probe: int) -> Certificate:
+    """The record for the level relation ``relation`` at every level from n on."""
+    sign = _SIGN_OF[relation]
+    return Certificate((sign,) * n, (sign,), n, meta, probe)
 
 
 def reverse_bounds(k: int, lo: int, hi: int) -> tuple[int, int]:
@@ -209,42 +229,30 @@ class PullbackSequence:
             base = IntervalChain(3 * delta.denominator // (2 * delta.numerator) + 1)
             assert base.mesh < delta, "base chain too coarse for the modulus"
             self._levels[n] = ChainLevel(
-                level=n,
-                size=base.k,
-                mesh_bound=eps_n,
-                index_fn=lambda point: base.bounds(*point.coordinate_pair(n)),
+                level=n, size=base.k, mesh_bound=eps_n, index_fn=partial(self._place, base, n)
             )
         return self._levels[n]
 
-    def compare_certificate(self, x, y, ultrafilter, depth: int, relation) -> ComparisonVerdict:
-        """The coordinate sign certificate plus gap dominance.
-
-        A stabilized verdict is spot-checked just below and above its
-        threshold and one period past the level from which the chain
-        relations repeat, never deeper: a deep probe would cost more
-        than the comparison.
-        """
-        if x.system != self.system or y.system != self.system:
+    def _place(self, base: IntervalChain, n: int, point) -> tuple[int, int]:
+        if point.system != self.system:
             raise ValueError("points do not live on this sequence's system")
-        if x == y:
-            verdict, settled = ComparisonVerdict.stabilized(EQ, 1, depth), 1
-        else:
-            cert = sign_certificate(x, y)
-            if cert is None:
-                return ComparisonVerdict.unknown(depth)
-            verdict, settled = self._certify(x, y, cert, ultrafilter, depth, relation)
-        if verdict.kind == STABILIZED:
-            t = verdict.threshold
-            _spot_check(relation, verdict, (t - 1, t, t + 1, t + 3, settled))
-        return verdict
+        return base.bounds(*point.coordinate_pair(n))
 
-    def _certify(self, x, y, cert, ultrafilter, depth, relation) -> tuple[ComparisonVerdict, int]:
-        """The verdict from the pair's sign certificate, and one period
-        past the level from which the chain relations repeat."""
+    def compare_certificate(self, x, y, depth: int, relation) -> Certificate | None:
+        """The pair's record from the coordinate sign certificate plus gap
+        dominance, or ``None`` where the sign machine cannot certify it.
+
+        The record's probe is one period past the level from which the
+        chain relations repeat, never deeper: a deep probe would cost
+        more than the comparison.
+        """
+        cert = sign_certificate(x, y)
+        if cert is None:
+            return None
         if set(cert.cycle) == {"EQ"}:
             # Equal tails leave no gap to dominate the mesh.
-            verdict = sign_verdict((), cert.cycle, depth, ultrafilter, cert.as_dict(), first=1)
-            return verdict, cert.cycle_start + len(cert.cycle)
+            settled = cert.cycle_start + len(cert.cycle)
+            return Certificate((), cert.cycle, 1, cert.as_dict(), settled)
 
         # From the first level where the coordinate signs are strict forever,
         # coordinate gaps can shrink at most by the bonding Lipschitz factor
@@ -277,8 +285,7 @@ class PullbackSequence:
         history += [cert.rel(n) for n in range(T, start)]
         cycle = tuple(cert.rel(start + j) for j in range(len(cert.cycle)))
         meta = {"sign": cert.as_dict(), "gap_dominance_level": T}
-        verdict = sign_verdict(tuple(history), cycle, depth, ultrafilter, meta, first=1)
-        return verdict, start + len(cycle)
+        return Certificate(tuple(history), cycle, 1, meta, start + len(cycle))
 
 
 def chain_trace(seq, x, y, depth: int) -> list[dict]:
@@ -306,11 +313,10 @@ def _spot_check(relation, verdict: ComparisonVerdict, probes) -> None:
 
     ``relation(n)`` is the pair's relation at level n.  A probe at or past
     the threshold must show the claimed relation, one below it must not.
-    Probes are capped at the verdict's depth, and those below level 1 are
-    skipped.
+    Probes are capped at the verdict's depth.
     """
     t, claimed = verdict.threshold, _RELATION_OF[verdict.direction]
-    for n in sorted({min(n, verdict.depth) for n in probes if n >= 1}):
+    for n in sorted({min(n, verdict.depth) for n in probes}):
         rel = relation(n)
         if (rel == claimed) != (n >= t):
             raise AssertionError(
@@ -325,11 +331,11 @@ def chain_order_compare(
     """Compare two points in the order induced by a chain sequence.
 
     Each point gets one reader from ``_readers``, and ``relation(n)``
-    reads their level-n relation through them.  Every sequence
-    certifies its own verdicts from those relations and spot-checks each
-    stabilized one against them: catalog families from their level
-    scans or closed forms, pullback sequences from the coordinate sign
-    certificate plus gap dominance.
+    reads their level-n relation through them.  Placing both points at
+    level 1 runs the sequence's checks on them.  Equal points are equal
+    from level 1; any other pair gets its record from the sequence's
+    ``compare_certificate``.  A stabilized verdict from t is spot-checked
+    at t-1 if the record counts it, at t, t+1, t+3 and at ``probe``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -338,7 +344,19 @@ def chain_order_compare(
     def relation(n: int) -> str:
         return _relation(links_x(n), links_y(n))
 
-    return seq.compare_certificate(x, y, ultrafilter, depth, relation)
+    relation(1)
+    if x == y:
+        record = settled_from(1, BOTH, None, 1)
+    else:
+        record = seq.compare_certificate(x, y, depth, relation)
+        if record is None:
+            return ComparisonVerdict.unknown(depth)
+    history, cycle, first, meta, probe = record
+    verdict = sign_verdict(history, cycle, depth, ultrafilter, meta, first=first)
+    if verdict.kind == STABILIZED:
+        t = verdict.threshold
+        _spot_check(relation, verdict, (t - 1 if t > first else t, t, t + 1, t + 3, probe))
+    return verdict
 
 
 @dataclass(frozen=True)

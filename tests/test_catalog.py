@@ -347,7 +347,7 @@ class TestSeparationData:
 
 
 def fraction_arc_certify(family, x, y, depth):
-    """ArcChainFamily._certify as it was, in Fractions, as its oracle."""
+    """The arc's interval-gap certificate as it was, in Fractions, as its oracle."""
     s, t = family._param(x), family._param(y)
     if s == t:
         return ComparisonVerdict.stabilized(EQ, 1, depth)
@@ -375,7 +375,7 @@ class TestArcFamily:
             family = arc_family(variant)
             for x, y in itertools.product(grid, repeat=2):
                 for depth in range(1, 25):
-                    got = family._certify(x, y, depth, None)
+                    got = chain_order_compare(family, x, y, None, depth)
                     assert got == fraction_arc_certify(family, x, y, depth)
                     if got.certificate:
                         assert type(got.certificate["witness_index"]) is int

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainorder import chains
-from chainorder.catalog import CatalogPoint, SineChainFamily
+from chainorder.catalog import CatalogPoint, SineChainFamily, arc_family
 from chainorder.chains import (
     BOTH,
     GE_ONLY,
@@ -489,7 +489,10 @@ class TestChainOrderCompare:
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_spot_check_catches_a_moved_threshold(self, monkeypatch, shift):
         """A stabilized threshold one level early or late contradicts the
-        levels computed around it, and the comparison refuses it."""
+        levels computed around it, and the comparison refuses it.  Catalog
+        records count levels only from their threshold on, so there only
+        a threshold one level late is caught: the walk scan of S1 and the
+        arc's interval gap both settle at level 1."""
         sys = tent_system()
         x = thread_from_letters(sys, Fraction(1, 4), (0, 0, 0), cycle=(1,))
         y = thread_from_letters(sys, Fraction(13, 16), (1, 1, 1, 1), cycle=(0,))
@@ -502,6 +505,17 @@ class TestChainOrderCompare:
         monkeypatch.setattr(chains, "sign_verdict", moved)
         with pytest.raises(AssertionError, match="certificate claims ge from"):
             chain_order_compare(PullbackSequence(sys), x, y, u_mod2(0), 20)
+        if shift == 1:
+            wave, bar = CatalogPoint("wave", 4), CatalogPoint("bar", Fraction(1, 2))
+            catalog_pairs = [
+                (SineChainFamily("D"), wave, bar),
+                (arc_family("standard"), Fraction(1, 4), Fraction(3, 4)),
+            ]
+            for family, p, q in catalog_pairs:
+                with pytest.raises(
+                    AssertionError, match="claims le from 2, but level 1 computes le_only"
+                ):
+                    chain_order_compare(family, p, q, None, 20)
 
     def test_spot_check_probes_stay_shallow(self):
         """Seeded tent pairs compared at depth 4096: every verdict passes
@@ -799,6 +813,11 @@ class TestNonTentSystem:
         y = thread_from_letters(tent_system(), Fraction(1, 2), (), (0,))
         with pytest.raises(ValueError, match="points live on different systems"):
             inverse_limit_order(x, y, None, 20)
+        # The pullback refuses a foreign thread before it answers equality.
+        seq = PullbackSequence(tent_system())
+        for pair in ((x, y), (x, x)):
+            with pytest.raises(ValueError, match="points do not live on this sequence's system"):
+                chain_order_compare(seq, *pair, None, 20)
 
 
 class TestNeverBetween:
