@@ -297,6 +297,25 @@ def test_spiral_polyline_matches_the_full_scan(va, vb):
     assert set(catalog._spiral_polyline(va, vb)) == set(full_scan_spiral_polyline(va, vb))
 
 
+def test_catalog_geometry_is_pinned():
+    # The vertices, tags and legs of T's circuits 1-8 and of every S3 gap
+    # shape up to level 10 (200 keys), by digest.  A change to either
+    # geometry must record these again on purpose.
+    def digest(values):
+        return hashlib.sha256(repr(tuple(values)).encode()).hexdigest()[:16]
+
+    keys = [
+        (i, m, bit_r, bit_l)
+        for m in range(1, 11)
+        for i in range(1, m + 1)
+        for bit_r in (0, 1)
+        for bit_l in ((0, 1) if i < m else (None,))
+    ]
+    assert len(keys) == 200
+    assert digest(_pass_data(p) for p in range(1, 9)) == "59636ff370aad925"
+    assert digest(_gap_shape(*key) for key in keys) == "e8082ec597b9a5c4"
+
+
 class TestSeparationData:
     def test_linear_arc_example(self):
         arc, threshold = separation_data(
