@@ -324,11 +324,12 @@ def t_component_orders(depth: int = 6) -> dict:
 # -- 6. Knaster ------------------------------------------------------------
 
 
-def knaster_witness_check(depth: int = 16) -> dict:
+def knaster_witness_check() -> dict:
     """The evens witness pair flips sign exactly on the even levels, the
     two residue towers order it oppositely, and the depth-6 brute-force
     oracle confirms the branch sign rules."""
     started = time.perf_counter()
+    depth = 16
     evens = EventuallyPeriodicSet.evens()
     pair = build_witness(evens, depth)
 
@@ -379,11 +380,12 @@ def _random_thread(rng: random.Random, system):
     return thread_from_letters(system, x0, word)
 
 
-def definition_bridge(pairs: int = 100, depth: int = 10, seed: int = DEFAULT_SEED) -> dict:
+def definition_bridge(seed: int = DEFAULT_SEED) -> dict:
     """Pulled-back interval chains and raw coordinate comparison agree
     at every level where the coordinate gap clears the chain's mesh, and
     the pullback mesh is the fiber bound plus 1/n."""
     started = time.perf_counter()
+    pairs, depth = 100, 10
     system = tent_system()
     seq = PullbackSequence(system)
 
@@ -438,11 +440,12 @@ def _random_epset(rng: random.Random) -> EventuallyPeriodicSet:
     return EventuallyPeriodicSet(prefix, pattern)
 
 
-def filter_axioms(pairs_per_tower: int = 1000, seed: int = DEFAULT_SEED) -> dict:
+def filter_axioms(seed: int = DEFAULT_SEED) -> dict:
     """Residue towers behave like ultrafilters on the eventually
     periodic algebra: dichotomy, intersection, upward closure, and all
     cofinite sets in."""
     started = time.perf_counter()
+    pairs_per_tower = 1000
     towers = (
         SimulatedUltrafilter.binary_tower((0,)),
         SimulatedUltrafilter.binary_tower((1, 0)),
@@ -555,10 +558,11 @@ def order_axioms() -> dict:
 # -- 10. orientation ---------------------------------------------------------
 
 
-def orientation_combinatorics(word_depth: int = 10) -> dict:
+def orientation_combinatorics() -> dict:
     """Odd decompositions act like the tail flip on every cylinder, and
     parity-steered reach lands bit-exactly on every short target."""
     started = time.perf_counter()
+    word_depth = 10
 
     decompose_ok = True
     words_checked = 0
@@ -605,10 +609,11 @@ def orientation_combinatorics(word_depth: int = 10) -> dict:
 # -- 11. order classifier ------------------------------------------------------
 
 
-def order_classifier_oracle(max_size: int = 5) -> dict:
+def order_classifier_oracle() -> dict:
     """The equal-or-opposite classifier agrees with brute force on every
     pair of total orders on up to five elements."""
     started = time.perf_counter()
+    max_size = 5
 
     def brute(a, b):
         if list(a) == list(b):

@@ -487,9 +487,10 @@ class _PassData(NamedTuple):
     j_top: int
 
 
-def _wave_wall_x(u_zero: int, toward: int, y: Fraction) -> Fraction:
-    # x of the wave leg pair through anchor u_zero, at height y, walking
-    # toward anchor u_zero + toward as y leaves the zero level.
+def _wave_wall_x(u_zero: int, y: Fraction) -> Fraction:
+    # x of the wave leg pair through anchor u_zero, at height y.  Above the
+    # zero level the wall walks toward the peak, below it toward the trough.
+    toward = 2 - u_zero % 4
     a0 = _wave_anchor_x(u_zero)
     if y >= 0:
         return a0 + y * (_wave_anchor_x(u_zero + toward) - a0)
@@ -502,18 +503,23 @@ def _pass_data(p: int) -> _PassData:
 
     The circuit traces the outline of the e_p-neighborhood of the closed
     sine curve: it dives under every trough whose pocket is still wider
-    than 4*e_p, probes each pocket up to the height where the walls come
-    within 4*e_p of each other, runs up the far side of the limit bar,
-    probes the top pockets the same way, and descends the outer flank to
-    the gate of the next, tighter circuit.
+    than 4*e_p, runs up the far side of the limit bar, dips into the top
+    pockets the same way, and descends the outer flank to the gate of the
+    next, tighter circuit.  One probe serves both journeys: it climbs a
+    pocket's near wall to the height where the walls come within 4*e_p
+    of each other, crosses, and returns down the far wall.
     """
     if p < 1:
         raise ValueError("passes start at 1")
     e = _spiral_eps(p)
+    e4 = 4 * e
     e_next = _spiral_eps(p + 1)
     a = _wave_anchor_x
     pts: list[Point2] = [(a(0) + e, -1 - e)]
     tags: list[tuple] = []
+    # Per walk direction d: the height of the extreme a pocket opens at,
+    # and the offset that keeps the circuit outside the pocket's walls.
+    side = {1: (Fraction(-1), e), -1: (_ONE, -e)}
 
     def go(pt: Point2, tag: tuple) -> None:
         if pt == pts[-1]:
@@ -525,35 +531,47 @@ def _pass_data(p: int) -> _PassData:
         u1 = u0 if u1 is None else u1
         return ("wave", rational(u0), rational(u1))
 
-    # Bottom journey: probe pocket j between troughs 4j and 4j+4.
+    def mouth(A: int, d: int) -> bool:
+        # Is the pocket between extremes A and A + 4d wider than 4*e_p?
+        lo, hi = min(A, A + 4 * d), max(A, A + 4 * d)
+        return a(lo) - a(hi) > e4
+
+    def pocket(A: int, d: int) -> None:
+        # From beside extreme A to below or above extreme B = A + 4d: d = 1
+        # for the troughs under the wave, d = -1 for the peaks over it.
+        y0, de = side[d]
+        B = A + 4 * d
+        lo, hi = min(A, B), max(A, B)
+        width = a(lo) - a(hi)
+        g0 = a(lo + 1) - a(hi - 1)
+        # How far the probe climbs from the extreme; past the zero level
+        # when positive.
+        if e4 >= g0:
+            depth = -1 + (width - e4) / (width - g0)
+        else:
+            depth = 1 - e4 / g0
+        cross = depth > 0
+        ystar = depth if d > 0 else -depth
+        near, far = A + d, A + 3 * d
+        u_near, u_far = near + ystar, far - ystar
+        x_near = _wave_wall_x(near, ystar) - de
+        x_far = _wave_wall_x(far, ystar) + de
+        go((a(A) - de, y0), wtag(A))
+        if cross:
+            go((a(near) - de, _ZERO), wtag(A, near))
+        go((x_near, ystar), wtag(near if cross else A, u_near))
+        go(((x_near + x_far) / 2, ystar), wtag(u_near))
+        go((x_far, ystar), wtag(u_far))
+        if cross:
+            go((a(far) + de, _ZERO), wtag(u_far, far))
+        go((a(B) + de, y0), wtag(far if cross else u_far, B))
+        go((a(B) + de, y0 - de), wtag(B))
+
+    # Bottom journey: pocket j between troughs 4j and 4j+4.
     j = 0
-    while a(4 * j) - a(4 * j + 4) > 4 * e:
+    while mouth(4 * j, 1):
         go((a(4 * j) - e, -1 - e), wtag(4 * j))
-        go((a(4 * j) - e, Fraction(-1)), wtag(4 * j))
-        mouth = a(4 * j) - a(4 * j + 4)
-        g0 = a(4 * j + 1) - a(4 * j + 3)
-        if 4 * e >= g0:
-            ystar = -1 + (mouth - 4 * e) / (mouth - g0)
-        else:
-            ystar = 1 - 4 * e / g0
-        u_r = 4 * j + 1 + ystar
-        u_l = 4 * j + 3 - ystar
-        xr = _wave_wall_x(4 * j + 1, 1, ystar)
-        xl = _wave_wall_x(4 * j + 3, -1, ystar)
-        if ystar > 0:
-            go((a(4 * j + 1) - e, _ZERO), wtag(4 * j, 4 * j + 1))
-            go((xr - e, ystar), wtag(4 * j + 1, u_r))
-        else:
-            go((xr - e, ystar), wtag(4 * j, u_r))
-        mid = ((xr - e + xl + e) / 2, ystar)
-        go(mid, wtag(u_r))
-        go((xl + e, ystar), wtag(u_l))
-        if ystar > 0:
-            go((a(4 * j + 3) + e, _ZERO), wtag(u_l, 4 * j + 3))
-            go((a(4 * j + 4) + e, Fraction(-1)), wtag(4 * j + 3, 4 * j + 4))
-        else:
-            go((a(4 * j + 4) + e, Fraction(-1)), wtag(u_l, 4 * j + 4))
-        go((a(4 * j + 4) + e, -1 - e), wtag(4 * j + 4))
+        pocket(4 * j, 1)
         j += 1
     j_stop = j
     if j_stop < p:
@@ -563,39 +581,15 @@ def _pass_data(p: int) -> _PassData:
     cut_index = len(pts) - 1
     go((-e, 1 + e), ("bar",))
 
-    # Top journey: probe pocket j between peaks 4j-2 and 4j+2, deepest first.
+    # Top journey: pocket j between peaks 4j-2 and 4j+2, deepest first.
     j_top = 0
-    while a(4 * (j_top + 1) - 2) - a(4 * (j_top + 1) + 2) > 4 * e:
+    while mouth(4 * j_top + 6, -1):
         j_top += 1
     if j_top < 1:
         raise AssertionError("no probeable top pocket")
     go((a(4 * j_top + 2) + e, 1 + e), ("bar",))
     for j in range(j_top, 0, -1):
-        go((a(4 * j + 2) + e, _ONE), wtag(4 * j + 2))
-        mouth = a(4 * j - 2) - a(4 * j + 2)
-        g0 = a(4 * j - 1) - a(4 * j + 1)
-        if 4 * e < g0:
-            ystar = -1 + 4 * e / g0
-        else:
-            ystar = (4 * e - g0) / (mouth - g0)
-        u_l = 4 * j + 1 + ystar
-        u_r = 4 * j - 1 - ystar
-        xl = _wave_wall_x(4 * j + 1, 1, ystar)
-        xr = _wave_wall_x(4 * j - 1, -1, ystar)
-        if ystar < 0:
-            go((a(4 * j + 1) + e, _ZERO), wtag(4 * j + 2, 4 * j + 1))
-            go((xl + e, ystar), wtag(4 * j + 1, u_l))
-        else:
-            go((xl + e, ystar), wtag(4 * j + 2, u_l))
-        mid = ((xl + e + xr - e) / 2, ystar)
-        go(mid, wtag(u_l))
-        go((xr - e, ystar), wtag(u_r))
-        if ystar < 0:
-            go((a(4 * j - 1) - e, _ZERO), wtag(u_r, 4 * j - 1))
-            go((a(4 * j - 2) - e, _ONE), wtag(4 * j - 1, 4 * j - 2))
-        else:
-            go((a(4 * j - 2) - e, _ONE), wtag(u_r, 4 * j - 2))
-        go((a(4 * j - 2) - e, 1 + e), wtag(4 * j - 2))
+        pocket(4 * j + 2, -1)
         go((a(4 * j - 2) + e, 1 + e), wtag(4 * j - 2))
 
     # Outer flank down to the next gate.
@@ -632,25 +626,23 @@ def _prefix_total(p: int) -> Fraction:
     return _prefix_total(p - 1) + _pass_data(p).total
 
 
-def _pass_of(v: Fraction) -> int:
-    # v in (2^-p, 2^-(p-1)] belongs to circuit p.
+def spiral_circuit(v: Fraction) -> int:
+    """The circuit p of T's spiral that holds parameter v in (2^-p, 2^-(p-1)]."""
     if not 0 < v <= 1:
         raise ValueError(f"spiral parameter outside (0, 1]: {v}")
-    q = 1 / v
-    k = (q.numerator // q.denominator).bit_length() - 1
-    return k + 1
+    return (v.denominator // v.numerator).bit_length()
 
 
 @lru_cache(maxsize=_MEMO)
 def _spiral_arclength(v: Fraction) -> Fraction:
-    p = _pass_of(v)
+    p = spiral_circuit(v)
     frac = (Fraction(1, 2 ** (p - 1)) - v) * 2**p
     return _prefix_total(p - 1) + frac * _pass_data(p).total
 
 
 def _spiral_locate(v: Fraction) -> tuple[int, int, Fraction]:
     """v as (circuit p, segment i, fraction t along the segment)."""
-    p = _pass_of(v)
+    p = spiral_circuit(v)
     data = _pass_data(p)
     frac = (Fraction(1, 2 ** (p - 1)) - v) * 2**p
     s_local = frac * data.total
@@ -1289,11 +1281,12 @@ def _cut_depth(i: int, side: int, kind: str, m: int, tooth: int) -> int:
         k += 1
 
 
-# One shape per (i, m, bit pair): the memo grows with depth², not with
-# prefixes, and is bounded all the same.  Levels 1 to 10 have 200 shapes
-# between them, and a family plans each level once, so an evicted shape is
-# only built again for another prefix.
-_GAP_SHAPES = 2048
+# One shape per (i, m, bit pair): at level m the m - 1 inner gaps have four
+# bit pairs each and the last gap two, so levels 1 to L have 2·L² shapes
+# between them.  The memo holds all of them up to S3's compare limit of 48:
+# prefixes share every shape, and none is evicted to be built again and
+# pinned once more by the next prefix's plans.
+_GAP_SHAPES = 2 * 48**2
 
 
 @lru_cache(maxsize=_GAP_SHAPES)
@@ -1312,24 +1305,19 @@ def _gap_shape(i: int, m: int, bit_r: int, bit_l: int | None) -> _GapShape:
         kind_l = "blob"
         k_l = (2 * m - 1).bit_length()
 
-    anchors: list[tuple[Fraction, Point2]] = []
-    right: list[tuple[str, int]] = []
-    if kind_r == "p":
-        right.append(("p", k_r))
-    right.append(("z", k_r))
-    for k in range(k_r - 1, -1, -1):
-        right.append(("p", k))
-        right.append(("z", k))
-    for kind, k in right:
-        anchors.append((_anchor_abs(kind, k), _anchor_point(i, 1, kind, k)))
-    left: list[tuple[str, int]] = []
-    for k in range(k_l):
-        left.append(("p", k))
-        left.append(("z", k + 1))
-    if kind_l == "p":
-        left.append(("p", k_l))
-    for kind, k in left:
-        anchors.append((-_anchor_abs(kind, k), _anchor_point(i, -1, kind, k)))
+    def flank(side: int, kind: str, k_cut: int) -> list[tuple[Fraction, Point2]]:
+        # A flank's anchors (w, point) from w = 0 outward, up to its cut.
+        walk = [pair for k in range(k_cut) for pair in (("p", k), ("z", k + 1))]
+        if kind == "p":
+            walk.append(("p", k_cut))
+        return [(side * _anchor_abs(kd, k), _anchor_point(i, side, kd, k)) for kd, k in walk]
+
+    # From the right cut down through zero 0 to the left cut.
+    anchors = (
+        flank(1, kind_r, k_r)[::-1]
+        + [(_ZERO, _anchor_point(i, 1, "z", 0))]
+        + flank(-1, kind_l, k_l)
+    )
 
     eta = Fraction(1, 4 * m)
     legs: list[_Leg] = []

@@ -147,24 +147,13 @@ class LinkMemo:
 
 def _readers(seq, *points) -> list[Callable[[int], tuple[int, int]]]:
     """One memo reader per point.  A sequence with no memo of its own, such
-    as a pullback sequence, whose threads recur in no later call, gets
-    readers that keep the pairs they place for this call only."""
+    as a pullback sequence, whose threads recur in no later call, gets a
+    memo for this call only, keyed by identity: the caller holds every
+    point until the call returns."""
     memo = getattr(seq, "_links", None)
     if memo is None:
-        return [_call_reader(seq, p) for p in points]
+        memo = LinkMemo(id)
     return [memo.reader(seq, p) for p in points]
-
-
-def _call_reader(seq, point) -> Callable[[int], tuple[int, int]]:
-    row = {}
-
-    def links(n: int) -> tuple[int, int]:
-        pair = row.get(n)
-        if pair is None:
-            pair = row[n] = seq.level(n).index_of(point)
-        return pair
-
-    return links
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .catalog import (
     s2_family,
     s3_family,
     s3_witness_pair,
+    spiral_circuit,
     t_family,
 )
 from .chains import chain_order_compare, chain_trace
@@ -136,9 +137,7 @@ def _parse_point(space: str, text: str):
         raise UsageError(f"point {text!r} must look like strand:param")
     catalog_spaces()[space].validate(point)
     if strand == "spiral":
-        # v in (2^-p, 2^-(p-1)] lies on circuit p.
-        v = point.param
-        circuit = (v.denominator // v.numerator).bit_length()
+        circuit = spiral_circuit(point.param)
         _depth("compare", space, circuit, f"point {text!r} on spiral circuit")
     return point
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainorder import catalog, chains
+from chainorder import catalog, chains, cli
 from chainorder.catalog import (
     ArcChainFamily,
     CatalogPoint,
@@ -255,7 +255,7 @@ def full_scan_spiral_polyline(va, vb):
     s_hi = catalog._spiral_arclength(va)
     s_lo = catalog._spiral_arclength(vb)
     pts = [catalog._spiral_point(vb)]
-    p = catalog._pass_of(vb)
+    p = catalog.spiral_circuit(vb)
     while True:
         data = _pass_data(p)
         base = catalog._prefix_total(p - 1)
@@ -613,11 +613,16 @@ class TestToothForestFamilies:
         info = _gap_shape.cache_info()
         assert (info.currsize, info.misses) == (72, 72)
 
+    def test_gap_shape_memo_holds_every_shape_up_to_the_s3_limit(self):
+        # Levels 1..L hold 4 shapes per inner gap and 2 for the last: 2·L².
+        limit = cli._DEPTHS[("compare", "s3")][1]
+        assert catalog._GAP_SHAPES == 2 * limit**2
+
     def test_gap_shape_memo_is_bounded(self):
-        # Four prefixes give every bit pair at every gap: levels 1-33 make
-        # 2,178 distinct shapes, more than the bound holds.
+        # Four prefixes give every bit pair at every gap: levels 1-49 make
+        # 4,802 distinct shapes, more than the bound holds.
         _gap_shape.cache_clear()
-        depth = 33
+        depth = 49
         for bits in ("0" * depth, "1" * depth, "01" * depth, "10" * depth):
             family = ToothForestChainFamily(tuple(map(int, bits[:depth])))
             for m in range(1, depth + 1):
