@@ -44,6 +44,7 @@ from chainorder.inverse_limit import (
     ThreadPoint,
     epsilon_map_modulus,
     inverse_limit_order,
+    inverse_limit_orders,
     sign_certificate,
     tent_system,
     thread_from_letters,
@@ -545,6 +546,47 @@ class TestChainOrderCompare:
             bound = max(verdict.threshold + 3, settled + len(sign.get("cycle", ())))
             assert max(seq._levels) <= bound < 64
         assert stabilized > 150
+
+    def test_both_inverse_limit_routes_are_pinned(self):
+        """The coordinate route and the pullback route under three towers,
+        with their certificates, on 200 seeded tent pairs plus an
+        equal-tails pair and a pair that steps through a shared knot."""
+        tent, rng = tent_system(), random.Random(2024)
+
+        def thread():
+            bits = rng.randint(1, 6)
+            x0 = Fraction(rng.randrange(1, 2**bits), 2**bits)
+            prefix = tuple(rng.randrange(2) for _ in range(rng.randint(0, 5)))
+            cycle = tuple(rng.randrange(2) for _ in range(rng.randint(1, 4)))
+            return ThreadPoint(tent, (x0,), PeriodicTail(prefix, cycle))
+
+        half = Fraction(1, 2)
+        pairs = [(thread(), thread()) for _ in range(200)] + [
+            (
+                thread_from_letters(tent, half, cycle="L"),
+                ThreadPoint(tent, (half, half / 2), PeriodicTail((), (0,))),
+            ),
+            (
+                thread_from_letters(tent, 0, (), (1, 0, 1)),
+                thread_from_letters(tent, 0, (), (1, 0, 0)),
+            ),
+        ]
+        towers = (
+            SimulatedUltrafilter.binary_tower((0,)),
+            SimulatedUltrafilter.binary_tower((1,)),
+            None,
+        )
+        records = [
+            [
+                [v.as_dict() for v in inverse_limit_orders(x, y, towers, 64)],
+                [
+                    chain_order_compare(PullbackSequence(tent), x, y, u, 64).as_dict()
+                    for u in towers
+                ],
+            ]
+            for x, y in pairs
+        ]
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16] == "61dd0baa1a23a580"
 
     def test_trace_reports_relations(self):
         sys = tent_system()
