@@ -31,13 +31,13 @@ from .chains import (
     BOTH,
     GE_ONLY,
     LE_ONLY,
-    Certificate,
     ChainLevel,
     IntervalChain,
     LinkMemo,
     reverse_bounds,
     settled_from,
 )
+from .inverse_limit import Certificate
 from .foundations import rational, rational_str
 from .orientation import parse_word
 
@@ -738,14 +738,6 @@ class MinimalArc:
 
     def contains(self, point: CatalogPoint) -> bool:
         return point.strand == self.strand and self.lo <= point.param <= self.hi
-
-    def as_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "strand": self.strand,
-            "lo": rational_str(self.lo),
-            "hi": rational_str(self.hi),
-        }
 
 
 def separation_data(

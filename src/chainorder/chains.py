@@ -7,8 +7,9 @@ allows at least one.  Sequences of levels with shrinking mesh then give
 limit orders, decided levelwise and voted on by an ultrafilter when the
 levelwise answers keep alternating.  Every sequence, a catalog family or
 a pullback sequence on an inverse limit, certifies a pair's relations in
-a ``Certificate``; ``chain_order_compare`` alone issues the verdict and
-spot-checks it against directly computed levels.
+an ``inverse_limit.Certificate``, the record the sign machine returns and
+``sign_verdict`` reads; ``chain_order_compare`` alone issues the verdict
+and spot-checks it against directly computed levels.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .foundations import EQ, GE, LE, STABILIZED, ComparisonVerdict, rational_str
 from .inverse_limit import (
+    Certificate,
     InverseSystem,
     epsilon_map_modulus,
     fiber_diameter_bound,
@@ -34,18 +36,6 @@ BOTH = "both"
 
 # The coordinate sign a level relation stands for in a sign sequence.
 _SIGN_OF = {LE_ONLY: "LT", GE_ONLY: "GT", BOTH: "EQ"}
-
-
-class Certificate(NamedTuple):
-    """A pair's certified signs as ``sign_verdict`` reads them, counted from
-    level ``first`` on; ``meta`` is the certificate the verdict reports, and
-    ``probe`` one more level its spot check reads."""
-
-    history: tuple[str, ...]
-    cycle: tuple[str, ...]
-    first: int
-    meta: dict | None
-    probe: int
 
 
 def settled_from(n: int, relation: str, meta: dict | None, probe: int) -> Certificate:
@@ -240,8 +230,7 @@ class PullbackSequence:
             return None
         if set(cert.cycle) == {"EQ"}:
             # Equal tails leave no gap to dominate the mesh.
-            settled = cert.cycle_start + len(cert.cycle)
-            return Certificate((), cert.cycle, 1, cert.as_dict(), settled)
+            return cert._replace(history=(), first=1)
 
         # From the first level where the coordinate signs are strict forever,
         # coordinate gaps can shrink at most by the bonding Lipschitz factor
@@ -268,12 +257,12 @@ class PullbackSequence:
         # Level 0 is not a chain level; its placeholder never counts.  Below
         # T the chain relations are computed outright, from T on they follow
         # the certified coordinate signs.
-        start = max(T, cert.cycle_start)
+        start = max(T, len(cert.history))
         history = ["GT"]
         history += [_SIGN_OF[relation(n)] for n in range(1, T)]
         history += [cert.rel(n) for n in range(T, start)]
         cycle = tuple(cert.rel(start + j) for j in range(len(cert.cycle)))
-        meta = {"sign": cert.as_dict(), "gap_dominance_level": T}
+        meta = {"sign": cert.meta, "gap_dominance_level": T}
         return Certificate(tuple(history), cycle, 1, meta, start + len(cycle))
 
 
@@ -340,11 +329,11 @@ def chain_order_compare(
         record = seq.compare_certificate(x, y, depth, relation)
         if record is None:
             return ComparisonVerdict.unknown(depth)
-    history, cycle, first, meta, probe = record
-    verdict = sign_verdict(history, cycle, depth, ultrafilter, meta, first=first)
+    verdict = sign_verdict(record, depth, ultrafilter)
     if verdict.kind == STABILIZED:
         t = verdict.threshold
-        _spot_check(relation, verdict, (t - 1 if t > first else t, t, t + 1, t + 3, probe))
+        below = t - 1 if t > record.first else t
+        _spot_check(relation, verdict, (below, t, t + 1, t + 3, record.probe))
     return verdict
 
 

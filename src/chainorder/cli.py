@@ -85,9 +85,7 @@ def _family(space: str, variant: str | None, bits: str | None):
         return s1_family(variant or "D")
     if space == "s2":
         return s2_family(variant or "standard")
-    if space == "t":
-        return t_family(variant or "D")
-    raise UsageError(f"unknown space: {space!r}")
+    return t_family(variant or "D")
 
 
 # (command, space): (default depth, limit).  Each limit is the largest depth
@@ -331,13 +329,11 @@ def _cmd_orders_count(args) -> tuple[dict, bool]:
     elif space == "s3":
         rep = acceptance.s3_prefix_distinctness(length=depth)
         distinct, expected = rep["detail"]["distinct_orders"], 2**depth
-    elif space == "t":
+    else:
         rep = acceptance.t_component_orders(depth=depth)
         orders = rep["detail"]["component_orders"]
         distinct = len(orders) if rep["pass"] else sum(orders.values())
         expected = 2
-    else:
-        raise UsageError(f"unknown space: {space!r}")
     report = {
         "inputs": {"space": space, "depth": depth},
         "distinct_orders": distinct,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .foundations import (
     EQ,
@@ -238,32 +238,25 @@ def compare_level(x: ThreadPoint, y: ThreadPoint, n: int) -> str:
     return EQL
 
 
-@dataclass(frozen=True)
-class SignCertificate:
-    """Exact sign history plus a proof it repeats from cycle_start on.
-
-    rel(n) = history[n] for n < len(history), and for n >= cycle_start
-    rel(n) = cycle[(n - cycle_start) % len(cycle)].
-    """
+class Certificate(NamedTuple):
+    """A pair's certified signs, counted from level ``first`` on: ``history[n]``
+    below ``len(history)``, then ``cycle`` repeating forever.  ``meta`` is
+    the certificate the verdict reports, and ``probe`` one more level a spot
+    check reads."""
 
     history: tuple[str, ...]
-    cycle_start: int
     cycle: tuple[str, ...]
+    first: int
+    meta: dict | None
+    probe: int
 
     def rel(self, n: int) -> str:
         if n < len(self.history):
             return self.history[n]
-        return self.cycle[(n - self.cycle_start) % len(self.cycle)]
-
-    def as_dict(self) -> dict:
-        return {
-            "history": list(self.history),
-            "cycle_start": self.cycle_start,
-            "cycle": list(self.cycle),
-        }
+        return self.cycle[(n - len(self.history)) % len(self.cycle)]
 
 
-def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate | None:
+def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> Certificate | None:
     """Certify the full coordinatewise sign pattern of (x, y).
 
     The sign machine needs a shared constant full-lap system and letter
@@ -297,7 +290,6 @@ def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate | None:
     state = (pos_x, pos_y, band_x, band_y, rel)
     level = start
     bound = 27 * len(cyc_x) * len(cyc_y) + len(history) + 8
-    trail: list[str] = []
     while state not in seen:
         seen[state] = level
         pos_x, pos_y, band_x, band_y, rel = state
@@ -328,18 +320,19 @@ def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate | None:
             new_band_y,
             new_rel,
         )
-        trail.append(new_rel)
+        history.append(new_rel)
         if level - start > bound:
             raise AssertionError("sign machine failed to recur within its bound")
 
-    cycle_start = seen[state]
-    history.extend(trail)
-    # The state seen at `cycle_start` reproduces at `level`, so the rels
-    # at levels cycle_start+1..level repeat forever.
-    cycle = tuple(history[cycle_start + 1 : level + 1])
-    cert = SignCertificate(tuple(history[: level + 1]), cycle_start + 1, cycle)
+    # The state seen at level c - 1 reproduces at `level`, so the rels at
+    # levels c..level repeat forever.  The record's history stops at c, its
+    # meta keeps the signs through `level`, and its probe is one period on.
+    c = seen[state] + 1
+    cycle = tuple(history[c:])
+    meta = {"history": history, "cycle_start": c, "cycle": list(cycle)}
+    cert = Certificate(tuple(history[:c]), cycle, 0, meta, c + len(cycle))
 
-    for probe in range(start + 1, min(start + 4, len(cert.history))):
+    for probe in range(start + 1, min(start + 4, level + 1)):
         if compare_level(x, y, probe) != cert.rel(probe):
             raise AssertionError("sign machine disagrees with exact coordinates")
     if EQL in cert.cycle and set(cert.cycle) != {EQL}:
@@ -348,22 +341,17 @@ def sign_certificate(x: ThreadPoint, y: ThreadPoint) -> SignCertificate | None:
 
 
 def sign_verdict(
-    history: tuple[str, ...],
-    cycle: tuple[str, ...],
-    depth: int,
-    ultrafilter: SimulatedUltrafilter | None,
-    certificate: dict,
-    first: int,
+    record: Certificate, depth: int, ultrafilter: SimulatedUltrafilter | None
 ) -> ComparisonVerdict:
     """Turn a certified relation sequence into a verdict.
 
-    ``history`` holds the signs at levels 0..len(history)-1 and ``cycle``
-    repeats forever from level len(history) on; ``first`` is the first
-    level that counts.  An all-EQ cycle is equality from ``first``.  A
-    one-sign cycle stabilizes from the start of its final run, found by
-    walking back over ``history``.  A mixed cycle gives the exact level
-    set where x <= y, voted on when an ultrafilter is given.
+    Only levels from ``record.first`` on count.  An all-EQ cycle is
+    equality from ``first``.  A one-sign cycle stabilizes from the start of
+    its final run, found by walking back over the history.  A mixed cycle
+    gives the exact level set where x <= y, voted on when an ultrafilter
+    is given.
     """
+    history, cycle, first, certificate, _ = record
     kinds = set(cycle)
     if kinds == {EQL}:
         return ComparisonVerdict.stabilized(EQ, first, depth, certificate=certificate)
@@ -431,10 +419,7 @@ def inverse_limit_orders(
         return [ComparisonVerdict.unknown(depth) for _ in ultrafilters]
     if set(cert.cycle) == {EQL} and set(cert.history) != {EQL}:
         raise AssertionError("equal tails must be equal at every level")
-    history, certificate = cert.history[: cert.cycle_start], cert.as_dict()
-    return [
-        sign_verdict(history, cert.cycle, depth, u, certificate, first=0) for u in ultrafilters
-    ]
+    return [sign_verdict(cert, depth, u) for u in ultrafilters]
 
 
 def fiber_diameter_bound(system: InverseSystem, n: int) -> Fraction:

@@ -26,14 +26,6 @@ class Decision:
     extended: bool
     tower: "SimulatedUltrafilter"
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "modulus": self.modulus,
-            "extended": self.extended,
-            "tower": self.tower.as_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class SimulatedUltrafilter:

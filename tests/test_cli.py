@@ -68,6 +68,26 @@ class TestCompare:
         assert code == 0
         assert report["verdict"]["direction"] == "ge"
 
+    def test_an_arc_point_given_both_ways_is_equal_from_level_1(self, capsys):
+        """A bare rational and the segment point at the same parameter are
+        one point of the arc, on either variant and in either order."""
+        for variant in ("standard", "reversed"):
+            family = catalog.arc_family(variant)
+            for t in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                segment = catalog.CatalogPoint("segment", t)
+                for x, y in ((t, segment), (segment, t)):
+                    verdict = chain_order_compare(family, x, y, None, 20)
+                    assert (verdict.kind, verdict.direction, verdict.threshold) == (
+                        "stabilized", "eq", 1
+                    )
+        code, report = run_json(
+            capsys, "compare", "--space", "arc", "--x", "1/2", "--y", "segment:1/2"
+        )
+        assert code == 0
+        assert report["verdict"] == {
+            "kind": "stabilized", "depth": 20, "direction": "eq", "threshold": 1
+        }
+
     def test_negative_trace_depth_is_refused(self, capsys):
         code, out, err = run(
             capsys, "compare", "--space", "arc", "--x", "1/4", "--y", "3/4", "--trace-depth", "-2"

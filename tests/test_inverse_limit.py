@@ -298,6 +298,22 @@ class TestSignCertificate:
         assert set(cert.cycle) == {"EQ"}
         assert set(cert.history) == {"EQ"}
 
+    def test_threads_through_a_shared_knot(self):
+        """Threads from 0 whose cycles both open with letters 1, 0 step
+        0 -> 1 -> 1/2 together: the machine's first step lands both on
+        the same boundary knot, where the signs stay equal."""
+        for cyc_x, cyc_y in [((1, 0, 1), (1, 0, 0)), ((1, 0), (1, 0, 0, 1))]:
+            x = thread_from_letters(SYS, 0, (), cyc_x)
+            y = thread_from_letters(SYS, 0, (), cyc_y)
+            cert = sign_certificate(x, y)
+            for n in range(30):
+                assert cert.rel(n) == compare_level(x, y, n), (cyc_x, cyc_y, n)
+        x = thread_from_letters(SYS, 0, (), (1, 0, 1))
+        y = thread_from_letters(SYS, 0, (), (1, 0, 0))
+        verdict = inverse_limit_order(x, y, None, 20)
+        assert verdict.kind == ULTRAFILTER_DEPENDENT
+        assert verdict.le_set == EventuallyPeriodicSet((True,), (True, True, False))
+
     def test_seeded_sweep_against_exact_coordinates(self):
         """Certificates and compare_level against signs of coordinates
         stepped by the tent's own formulas."""
