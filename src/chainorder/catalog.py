@@ -37,8 +37,8 @@ from .chains import (
     reverse_bounds,
     settled_from,
 )
-from .inverse_limit import Certificate
 from .foundations import rational, rational_str
+from .inverse_limit import Certificate
 from .orientation import parse_word
 
 _ZERO = Fraction(0)

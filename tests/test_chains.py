@@ -552,16 +552,8 @@ class TestChainOrderCompare:
         with their certificates, on 200 seeded tent pairs plus an
         equal-tails pair and a pair that steps through a shared knot."""
         tent, rng = tent_system(), random.Random(2024)
-
-        def thread():
-            bits = rng.randint(1, 6)
-            x0 = Fraction(rng.randrange(1, 2**bits), 2**bits)
-            prefix = tuple(rng.randrange(2) for _ in range(rng.randint(0, 5)))
-            cycle = tuple(rng.randrange(2) for _ in range(rng.randint(1, 4)))
-            return ThreadPoint(tent, (x0,), PeriodicTail(prefix, cycle))
-
         half = Fraction(1, 2)
-        pairs = [(thread(), thread()) for _ in range(200)] + [
+        pairs = [(random_tent_thread(rng), random_tent_thread(rng)) for _ in range(200)] + [
             (
                 thread_from_letters(tent, half, cycle="L"),
                 ThreadPoint(tent, (half, half / 2), PeriodicTail((), (0,))),
