@@ -1075,6 +1075,20 @@ def test_validator_matches_the_fraction_oracle(family, monkeypatch):
             assert report == _fraction_validate_level(family, n)
 
 
+def test_link_windows_are_pinned():
+    """Every window, level size and mesh bound of the CI families at levels 1-6
+    (T at 1-5), and the validator's sampled points, by digest.  The Fraction
+    oracle above checks the windows of the grid it is handed, so it cannot
+    catch a plan that hands the validator the wrong grid; this can."""
+    digest = hashlib.sha256()
+    for family in _CI_FAMILIES:
+        for n in range(1, (5 if family.SPACE == "t" else 6) + 1):
+            level, key = family.level(n), getattr(family, "variant", None) or family.bits
+            digest.update(repr((family.SPACE, key, n, level.size, level.mesh_bound,
+                                family.link_windows(n), family.sampled_parts(n))).encode())
+    assert digest.hexdigest()[:16] == "4ac839b60ad95e65"
+
+
 @given(
     step=st.fractions(Fraction(1, 40), 2, max_denominator=60),
     ov_share=st.fractions(0, Fraction(19, 40), max_denominator=40),
