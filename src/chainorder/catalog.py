@@ -794,8 +794,7 @@ class Window(NamedTuple):
 
 def _grid_windows(
     strand: str,
-    step: Fraction,
-    overlap: Fraction,
+    grid: _Grid,
     count: int,
     first: int,
     lo: Fraction,
@@ -803,14 +802,14 @@ def _grid_windows(
     param: Callable = lambda o: o,
     ends_closed: bool = True,
 ) -> list[Window]:
-    """The windows of a `_window_range` grid over the coordinate stretch lo..hi.
+    """Windows 1..count of the plan's ``grid`` over the coordinate stretch lo..hi.
 
     Window i of the grid is link first + i; the first and last windows
     reach the ends of the stretch, which are closed or open together.
     ``param`` maps the grid coordinate monotonically to the strand
     parameter; the ends stay integer numerators over ``den`` until kept.
     """
-    eq, cq, ep, _, _ = _grid(step, overlap, 1, count)
+    eq, cq, ep = grid.eq, grid.cq, grid.ep
     den = lcm(eq, lo.denominator, hi.denominator)
     ep, cq = ep * (den // eq), cq * (den // eq)
     lo_n, hi_n = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
@@ -866,22 +865,22 @@ class ChainFamily:
     """A chain sequence on one catalog space, one memoized level per depth.
 
     A family names its space in ``SPACE`` and its variants in
-    ``VARIANTS``.  Level n comes from a plan: ``_build_plan(n)`` returns
-    a record with the link count ``size`` and the mesh bound ``mesh``,
-    and ``_index(plan, point)`` places a point on that level's links as
-    a plain ``(lo, hi)`` pair, which the level's ``index_of`` holds to
-    the chain contract.  ``compare_certificate`` certifies a pair's
-    relation from the level ``_settling_level`` names (by default a scan
-    of the relations in the family's memo, which needs ``_pair_settled``)
-    on, with the depth as the record's probe.  The validator reads
-    ``link_windows(n)``, the inverse of ``_index``, and the points of
-    ``sampled_parts(n)``, which stand for what no window lists.
+    ``VARIANTS``.  Level n comes from a plan, which the level keeps:
+    ``_build_plan(n)`` returns a record with the link count ``size`` and
+    the mesh bound ``mesh``, and ``_index(plan, point)`` places a point
+    on that level's links as a plain ``(lo, hi)`` pair, which the level's
+    ``index_of`` holds to the chain contract.  ``compare_certificate``
+    certifies a pair's relation from the level ``_settling_level`` names
+    (by default a scan of the relations in the family's memo, which
+    needs ``_pair_settled``) on, with the depth as the record's probe.
+    The validator reads ``link_windows(n)``, the inverse of ``_index``,
+    and the points of ``sampled_parts(n)``, which stand for what no
+    window lists.
     """
 
     SPACE: ClassVar[str]
     VARIANTS: ClassVar[tuple[str, ...]]
     _levels: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
-    _plans: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
     _links: LinkMemo = field(
         default_factory=partial(LinkMemo, _link_key), compare=False, repr=False, kw_only=True
     )
@@ -894,20 +893,16 @@ class ChainFamily:
     def space(self) -> StrandSpace:
         return catalog_spaces()[self.SPACE]
 
-    def _plan(self, n: int):
-        if n < 1:
-            raise ValueError("levels start at 1")
-        if n not in self._plans:
-            self._plans[n] = self._build_plan(n)
-        return self._plans[n]
-
     def level(self, n: int) -> ChainLevel:
         if n not in self._levels:
-            plan = self._plan(n)
-            self._levels[n] = ChainLevel(
-                level=n, size=plan.size, mesh_bound=plan.mesh, index_fn=partial(self._index, plan)
-            )
+            if n < 1:
+                raise ValueError("levels start at 1")
+            plan = self._build_plan(n)
+            self._levels[n] = ChainLevel(n, plan.size, plan.mesh, partial(self._index, plan), plan)
         return self._levels[n]
+
+    def _plan(self, n: int):
+        return self.level(n).plan
 
     def compare_certificate(self, x, y, depth: int, relation) -> Certificate | None:
         settled = self._settling_level(x, y, depth, relation)
@@ -1005,15 +1000,12 @@ class ArcChainFamily(ChainFamily):
 
 
 class _SinePlan(NamedTuple):
-    n: int
     h: Fraction
     ov: Fraction
     deep: int
     ustar: Fraction
     windows: int
-    slabs: int
     band: Fraction
-    ovb: Fraction
     size: int
     entry: int
     sense: int
@@ -1079,15 +1071,12 @@ class SineChainFamily(ChainFamily):
         entry = m * (1 if peak_cut else -1) + c
         sense = 1 if entry == limit.lo else -1
         plan = _SinePlan(
-            n=n,
             h=h,
             ov=h / 8,
             deep=deep,
             ustar=deep - h / 8,
             windows=windows,
-            slabs=slabs,
             band=band,
-            ovb=band / 8,
             size=windows + slabs,
             entry=entry,
             sense=sense,
@@ -1142,19 +1131,20 @@ class SineChainFamily(ChainFamily):
         return self._settled(plan, x) and self._settled(plan, y) and self._apart(plan, x, y)
 
     def link_windows(self, n: int) -> list[Window]:
-        plan = self._plan(n)
+        return self._walk_windows(self._plan(n))
+
+    def _walk_windows(self, plan: _SinePlan) -> list[Window]:
         limit = self.space.strand(self.LIMIT)
         slabs = _grid_windows(
             self.LIMIT,
-            plan.band,
-            plan.ovb,
-            plan.slabs,
+            plan.slab,
+            plan.slab.hi,
             plan.windows,
             _ZERO,
             limit.hi - limit.lo,
             lambda o: plan.entry + plan.sense * o,
         )
-        wave = _grid_windows("wave", plan.h, plan.ov, plan.windows, 0, _ZERO, plan.ustar)
+        wave = _grid_windows("wave", plan.wave, plan.windows, 0, _ZERO, plan.ustar)
         # The handover: the last window and the entry slab share (ustar, deep + ov).
         cut = plan.deep + plan.ov
         wave += [Window(link, "wave", plan.ustar, cut) for link in (plan.windows, plan.windows + 1)]
@@ -1235,18 +1225,16 @@ class _GapShape(NamedTuple):
 
 class _Tooth(NamedTuple):
     base: int
-    slabs: int
-    bt: Fraction
     grid: _Grid
 
 
 class _S3Plan(NamedTuple):
+    """Level m of S3; its last link, ``size``, is the blob."""
+
     m: int
-    bits: tuple[int, ...]
     teeth: dict
     gap_base: dict
     gaps: dict
-    blob: int
     size: int
     mesh: Fraction
 
@@ -1389,18 +1377,16 @@ class ToothForestChainFamily(ChainFamily):
         for i in range(1, m + 1):
             slabs = _ceil(Fraction(4 * m, i))
             bt = Fraction(1, i) / slabs
-            teeth[i] = _Tooth(off, slabs, bt, _grid(bt, bt / 8, 1, slabs))
+            teeth[i] = _Tooth(off, _grid(bt, bt / 8, 1, slabs))
             off += slabs
             gap_base[i] = off
             gaps[i] = _gap_shape(i, m, self.bits[i - 1], self.bits[i] if i < m else None)
             off += gaps[i].total
         return _S3Plan(
             m=m,
-            bits=self.bits[:m],
             teeth=teeth,
             gap_base=gap_base,
             gaps=gaps,
-            blob=off + 1,
             size=off + 1,
             mesh=Fraction(4 * m + 1, 4 * m * (m + 1)),
         )
@@ -1408,13 +1394,13 @@ class ToothForestChainFamily(ChainFamily):
     def _tooth_index(self, plan: _S3Plan, i: int, a: int, b: int) -> tuple[int, int]:
         """The links holding height a/b (b > 0) on tooth i."""
         if i > plan.m:
-            return plan.blob, plan.blob
+            return plan.size, plan.size
         # Clamp y to 0..1/i, then measure it from the end the walk enters at.
         if a < 0:
             a = 0
         elif a * i > b:
             a, b = 1, i
-        if plan.bits[i - 1] == 1:
+        if self.bits[i - 1] == 1:
             a, b = b - i * a, i * b
         tooth = plan.teeth[i]
         lo, hi = _window_range(tooth.grid, a, b)
@@ -1422,7 +1408,7 @@ class ToothForestChainFamily(ChainFamily):
 
     def _gap_index(self, plan: _S3Plan, i: int, w: Fraction) -> tuple[int, int]:
         if i > plan.m:
-            return plan.blob, plan.blob
+            return plan.size, plan.size
         g, base = plan.gaps[i], plan.gap_base[i]
         part = _gap_part(g, w)
         a, b = w.numerator, w.denominator
@@ -1438,14 +1424,14 @@ class ToothForestChainFamily(ChainFamily):
         if part == "margin_l":
             return base + g.total, base + g.total + 1
         if part == "tail_l" and g.kind_l == "blob":
-            return plan.blob, plan.blob
+            return plan.size, plan.size
         # A flank's tail is placed on its tooth by height.
         return self._tooth_index(plan, i if part == "tail_r" else i + 1, *_q(_gap_point(i, w)[1]))
 
     def _index(self, plan: _S3Plan, point: CatalogPoint) -> tuple[int, int]:
         kind, i = _parse_s3_strand(point.strand)
         if kind == "origin":
-            return plan.blob, plan.blob
+            return plan.size, plan.size
         if kind == "tooth":
             return self._tooth_index(plan, i, *_q(point.param))
         return self._gap_index(plan, i, point.param)
@@ -1494,25 +1480,24 @@ class ToothForestChainFamily(ChainFamily):
         windows: list[Window] = []
         for i in range(1, m + 1):
             windows += teeth[i] + self._gap_windows(plan, i, teeth)
-        windows.append(Window(plan.blob, f"gap_{m}", Fraction(-1), blob_cut, False, True, blob_box))
+        windows.append(Window(plan.size, f"gap_{m}", Fraction(-1), blob_cut, False, True, blob_box))
         for i in range(m + 1, max(m + 1, 8) + 1):
             top = Fraction(1, i)
-            windows.append(Window(plan.blob, f"tooth_{i}", _ZERO, top, True, True, blob_box))
-            windows.append(Window(plan.blob, f"gap_{i}", Fraction(-1), _ONE, box=blob_box))
-        windows.append(Window(plan.blob, "origin", _ZERO, _ZERO, True, True, blob_box))
+            windows.append(Window(plan.size, f"tooth_{i}", _ZERO, top, True, True, blob_box))
+            windows.append(Window(plan.size, f"gap_{i}", Fraction(-1), _ONE, box=blob_box))
+        windows.append(Window(plan.size, "origin", _ZERO, _ZERO, True, True, blob_box))
         return windows
 
     def _tooth_windows(self, plan: _S3Plan, i: int) -> list[Window]:
         tooth, top = plan.teeth[i], Fraction(1, i)
         return _grid_windows(
             f"tooth_{i}",
-            tooth.bt,
-            tooth.bt / 8,
-            tooth.slabs,
+            tooth.grid,
+            tooth.grid.hi,
             tooth.base,
             _ZERO,
             top,
-            (lambda o: top - o) if plan.bits[i - 1] == 1 else (lambda o: o),
+            (lambda o: top - o) if self.bits[i - 1] == 1 else (lambda o: o),
         )
 
     def _gap_windows(self, plan: _S3Plan, i: int, teeth: dict) -> list[Window]:
@@ -1526,8 +1511,7 @@ class ToothForestChainFamily(ChainFamily):
             ov_next = g.legs[k + 1].ovw if k + 1 < len(g.legs) else leg.ovw
             windows += _grid_windows(
                 name,
-                leg.step,
-                leg.ovw,
+                leg.grid,
                 leg.count,
                 base + leg.link_base,
                 -ov_prev,
@@ -1580,18 +1564,15 @@ def _flank_tail(i: int, side: int, start: Fraction, host: list[Window]) -> list[
 
 
 class _TPlan(NamedTuple):
-    n: int
     sine: _SinePlan
     off_sine: int
-    hs: Fraction
-    ovs: Fraction
     spiral_count: int
     spiral_len: Fraction
     off_spiral: int
     size: int
     mesh: Fraction
     # Integer forms: the spiral's grid, the arclengths spiral_len and
-    # spiral_len + ovs as pairs, (al, be) with grid coordinate
+    # spiral_len + sine.ov as pairs, (al, be) with grid coordinate
     # al*s + be*spiral_len at arclength s, and the first handover link.
     grid: _Grid
     end: Pair
@@ -1623,16 +1604,15 @@ class SpiralChainFamily(ChainFamily):
 
     def _build_plan(self, n: int) -> _TPlan:
         # The S1 plan, not its level: T builds no S1 level of its own.
-        sine = self._sine._plan(n)
+        sine = self._sine._build_plan(n)
         h, band = sine.h, sine.band
-        hs = h
         is_d = self.variant == "D"
         data = _pass_data(n)
         if is_d:
             spiral_len = _prefix_total(n - 1) + data.cum[data.cut_index]
         else:
             spiral_len = _prefix_total(n - 1)
-        spiral_count = _ceil(spiral_len / hs)
+        spiral_count = _ceil(spiral_len / h)
         if is_d:
             off_spiral, off_sine = 0, spiral_count
         else:
@@ -1643,22 +1623,18 @@ class SpiralChainFamily(ChainFamily):
             band + band / 4 + 2 * e,
             _wave_point(sine.ustar)[0] + 2 * e,
             data.bar_x_max + 2 * e,
-            hs + hs / 4,
         )
         return _TPlan(
-            n=n,
             sine=sine,
             off_sine=off_sine,
-            hs=hs,
-            ovs=hs / 8,
             spiral_count=spiral_count,
             spiral_len=spiral_len,
             off_spiral=off_spiral,
             size=spiral_count + sine.size,
             mesh=mesh,
-            grid=_grid(hs, hs / 8, 1, spiral_count),
+            grid=_grid(h, sine.ov, 1, spiral_count),
             end=_q(spiral_len),
-            reach=_q(spiral_len + hs / 8),
+            reach=_q(spiral_len + sine.ov),
             along=(1, 0) if is_d else (-1, 1),
             handover=spiral_count if is_d else off_spiral,
         )
@@ -1701,7 +1677,8 @@ class SpiralChainFamily(ChainFamily):
 
     def link_windows(self, n: int) -> list[Window]:
         plan = self._plan(n)
-        sine = [w._replace(link=w.link + plan.off_sine) for w in self._sine.link_windows(n)]
+        sine = self._sine._walk_windows(plan.sine)
+        sine = [w._replace(link=w.link + plan.off_sine) for w in sine]
         if plan.spiral_count == 0:
             return sine
         # The grid runs in arclength s from the free end at s = 0, v = 1,
@@ -1712,9 +1689,9 @@ class SpiralChainFamily(ChainFamily):
         end = plan.spiral_len
         v_of = lambda o: _spiral_param_at(al * o + be * end)
         spiral = _grid_windows(
-            "spiral", plan.hs, plan.ovs, plan.spiral_count, plan.off_spiral, _ZERO, end, v_of
+            "spiral", plan.grid, plan.spiral_count, plan.off_spiral, _ZERO, end, v_of
         )
-        lo, hi = _spiral_param_at(end + plan.ovs), _spiral_param_at(end)
+        lo, hi = _spiral_param_at(end + plan.sine.ov), _spiral_param_at(end)
         spiral += [Window(link, "spiral", lo, hi) for link in (plan.handover, plan.handover + 1)]
         return sine + spiral
 
@@ -1722,10 +1699,10 @@ class SpiralChainFamily(ChainFamily):
         """The spiral beyond its windows, which circles on forever."""
         plan = self._plan(n)
         pts = []
-        s = plan.spiral_len + plan.ovs if plan.spiral_count else _ZERO
+        s = plan.spiral_len + plan.sine.ov if plan.spiral_count else _ZERO
         while s <= plan.spiral_len + 2:
             pts.append(CatalogPoint("spiral", _spiral_param_at(s)))
-            s += plan.hs / 3
+            s += plan.sine.h / 3
         deep_pass = Fraction(1, 2**n)
         for k in range(1, 17):
             pts.append(CatalogPoint("spiral", deep_pass - deep_pass / 2 * Fraction(k, 17)))

@@ -69,13 +69,14 @@ class ChainLevel:
     goes through ``index_of``: comparisons, spot checks and traces read
     their pairs through readers that fill themselves by it, from their
     sequence's ``LinkMemo`` if it keeps one, and ``relation`` places both
-    points afresh.
+    points afresh.  A catalog level keeps the ``plan`` it was built from.
     """
 
     level: int
     size: int
     mesh_bound: Fraction
     index_fn: Callable = field(compare=False, repr=False)
+    plan: object = field(default=None, compare=False, repr=False)
 
     def index_of(self, point) -> tuple[int, int]:
         """The links holding ``point`` as ``(lo, hi)``.  Adjacent links

@@ -8,8 +8,7 @@ only enter with --timing.  Set CHAINORDER_REPORT_DIR to also write the
 JSON bytes of each report into that directory.  ``orientation`` refuses
 inputs over a stated cost budget; ``compare``, ``orders-count`` and
 ``knaster-witness`` take their default depth from one table, ``_DEPTHS``,
-and refuse depths, spiral circuits, moduli and cofinite starts over its
-limits.  Exit codes:
+and refuse depths, spiral circuits and moduli over its limits.  Exit codes:
 0 when every assertion the experiment embeds holds, 1 when one fails, 2
 on usage or input errors.
 """
@@ -95,7 +94,7 @@ def _family(space: str, variant: str | None, bits: str | None):
 # spiral circuits 1..n and a point on circuit n traces the same, so T's
 # compare limit also bounds the circuit of a spiral point.  knaster-witness
 # builds its witness threads level by level on any level set, so its limit
-# also bounds the modulus of mod:m,r and the start of cofinite:k.
+# also bounds the modulus of mod:m,r.
 _DEPTHS = {
     ("compare", "arc"): (20, 4096),
     ("compare", "s1"): (20, 4096),
@@ -221,10 +220,6 @@ def _render(value, out: list[str], text: bool, indent: str = "", label: str | No
         scalar = int.__repr__(value)
     elif isinstance(value, float):
         scalar = float.__repr__(value)
-    elif isinstance(value, Fraction):
-        # After the common types: Fraction's metaclass is ABCMeta, so this
-        # check costs several times a plain isinstance check.
-        scalar = rational_str(value) if text else _quote(rational_str(value))
     elif hasattr(value, "as_dict"):
         _render(value.as_dict(), out, text, indent, label)
         return
@@ -359,13 +354,9 @@ def _parse_level_set(text: str) -> EventuallyPeriodicSet:
             modulus, residue = (int(v) for v in text[4:].split(","))
             _depth("knaster-witness", None, modulus, "modulus")
             return EventuallyPeriodicSet.residue_class(residue, modulus)
-        if text.startswith("cofinite:"):
-            start = int(text[9:])
-            _depth("knaster-witness", None, start, "cofinite start")
-            return EventuallyPeriodicSet.cofinite_from(start)
     except ValueError as exc:
         raise UsageError(f"bad level set {text!r}: {exc}") from exc
-    raise UsageError(f"unknown level set {text!r}; try even, odd, mod:m,r, or cofinite:k")
+    raise UsageError(f"unknown level set {text!r}; try even, odd or mod:m,r")
 
 
 def _cmd_knaster_witness(args) -> tuple[dict, bool]:
@@ -553,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     knaster = sub.add_parser(
         "knaster-witness", help="two-tower witness comparison", parents=[common]
     )
-    knaster.add_argument("--set", required=True, help="even, odd, mod:m,r, or cofinite:k")
+    knaster.add_argument("--set", required=True, help="even, odd or mod:m,r")
     knaster.add_argument("--depth", type=int, help=_depth_help("knaster-witness"))
     knaster.add_argument("--u1", required=True, help="residue tower, e.g. r2=0")
     knaster.add_argument("--u2", required=True, help="residue tower, e.g. r2=1")

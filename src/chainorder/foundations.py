@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import and_, gt, not_, or_
+from operator import and_, not_, or_
 from typing import Callable
 
 
@@ -177,10 +177,6 @@ class EventuallyPeriodicSet:
     def intersection(self, other: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
         return self._combine(other, and_)
 
-    def difference(self, other: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
-        # On bools, a > b is exactly "a and not b".
-        return self._combine(other, gt)
-
     def complement(self) -> EventuallyPeriodicSet:
         # Complementing keeps the period minimal and the last prefix bit
         # unlike the last pattern bit, so the result is already normal.
@@ -188,7 +184,6 @@ class EventuallyPeriodicSet:
 
     __or__ = union
     __and__ = intersection
-    __sub__ = difference
     __invert__ = complement
 
     def as_dict(self) -> dict:

@@ -19,12 +19,10 @@ from .foundations import EventuallyPeriodicSet
 
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of deciding one set: the verdict plus the tower that made it."""
+    """Outcome of deciding one set: the verdict, and whether the tower grew for it."""
 
     value: bool
-    modulus: int
     extended: bool
-    tower: "SimulatedUltrafilter"
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,8 @@ class SimulatedUltrafilter:
         """
         period = len(s.pattern)
         tower = self.ensure_period(period)
-        m, r = next((m, r) for m, r in zip(tower.moduli, tower.residues) if m % period == 0)
-        return Decision(bool(s.pattern[(r - len(s.prefix)) % period]), m, tower is not self, tower)
+        r = next(r for m, r in zip(tower.moduli, tower.residues) if m % period == 0)
+        return Decision(bool(s.pattern[(r - len(s.prefix)) % period]), tower is not self)
 
     def decides(self, s: EventuallyPeriodicSet) -> bool:
         return self.decide(s).value

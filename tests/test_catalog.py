@@ -654,6 +654,24 @@ class TestToothForestFamilies:
                 lo, hi = families[0].level(m).index_of(p)
                 assert families[1].level(m).index_of(p) == (lo + shift, hi + shift)
 
+    def test_a_tooth_settles_against_a_tail_still_in_the_blob(self):
+        # A pure point and one on the last gap's blob tail settle at once
+        # when they lie on different strands: the tail graduates behind the tooth.
+        x, y = CatalogPoint("tooth_2", Fraction(1, 4)), CatalogPoint("gap_2", Fraction(-99, 100))
+        family = s3_family("01")
+        plan = family._plan(2)
+        assert (family._classify(plan, x), family._classify(plan, y)) == ("pure", "blob-partial")
+        assert family._pair_settled(x, y, 2)
+        verdict = chain_order_compare(family, x, y, None, 2)
+        assert (verdict.kind, verdict.direction, verdict.threshold) == ("stabilized", LE, 2)
+        assert verdict.certificate == {
+            "kind": "walk-scan", "first_constant_level": 2, "settled_level": 2
+        }
+        assert chain_order_compare(family, y, x, None, 2).direction == GE
+        for bits in ("011010", "100101", "00000000", "11111111"):
+            trace = chain_trace(s3_family(bits), x, y, len(bits))
+            assert [row["relation"] for row in trace] == [BOTH] + [LE_ONLY] * (len(bits) - 1)
+
     @pytest.mark.parametrize("bits", [(0.5, 1.9, 1), "0x1", "012", (0, 2), ("0", 1.0)])
     def test_s3_family_refuses_what_is_not_a_binary_word(self, bits):
         # int() would have turned (0.5, 1.9, 1) into the prefix (0, 1, 1).
@@ -933,6 +951,12 @@ def _fraction_grid_windows(
     return out
 
 
+def _fraction_grid_windows_of(strand, grid, *rest, **kwargs):
+    """The oracle on the step and overlap of the plan's integer grid."""
+    step, overlap = Fraction(grid.ep, grid.eq), Fraction(grid.cq, grid.eq)
+    return _fraction_grid_windows(strand, step, overlap, *rest, **kwargs)
+
+
 def _fraction_validate_level(family, n):
     level = family.level(n)
     size = level.size
@@ -1070,7 +1094,7 @@ def test_validator_matches_the_fraction_oracle(family, monkeypatch):
         boxes = catalog._link_boxes(family, level, windows, sampled)
         assert boxes == _fraction_link_boxes(family, level, windows, sampled)
         with monkeypatch.context() as m:
-            m.setattr(catalog, "_grid_windows", _fraction_grid_windows)
+            m.setattr(catalog, "_grid_windows", _fraction_grid_windows_of)
             assert repr(windows) == repr(family.link_windows(n))
             assert report == _fraction_validate_level(family, n)
 
@@ -1104,8 +1128,10 @@ def test_grid_windows_match_the_fraction_oracle(
 ):
     """Stretches that clamp windows anywhere in the grid, or drop them."""
     param = (lambda o: 3 - o) if decreasing else (lambda o: o)
-    args = ("wave", step, step * ov_share, count, 5, lo, lo + length, param, ends_closed)
-    assert repr(catalog._grid_windows(*args)) == repr(_fraction_grid_windows(*args))
+    args = (count, 5, lo, lo + length, param, ends_closed)
+    grid = catalog._grid(step, step * ov_share, 1, count)
+    got = catalog._grid_windows("wave", grid, *args)
+    assert repr(got) == repr(_fraction_grid_windows("wave", step, step * ov_share, *args))
 
 class _NudgedSine(SineChainFamily):
     """S1 windows with one end of a wave window moved by 1/den, den its denominator."""
@@ -1518,7 +1544,7 @@ def test_level_scan_matches_the_index_range_reference(family, monkeypatch):
     points = _settled_points(family)
     queries = [(*rng.sample(points, 2), rng.randint(1, 8)) for _ in range(16)]
     got = _scan_reports(family, queries)
-    fresh = dataclasses.replace(family, _levels={}, _plans={}, _links=LinkMemo(catalog._link_key))
+    fresh = dataclasses.replace(family, _levels={}, _links=LinkMemo(catalog._link_key))
     assert got == _reference_reports(fresh, queries, monkeypatch)
     mirrored = _reference_reports(fresh, [(y, x, d) for x, y, d in queries], monkeypatch)
     # Below and above the 16 pairs one comparison at depth 8 reads.

@@ -237,7 +237,7 @@ class TestLevelPreorder:
         index = SineChainFamily._index
 
         def counting(family, plan, point, offset=0):
-            placed.append((point.strand, point.param, plan.n))
+            placed.append((point.strand, point.param, plan.windows))
             return index(family, plan, point, offset)
 
         monkeypatch.setattr(SineChainFamily, "_index", counting)
@@ -249,7 +249,8 @@ class TestLevelPreorder:
         verdict = chain_order_compare(family, CatalogPoint(*x), CatalogPoint(*y), None, 20)
         chain_trace(family, CatalogPoint(*x), CatalogPoint(*y), 8)
         assert verdict.kind == STABILIZED
-        assert sorted(placed) == sorted({(*p, n) for p in (x, y) for n in range(1, 21)})
+        windows = [family.level(n).plan.windows for n in range(1, 21)]
+        assert sorted(placed) == sorted({(*p, w) for p in (x, y) for w in windows})
         placed.clear()
         mirror = chain_order_compare(family, CatalogPoint(*y), CatalogPoint(*x), None, 20)
         chain_trace(family, CatalogPoint(*y), CatalogPoint(*x), 8)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import and_, gt, or_
+from operator import and_, or_
 
 import itertools
 
@@ -155,7 +155,6 @@ class TestAlgebra:
     def test_ops_are_pointwise(self, a, b, n):
         assert (n in a.union(b)) == ((n in a) or (n in b))
         assert (n in a.intersection(b)) == ((n in a) and (n in b))
-        assert (n in a.difference(b)) == ((n in a) and not (n in b))
         assert (n in a.complement()) == (n not in a)
 
     @given(epsets)
@@ -176,7 +175,6 @@ class TestAlgebra:
         assert ev | od == EventuallyPeriodicSet.full()
         assert ev & od == EventuallyPeriodicSet.empty()
         assert ~ev == od
-        assert ev - od == ev
 
 
 def pointwise_combine(a, b, op):
@@ -202,7 +200,6 @@ class TestSlicedAgainstMembership:
         cases = (
             (a.union, or_, lambda x, y: x or y),
             (a.intersection, and_, lambda x, y: x and y),
-            (a.difference, gt, lambda x, y: x and not y),
         )
         for method, op, old in cases:
             got = method(b)
@@ -273,7 +270,7 @@ class TestShortcutsAgainstFullConstructor:
         )
         for a in sets:
             for b in panel:
-                for got in (a | b, a & b, a - b, b - a):
+                for got in (a | b, a & b, a & ~b, b & ~a):
                     assert fields(got) == rebuilt(got)
 
     def test_cofinite_from(self):
