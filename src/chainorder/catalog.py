@@ -373,35 +373,42 @@ def _anchor_point(i: int, side: int, kind: str, k: int) -> Point2:
 
 
 @lru_cache(maxsize=_MEMO)
-def _gap_point(i: int, w: Fraction) -> Point2:
-    """Gap strand i: zigzag in 1/(i+1) < x < 1/i accumulating on both teeth.
+def _gap_height(i: int, a: int, b: int) -> Pair:
+    """The height of gap strand i at w = a/b (b > 0), as an unreduced pair.
 
-    Flank anchors sit at |w| = 1 - 2^-k (zeros) and 1 - 3*2^-(k+2)
-    (peaks); peak heights climb toward the adjacent tooth's height, so
-    the closure adds both full teeth and nothing else.
+    Flank cycle k runs from zero k (height 0) at |w| = 1 - 2^-k up to peak
+    k, of height (1 - 2^-(k+1))/c at |w| = 1 - 3*2^-(k+2), and down to zero
+    k + 1, each piece 2^-(k+2) long; c is the adjoining tooth's index.
     """
-    if w == 0:
-        return _anchor_point(i, 1, "z", 0)
-    side = 1 if w > 0 else -1
-    aw = abs(w)
-    k = _flank_cycle(aw)
-    za = _anchor_abs("z", k)
-    pa = _anchor_abs("p", k)
-    if aw <= pa:
-        a, b = _anchor_point(i, side, "z", k), _anchor_point(i, side, "p", k)
-        t = (aw - za) / (pa - za)
-    else:
-        zb = _anchor_abs("z", k + 1)
-        a, b = _anchor_point(i, side, "p", k), _anchor_point(i, side, "z", k + 1)
-        t = (aw - pa) / (zb - pa)
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    n = abs(a)
+    if n >= b:
+        w = Fraction(a, b)
+        raise ValueError(f"unknown point: parameter {w} outside strand 'gap_{i}' of s3")
+    k = (b // (b - n)).bit_length() - 1
+    # r/b runs from 0 at zero k to 1 at the peak and on to 2 at zero k + 1.
+    r = 2 ** (k + 2) * (n - b) + 4 * b
+    top = 2 ** (k + 1)
+    return min(r, 2 * b - r) * (top - 1), b * top * (i if a > 0 else i + 1)
+
+
+def _gap_point(i: int, w: Fraction) -> Point2:
+    """Gap strand i: a zigzag in 1/(i+1) < x < 1/i accumulating on both teeth.
+
+    x runs linearly in w from 1/(i+1) to 1/i.  Flank anchors sit at
+    |w| = 1 - 2^-k (zeros) and 1 - 3*2^-(k+2) (peaks); peak heights climb
+    toward the adjacent tooth's height, so the closure adds both full
+    teeth and nothing else.
+    """
+    a, b = w.numerator, w.denominator
+    y = Fraction(*_gap_height(i, a, b))
+    return Fraction((2 * i + 1) * b + a, 2 * i * (i + 1) * b), y
 
 
 def _flank_cycle(aw: Fraction) -> int:
     """The k with 1 - 2^-k <= |w| < 1 - 2^-(k+1): zero k of a flank and its
     peak lie at or below |w|, and zero k + 1 above."""
-    q = 1 / (1 - aw)
-    return (q.numerator // q.denominator).bit_length() - 1
+    n, d = aw.numerator, aw.denominator
+    return (d // (d - n)).bit_length() - 1
 
 
 def _gap_polyline(i: int, wa: Fraction, wb: Fraction) -> list[Point2]:
@@ -633,62 +640,82 @@ def spiral_circuit(v: Fraction) -> int:
     return (v.denominator // v.numerator).bit_length()
 
 
+@lru_cache(maxsize=None)
+def _circuit_lengths(p: int) -> tuple[int, ...]:
+    """Circuit p's cumulative lengths as integer numerators over one denominator."""
+    cum = _pass_data(p).cum
+    den = lcm(*(c.denominator for c in cum))
+    return tuple(c.numerator * (den // c.denominator) for c in cum)
+
+
 @lru_cache(maxsize=_MEMO)
-def _spiral_arclength(v: Fraction) -> Fraction:
-    p = spiral_circuit(v)
-    frac = (Fraction(1, 2 ** (p - 1)) - v) * 2**p
-    return _prefix_total(p - 1) + frac * _pass_data(p).total
+def _spiral_arclength(a: int, b: int) -> Pair:
+    """The arclength from the free end to v = a/b, as an unreduced pair."""
+    p = (b // a).bit_length()
+    pre, total = _prefix_total(p - 1), _pass_data(p).total
+    # pre + (2 - v*2^p) * total, over the denominators of pre, total and v
+    pn, pd, tn, td = pre.numerator, pre.denominator, total.numerator, total.denominator
+    return pn * td * b + (2 * b - a * 2**p) * tn * pd, pd * td * b
 
 
-def _spiral_locate(v: Fraction) -> tuple[int, int, Fraction]:
-    """v as (circuit p, segment i, fraction t along the segment)."""
-    p = spiral_circuit(v)
-    data = _pass_data(p)
-    frac = (Fraction(1, 2 ** (p - 1)) - v) * 2**p
-    s_local = frac * data.total
-    i = bisect_right(data.cum, s_local) - 1
-    i = min(i, len(data.verts) - 2)
-    seg = data.cum[i + 1] - data.cum[i]
-    t = (s_local - data.cum[i]) / seg
-    return p, i, t
+def _spiral_locate(a: int, b: int) -> tuple[int, int, Fraction]:
+    """v = a/b as (circuit p, segment i, fraction t along the segment)."""
+    p = (b // a).bit_length()
+    cum = _circuit_lengths(p)
+    # The circuit's own arclength at v is (2 - v*2^p) times its length; on
+    # the integer lengths it is x/b.
+    x = (2 * b - a * 2**p) * cum[-1]
+    i = min(bisect_right(cum, x // b) - 1, len(cum) - 2)
+    return p, i, Fraction(x - b * cum[i], b * (cum[i + 1] - cum[i]))
+
+
+def _lerp(a: Fraction, b: Fraction, t: Fraction) -> Fraction:
+    """a + t*(b - a), built as one Fraction."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    tn, td = t.numerator, t.denominator
+    return Fraction(an * bd * td + tn * (bn * ad - an * bd), ad * bd * td)
 
 
 def _spiral_at(p: int, i: int, t: Fraction) -> Point2:
     (ax, ay), (bx, by) = _pass_data(p).verts[i : i + 2]
-    return (ax + t * (bx - ax), ay + t * (by - ay))
+    return _lerp(ax, bx, t), _lerp(ay, by, t)
 
 
 def _spiral_point(v: Fraction) -> Point2:
-    return _spiral_at(*_spiral_locate(v))
+    return _spiral_at(*_spiral_locate(v.numerator, v.denominator))
 
 
 @lru_cache(maxsize=_MEMO)
-def _spiral_host(v: Fraction) -> CatalogPoint:
-    """The point of the bar or the oscillation that the spiral runs along at v."""
-    p, i, t = _spiral_locate(v)
-    tag = _pass_data(p).tags[i]
+def _spiral_host(a: int, b: int) -> CatalogPoint:
+    """The point of the bar or the oscillation that the spiral runs along at v = a/b."""
+    p, i, t = _spiral_locate(a, b)
+    data = _pass_data(p)
+    tag = data.tags[i]
     if tag[0] == "bar":
-        return CatalogPoint("bar", _clamp(_spiral_at(p, i, t)[1], Fraction(-1), _ONE))
-    return CatalogPoint("wave", tag[1] + t * (tag[2] - tag[1]))
+        y = _lerp(data.verts[i][1], data.verts[i + 1][1], t)
+        return CatalogPoint("bar", _clamp(y, Fraction(-1), _ONE))
+    return CatalogPoint("wave", _lerp(tag[1], tag[2], t))
 
 
-def _spiral_param_at(s: Fraction) -> Fraction:
-    """Inverse of the arclength map, for window ends and tail samples."""
-    if s < 0:
+def _spiral_param_at(sn: int, sd: int) -> Fraction:
+    """Inverse of the arclength map at s = sn/sd (sd > 0), for window ends and tail samples."""
+    if sn < 0:
         raise ValueError("arclength must be nonnegative")
     p = 1
-    while _prefix_total(p) <= s:
+    while (pre := _prefix_total(p)).numerator * sd <= sn * pre.denominator:
         p += 1
-    frac = (s - _prefix_total(p - 1)) / _pass_data(p).total
-    return Fraction(1, 2 ** (p - 1)) - frac * Fraction(1, 2**p)
+    # v = (2 - (s - pre)/total) / 2^p, with pre the arclength before circuit p
+    pre, total = _prefix_total(p - 1), _pass_data(p).total
+    pn, pd, tn, td = pre.numerator, pre.denominator, total.numerator, total.denominator
+    return Fraction(2 * sd * pd * tn - (sn * pd - pn * sd) * td, 2**p * sd * pd * tn)
 
 
 def _spiral_polyline(va: Fraction, vb: Fraction) -> list[Point2]:
     # The strand runs from deep (small v) to the free end at v = 1, so
     # the path goes from vb's segment forward through va's.  A circuit's
     # last vertex is the next one's first, and may be listed twice.
-    pb, ib, tb = _spiral_locate(vb)
-    pa, ia, ta = _spiral_locate(va)
+    pb, ib, tb = _spiral_locate(*_q(vb))
+    pa, ia, ta = _spiral_locate(*_q(va))
     pts = [_spiral_at(pb, ib, tb)]
     for p in range(pb, pa + 1):
         verts = _pass_data(p).verts
@@ -1426,7 +1453,7 @@ class ToothForestChainFamily(ChainFamily):
         if part == "tail_l" and g.kind_l == "blob":
             return plan.size, plan.size
         # A flank's tail is placed on its tooth by height.
-        return self._tooth_index(plan, i if part == "tail_r" else i + 1, *_q(_gap_point(i, w)[1]))
+        return self._tooth_index(plan, i if part == "tail_r" else i + 1, *_gap_height(i, a, b))
 
     def _index(self, plan: _S3Plan, point: CatalogPoint) -> tuple[int, int]:
         kind, i = _parse_s3_strand(point.strand)
@@ -1541,8 +1568,8 @@ def _flank_tail(i: int, side: int, start: Fraction, host: list[Window]) -> list[
     """
     top = Fraction(1, i) if side > 0 else Fraction(1, i + 1)
     top_links = {h.link for h in host if h.contains(top)}
-    x_start = _gap_point(i, start)[0]
-    knots = [(start, _gap_point(i, start)[1])]
+    x_start, y_start = _gap_point(i, start)
+    knots = [(start, y_start)]
     settled, k = 0, 0
     while settled < 2:
         for kind in ("z", "p"):
@@ -1640,8 +1667,9 @@ class SpiralChainFamily(ChainFamily):
         )
 
     def _spiral_index(self, plan: _TPlan, v: Fraction) -> tuple[int, int]:
+        a, b = v.numerator, v.denominator
         if plan.spiral_count:
-            sn, sd = _q(_spiral_arclength(v))
+            sn, sd = _spiral_arclength(a, b)
             # s and spiral_len as numerators over sd * plan.end[1]
             s, end = sn * plan.end[1], plan.end[0] * sd
             if s <= end:
@@ -1650,7 +1678,7 @@ class SpiralChainFamily(ChainFamily):
                 return lo + plan.off_spiral, hi + plan.off_spiral
             if sn * plan.reach[1] < plan.reach[0] * sd:
                 return plan.handover, plan.handover + 1
-        return self._sine._index(plan.sine, _spiral_host(v), plan.off_sine)
+        return self._sine._index(plan.sine, _spiral_host(a, b), plan.off_sine)
 
     def _index(self, plan: _TPlan, point: CatalogPoint) -> tuple[int, int]:
         if point.strand == "spiral":
@@ -1665,14 +1693,14 @@ class SpiralChainFamily(ChainFamily):
                 return self._sine._settled(plan.sine, p)
             if plan.spiral_count == 0:
                 return False
-            sn, sd = _q(_spiral_arclength(p.param))
+            sn, sd = _spiral_arclength(*_q(p.param))
             return sn * plan.end[1] <= plan.end[0] * sd
 
         if not (settled(x) and settled(y)):
             return False
         if x.strand == y.strand == "spiral":
-            s, t = _spiral_arclength(x.param), _spiral_arclength(y.param)
-            return _farther(_q(s), _q(t), plan.grid)
+            s, t = _spiral_arclength(*_q(x.param)), _spiral_arclength(*_q(y.param))
+            return _farther(s, t, plan.grid)
         return self._sine._apart(plan.sine, x, y)
 
     def link_windows(self, n: int) -> list[Window]:
@@ -1686,12 +1714,14 @@ class SpiralChainFamily(ChainFamily):
         # E walks it outward after the sine block, so its handover pair of
         # links comes first.  Grid coordinate o sits at s = al*o + be*spiral_len.
         al, be = plan.along
-        end = plan.spiral_len
-        v_of = lambda o: _spiral_param_at(al * o + be * end)
+        (en, ed), end = plan.end, plan.spiral_len
+        v_of = lambda o: _spiral_param_at(
+            al * o.numerator * ed + be * en * o.denominator, o.denominator * ed
+        )
         spiral = _grid_windows(
             "spiral", plan.grid, plan.spiral_count, plan.off_spiral, _ZERO, end, v_of
         )
-        lo, hi = _spiral_param_at(end + plan.sine.ov), _spiral_param_at(end)
+        lo, hi = _spiral_param_at(*plan.reach), _spiral_param_at(*plan.end)
         spiral += [Window(link, "spiral", lo, hi) for link in (plan.handover, plan.handover + 1)]
         return sine + spiral
 
@@ -1701,7 +1731,7 @@ class SpiralChainFamily(ChainFamily):
         pts = []
         s = plan.spiral_len + plan.sine.ov if plan.spiral_count else _ZERO
         while s <= plan.spiral_len + 2:
-            pts.append(CatalogPoint("spiral", _spiral_param_at(s)))
+            pts.append(CatalogPoint("spiral", _spiral_param_at(*_q(s))))
             s += plan.sine.h / 3
         deep_pass = Fraction(1, 2**n)
         for k in range(1, 17):

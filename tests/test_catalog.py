@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -140,6 +141,20 @@ class TestSpaces:
         t = t_space()
         assert t.position(CatalogPoint("spiral", 1)) == (Fraction(67, 96), Fraction(-33, 32))
 
+    @pytest.mark.parametrize("w", [1, -1])
+    def test_open_gap_ends_are_refused(self, w):
+        # The library refuses gap_2's open ends with the CLI's message; at
+        # level 2 the right flank's tail, at level 3 the left one's, is
+        # placed by its height.
+        message = rf"^unknown point: parameter {w} outside strand 'gap_2' of s3$"
+        x, y = CatalogPoint("gap_2", Fraction(w)), CatalogPoint("tooth_1", Fraction(1, 2))
+        with pytest.raises(ValueError, match=message):
+            chain_order_compare(s3_family("0110"), x, y, None, 4)
+        with pytest.raises(ValueError, match=message):
+            catalog._gap_point(2, Fraction(w))
+        with pytest.raises(ValueError, match="outside strand 'gap_2'"):
+            catalog._gap_height(2, 3 * w, 2)
+
     @given(st.fractions(min_value=-63, max_value=63, max_denominator=64).filter(lambda w: abs(w) < 1))
     def test_gap_strand_is_a_graph_over_x(self, w):
         # x strictly increases with the gap parameter, so the strand never
@@ -205,9 +220,9 @@ def test_window_range_on_window_ends_and_huge_denominators(case):
     "memo, args",
     [
         (catalog._wave_height, lambda k: (k, 10007)),
-        (catalog._gap_point, lambda k: (2, Fraction(k, 10007))),
-        (catalog._spiral_arclength, lambda k: (Fraction(20011 - k, 20011),)),
-        (catalog._spiral_host, lambda k: (Fraction(20011 - k, 20011),)),
+        (catalog._gap_height, lambda k: (2, k, 10007)),
+        (catalog._spiral_arclength, lambda k: (20011 - k, 20011)),
+        (catalog._spiral_host, lambda k: (20011 - k, 20011)),
     ],
 )
 def test_point_memos_stay_within_their_bound(memo, args):
@@ -252,8 +267,8 @@ def full_scan_spiral_polyline(va, vb):
     """The spiral polyline by arclength, scanning every vertex of each
     circuit from vb's on: the walk the located segments replaced, as
     their oracle."""
-    s_hi = catalog._spiral_arclength(va)
-    s_lo = catalog._spiral_arclength(vb)
+    s_hi = Fraction(*catalog._spiral_arclength(va.numerator, va.denominator))
+    s_lo = Fraction(*catalog._spiral_arclength(vb.numerator, vb.denominator))
     pts = [catalog._spiral_point(vb)]
     p = catalog.spiral_circuit(vb)
     while True:
@@ -295,6 +310,117 @@ _SPIRAL_PARAMS = st.one_of(
 def test_spiral_polyline_matches_the_full_scan(va, vb):
     va, vb = min(va, vb), max(va, vb)
     assert set(catalog._spiral_polyline(va, vb)) == set(full_scan_spiral_polyline(va, vb))
+
+
+# -- the Fraction geometry, kept as an oracle -----------------------------------------
+# Gap heights and spiral positions are computed on integers.  These are the
+# Fraction formulas they replaced: anchor interpolation on the gaps, and the
+# spiral's arclength, its inverse and its segment search in Fractions.
+
+
+def _fraction_flank_cycle(aw):
+    q = 1 / (1 - aw)
+    return (q.numerator // q.denominator).bit_length() - 1
+
+
+def _fraction_gap_point(i, w):
+    if w == 0:
+        return catalog._anchor_point(i, 1, "z", 0)
+    side = 1 if w > 0 else -1
+    aw = abs(w)
+    k = _fraction_flank_cycle(aw)
+    za = catalog._anchor_abs("z", k)
+    pa = catalog._anchor_abs("p", k)
+    if aw <= pa:
+        a, b = catalog._anchor_point(i, side, "z", k), catalog._anchor_point(i, side, "p", k)
+        t = (aw - za) / (pa - za)
+    else:
+        zb = catalog._anchor_abs("z", k + 1)
+        a, b = catalog._anchor_point(i, side, "p", k), catalog._anchor_point(i, side, "z", k + 1)
+        t = (aw - pa) / (zb - pa)
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
+def _fraction_spiral_arclength(v):
+    p = catalog.spiral_circuit(v)
+    frac = (Fraction(1, 2 ** (p - 1)) - v) * 2**p
+    return catalog._prefix_total(p - 1) + frac * _pass_data(p).total
+
+
+def _fraction_spiral_locate(v):
+    p = catalog.spiral_circuit(v)
+    data = _pass_data(p)
+    frac = (Fraction(1, 2 ** (p - 1)) - v) * 2**p
+    s_local = frac * data.total
+    i = min(bisect_right(data.cum, s_local) - 1, len(data.verts) - 2)
+    return p, i, (s_local - data.cum[i]) / (data.cum[i + 1] - data.cum[i])
+
+
+def _fraction_spiral_at(p, i, t):
+    (ax, ay), (bx, by) = _pass_data(p).verts[i : i + 2]
+    return (ax + t * (bx - ax), ay + t * (by - ay))
+
+
+def _fraction_spiral_host(v):
+    p, i, t = _fraction_spiral_locate(v)
+    tag = _pass_data(p).tags[i]
+    if tag[0] == "bar":
+        y = _fraction_spiral_at(p, i, t)[1]
+        return CatalogPoint("bar", min(max(y, Fraction(-1)), Fraction(1)))
+    return CatalogPoint("wave", tag[1] + t * (tag[2] - tag[1]))
+
+
+def _fraction_spiral_param_at(s):
+    p = 1
+    while catalog._prefix_total(p) <= s:
+        p += 1
+    frac = (s - catalog._prefix_total(p - 1)) / _pass_data(p).total
+    return Fraction(1, 2 ** (p - 1)) - frac * Fraction(1, 2**p)
+
+
+# Both flanks: every anchor of cycles 0-11, points just inside the open ends
+# +-1 with denominators up to about 2^60, and random w.
+_INNER_ENDS = st.builds(
+    lambda d, k, s: s * (1 - Fraction(k, d)), st.integers(2, 2**60), st.integers(1, 3), st.sampled_from((1, -1))
+).filter(lambda w: abs(w) < 1)
+_HEIGHT_PARAMS = st.one_of(
+    st.sampled_from([s * catalog._anchor_abs(kind, k) for k in range(12) for kind in "zp" for s in (1, -1)]),
+    _INNER_ENDS,
+    st.fractions(-1, 1, max_denominator=10**6).filter(lambda w: abs(w) < 1),
+)
+
+
+@given(st.integers(1, 9), _HEIGHT_PARAMS)
+@settings(max_examples=300)
+def test_gap_height_matches_the_anchor_interpolation(i, w):
+    a, b = w.numerator, w.denominator
+    x, y = _fraction_gap_point(i, w)
+    assert Fraction(*catalog._gap_height(i, a, b)) == y
+    assert catalog._gap_point(i, w) == (x, y)
+
+
+# Circuits 1-8: v in (1/256, 1], their starts v = 2^-k, and T's window ends.
+_DEEP_SPIRAL_PARAMS = st.one_of(
+    st.fractions(Fraction(1, 256), 1, max_denominator=10**6).filter(lambda v: v > Fraction(1, 256)),
+    st.sampled_from([Fraction(1, 2**k) for k in range(8)]),
+    st.deferred(lambda: st.sampled_from(_spiral_window_ends())),
+)
+
+
+@given(_DEEP_SPIRAL_PARAMS, st.fractions(0, 1, max_denominator=10**6))
+@settings(deadline=None)
+def test_spiral_geometry_matches_the_fraction_formulas(v, share):
+    a, b = v.numerator, v.denominator
+    s = _fraction_spiral_arclength(v)
+    assert Fraction(*catalog._spiral_arclength(a, b)) == s
+    assert catalog._spiral_param_at(s.numerator, s.denominator) == v
+    located = catalog._spiral_locate(a, b)
+    assert located == _fraction_spiral_locate(v)
+    assert catalog._spiral_at(*located) == _fraction_spiral_at(*located)
+    assert catalog._spiral_host(a, b) == _fraction_spiral_host(v)
+    # Any arclength within circuits 1-8, not only those of drawn points.
+    s = share * catalog._prefix_total(8)
+    assert catalog._spiral_param_at(s.numerator, s.denominator) == _fraction_spiral_param_at(s)
 
 
 def test_catalog_geometry_is_pinned():

@@ -203,6 +203,15 @@ class TestCompare:
             f"is over the limit of {_DEPTHS['compare', 't'][1]} on t\n"
         )
 
+    @pytest.mark.parametrize("w", ["1", "-1"])
+    def test_open_gap_ends_are_refused(self, capsys, w):
+        code, out, err = run(
+            capsys, "compare", "--space", "s3", "--bits", "0110",
+            "--x", f"gap_2:{w}", "--y", "tooth_1:1/2", "--depth", "4",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: unknown point: parameter {w} outside strand 'gap_2' of s3\n"
+
     def test_bad_point_syntax(self, capsys):
         code, out, err = run(capsys, "compare", "--space", "s1", "--x", "1/2", "--y", "bar:0")
         assert code == 2
