@@ -349,27 +349,11 @@ def s2_space() -> StrandSpace:
 # -- S3 geometry: teeth and the gaps between them -----------------------------
 
 
-def _gap_width(i: int) -> Fraction:
-    return Fraction(1, i * (i + 1))
-
-
 def _anchor_abs(kind: str, k: int) -> Fraction:
     # |w| of the k-th zero ("z") or peak ("p") on either flank of a gap.
     if kind == "z":
         return 1 - Fraction(1, 2**k)
     return 1 - Fraction(3, 2 ** (k + 2))
-
-
-def _anchor_point(i: int, side: int, kind: str, k: int) -> Point2:
-    width = _gap_width(i)
-    if kind == "z":
-        off = width / 2 / 2**k
-        y = _ZERO
-    else:
-        off = 3 * width / 8 / 2**k
-        y = (1 - Fraction(1, 2 ** (k + 1))) / (i if side > 0 else i + 1)
-    x = Fraction(1, i) - off if side > 0 else Fraction(1, i + 1) + off
-    return x, y
 
 
 @lru_cache(maxsize=_MEMO)
@@ -1266,26 +1250,22 @@ class _S3Plan(NamedTuple):
     mesh: Fraction
 
 
-def _tooth_wlim(j: int, m: int) -> Fraction:
-    lim = min(Fraction(1, 4 * m), _gap_width(j) / 4)
-    if j >= 2:
-        lim = min(lim, _gap_width(j - 1) / 4)
-    return lim
+def _cut_depth(i: int, kind: str, m: int, tooth: int) -> int:
+    """The first cycle k >= 1 whose zero ("z") or peak ("p") on gap i lies
+    within 1/(8L) in x of the gap's end at ``tooth`` and, for a peak, falls
+    short of the tooth's height 1/tooth by at most 1/(16m).
 
-
-def _cut_depth(i: int, side: int, kind: str, m: int, tooth: int) -> int:
-    wlim = _tooth_wlim(tooth, m)
-    width = _gap_width(i)
-    k = 1
-    while True:
-        off = (width / 2 if kind == "z" else 3 * width / 8) / 2**k
-        ok = off <= wlim / 2
-        if ok and kind == "p":
-            height = Fraction(1, i) if side > 0 else Fraction(1, i + 1)
-            ok = height / 2 ** (k + 1) <= Fraction(1, 16 * m)
-        if ok:
-            return k
-        k += 1
+    1/(4L), with L = max(m, tooth(tooth + 1)), is the least of 1/(4m) and a
+    quarter of the widths of the gaps beside the tooth.  The anchor sits
+    2^-k/(2i(i+1)) from the end for a zero and 3·2^-k/(8i(i+1)) for a peak,
+    and peak k falls short by 2^-(k+1)/tooth.  Each test asks 2^k >= a/b,
+    which first holds at k = bit length of (a - 1) // b.
+    """
+    g, L = i * (i + 1), max(m, tooth * (tooth + 1))
+    k = max(1, ((4 * L - 1 if kind == "z" else 3 * L - 1) // g).bit_length())
+    if kind == "p":
+        k = max(k, ((8 * m - 1) // tooth).bit_length())
+    return k
 
 
 # One shape per (i, m, bit pair): at level m the m - 1 inner gaps have four
@@ -1304,64 +1284,62 @@ def _gap_shape(i: int, m: int, bit_r: int, bit_l: int | None) -> _GapShape:
     whose left end dives into the blob.
     """
     kind_r = "z" if bit_r == 1 else "p"
-    k_r = _cut_depth(i, 1, kind_r, m, i)
+    k_r = _cut_depth(i, kind_r, m, i)
     if bit_l is not None:
         kind_l = "p" if bit_l == 1 else "z"
-        k_l = _cut_depth(i, -1, kind_l, m, i + 1)
+        k_l = _cut_depth(i, kind_l, m, i + 1)
     else:
         kind_l = "blob"
         k_l = (2 * m - 1).bit_length()
+    # Peak cuts leave a height deficit of 2^-(k+1)/tooth at the adjoining
+    # tooth; it must fall inside half the entry slab, 1/(2·tooth·slabs).
+    for kind, k, tooth in ((kind_r, k_r, i), (kind_l, k_l, i + 1)):
+        if kind == "p" and -(-4 * m // tooth) > 2**k:
+            raise AssertionError("cut deficit escapes the entry slab")
 
-    def flank(side: int, kind: str, k_cut: int) -> list[tuple[Fraction, Point2]]:
-        # A flank's anchors (w, point) from w = 0 outward, up to its cut.
-        walk = [pair for k in range(k_cut) for pair in (("p", k), ("z", k + 1))]
+    def flank(side: int, kind: str, k_cut: int) -> list[tuple[Pair, int]]:
+        # A flank's anchors from w = 0 outward, up to its cut, each with the
+        # cycle k of the leg that reaches it: peak k at |w| = 1 - 3·2^-(k+2)
+        # and zero k + 1 at 1 - 2^-(k+1), odd numerators over powers of two.
+        walk = [anchor for k in range(k_cut) for anchor in ((4 << k, 3, k), (2 << k, 1, k))]
         if kind == "p":
-            walk.append(("p", k_cut))
-        return [(side * _anchor_abs(kd, k), _anchor_point(i, side, kd, k)) for kd, k in walk]
+            walk.append((4 << k_cut, 3, k_cut))
+        return [((side * (d - r), d), k) for d, r, k in walk]
 
     # From the right cut down through zero 0 to the left cut.
-    anchors = (
-        flank(1, kind_r, k_r)[::-1]
-        + [(_ZERO, _anchor_point(i, 1, "z", 0))]
-        + flank(-1, kind_l, k_l)
-    )
+    right, left = flank(1, kind_r, k_r)[::-1], flank(-1, kind_l, k_l)
+    anchors = [w for w, _ in right] + [(0, 1)] + [w for w, _ in left]
+    cycles = [(i, k) for _, k in right] + [(i + 1, k) for _, k in left]
 
-    eta = Fraction(1, 4 * m)
     legs: list[_Leg] = []
+    dens: list[int] = []
     link = 0
-    for k, ((wa, pa), (wb, pb)) in enumerate(zip(anchors, anchors[1:])):
-        dy = abs(pb[1] - pa[1])
-        count = max(1, _ceil(dy / eta))
-        step = (wa - wb) / count
+    for j, (c, k) in enumerate(cycles):
+        # Each leg joins zero and peak of cycle k, 2^-(k+2) apart in w, and
+        # climbs the peak's height (2^(k+1) - 1)/(c·2^(k+1)) in links of
+        # height at most 1/(4m).
+        top = 2 << k
+        count = -(-(top - 1) * 4 * m // (c * top))
+        den = 2 * top * count
+        step, ovw = Fraction(1, den), Fraction(1, 8 * den)
         # Windows 0 and count + 1 are the neighbouring legs' end links.
-        reach = count + 1 if k + 2 < len(anchors) else count
-        grid = _grid(step, step / 8, 0 if link else 1, reach)
-        legs.append(_Leg(count, step, step / 8, link, grid, _q(wa), _q(wb)))
+        reach = count + 1 if j + 1 < len(cycles) else count
+        grid = _grid(step, ovw, 0 if link else 1, reach)
+        legs.append(_Leg(count, step, ovw, link, grid, anchors[j], anchors[j + 1]))
+        dens.append(den)
         link += count
-
-    # Peak cuts leave a small height deficit at the adjoining tooth; it
-    # must fall inside the entry slab's own band.
-    for kind, k, tooth, side in (
-        (kind_r, k_r, i, 1),
-        (kind_l, k_l, i + 1, -1),
-    ):
-        if kind == "p":
-            height = Fraction(1, i) if side > 0 else Fraction(1, i + 1)
-            deficit = height / 2 ** (k + 1)
-            slab = Fraction(1, tooth) / _ceil(Fraction(4 * m, tooth))
-            if deficit > slab / 2:
-                raise AssertionError("cut deficit escapes the entry slab")
 
     return _GapShape(
         legs=tuple(legs),
         total=link,
-        # A link at a leg boundary reaches ovw into the neighbouring leg.
-        widest=max(legs, key=lambda leg: leg.step + 2 * leg.ovw).grid,
-        cut_r=_q(anchors[0][0]),
-        margin_r=_q(anchors[0][0] + legs[0].ovw),
+        # The first leg with the longest step; its links reach ovw into the
+        # neighbouring legs.
+        widest=legs[dens.index(min(dens))].grid,
+        cut_r=anchors[0],
+        margin_r=_q(Fraction(*anchors[0]) + legs[0].ovw),
         kind_l=kind_l,
-        cut_l=_q(anchors[-1][0]),
-        margin_l=_q(anchors[-1][0] - legs[-1].ovw),
+        cut_l=anchors[-1],
+        margin_l=_q(Fraction(*anchors[-1]) - legs[-1].ovw),
     )
 
 
@@ -1402,8 +1380,8 @@ class ToothForestChainFamily(ChainFamily):
         gaps: dict[int, _GapShape] = {}
         off = 0
         for i in range(1, m + 1):
-            slabs = _ceil(Fraction(4 * m, i))
-            bt = Fraction(1, i) / slabs
+            slabs = -(-4 * m // i)
+            bt = Fraction(1, i * slabs)
             teeth[i] = _Tooth(off, _grid(bt, bt / 8, 1, slabs))
             off += slabs
             gap_base[i] = off

@@ -313,9 +313,101 @@ def test_spiral_polyline_matches_the_full_scan(va, vb):
 
 
 # -- the Fraction geometry, kept as an oracle -----------------------------------------
-# Gap heights and spiral positions are computed on integers.  These are the
-# Fraction formulas they replaced: anchor interpolation on the gaps, and the
-# spiral's arclength, its inverse and its segment search in Fractions.
+# Gap shapes, gap heights and spiral positions are computed on integers.  These
+# are the Fraction formulas they replaced: gap anchors, cut depths and legs,
+# anchor interpolation on the gaps, and the spiral's arclength, its inverse
+# and its segment search in Fractions.
+
+
+def _fraction_gap_width(i):
+    return Fraction(1, i * (i + 1))
+
+
+def _fraction_anchor_point(i, side, kind, k):
+    width = _fraction_gap_width(i)
+    if kind == "z":
+        off = width / 2 / 2**k
+        y = Fraction(0)
+    else:
+        off = 3 * width / 8 / 2**k
+        y = (1 - Fraction(1, 2 ** (k + 1))) / (i if side > 0 else i + 1)
+    x = Fraction(1, i) - off if side > 0 else Fraction(1, i + 1) + off
+    return x, y
+
+
+def _fraction_tooth_wlim(j, m):
+    lim = min(Fraction(1, 4 * m), _fraction_gap_width(j) / 4)
+    if j >= 2:
+        lim = min(lim, _fraction_gap_width(j - 1) / 4)
+    return lim
+
+
+def _fraction_cut_depth(i, side, kind, m, tooth):
+    wlim = _fraction_tooth_wlim(tooth, m)
+    width = _fraction_gap_width(i)
+    k = 1
+    while True:
+        off = (width / 2 if kind == "z" else 3 * width / 8) / 2**k
+        ok = off <= wlim / 2
+        if ok and kind == "p":
+            height = Fraction(1, i) if side > 0 else Fraction(1, i + 1)
+            ok = height / 2 ** (k + 1) <= Fraction(1, 16 * m)
+        if ok:
+            return k
+        k += 1
+
+
+def _fraction_gap_shape(i, m, bit_r, bit_l):
+    kind_r = "z" if bit_r == 1 else "p"
+    k_r = _fraction_cut_depth(i, 1, kind_r, m, i)
+    if bit_l is not None:
+        kind_l = "p" if bit_l == 1 else "z"
+        k_l = _fraction_cut_depth(i, -1, kind_l, m, i + 1)
+    else:
+        kind_l = "blob"
+        k_l = (2 * m - 1).bit_length()
+
+    def flank(side, kind, k_cut):
+        walk = [pair for k in range(k_cut) for pair in (("p", k), ("z", k + 1))]
+        if kind == "p":
+            walk.append(("p", k_cut))
+        return [
+            (side * catalog._anchor_abs(kd, k), _fraction_anchor_point(i, side, kd, k))
+            for kd, k in walk
+        ]
+
+    anchors = (
+        flank(1, kind_r, k_r)[::-1]
+        + [(Fraction(0), _fraction_anchor_point(i, 1, "z", 0))]
+        + flank(-1, kind_l, k_l)
+    )
+    eta = Fraction(1, 4 * m)
+    legs = []
+    link = 0
+    for k, ((wa, pa), (wb, pb)) in enumerate(zip(anchors, anchors[1:])):
+        dy = abs(pb[1] - pa[1])
+        count = max(1, math.ceil(dy / eta))
+        step = (wa - wb) / count
+        reach = count + 1 if k + 2 < len(anchors) else count
+        grid = _grid(step, step / 8, 0 if link else 1, reach)
+        legs.append(catalog._Leg(count, step, step / 8, link, grid, catalog._q(wa), catalog._q(wb)))
+        link += count
+    for kind, k, tooth, side in ((kind_r, k_r, i, 1), (kind_l, k_l, i + 1, -1)):
+        if kind == "p":
+            height = Fraction(1, i) if side > 0 else Fraction(1, i + 1)
+            deficit = height / 2 ** (k + 1)
+            slab = Fraction(1, tooth) / math.ceil(Fraction(4 * m, tooth))
+            assert deficit <= slab / 2, "cut deficit escapes the entry slab"
+    return catalog._GapShape(
+        legs=tuple(legs),
+        total=link,
+        widest=max(legs, key=lambda leg: leg.step + 2 * leg.ovw).grid,
+        cut_r=catalog._q(anchors[0][0]),
+        margin_r=catalog._q(anchors[0][0] + legs[0].ovw),
+        kind_l=kind_l,
+        cut_l=catalog._q(anchors[-1][0]),
+        margin_l=catalog._q(anchors[-1][0] - legs[-1].ovw),
+    )
 
 
 def _fraction_flank_cycle(aw):
@@ -325,18 +417,18 @@ def _fraction_flank_cycle(aw):
 
 def _fraction_gap_point(i, w):
     if w == 0:
-        return catalog._anchor_point(i, 1, "z", 0)
+        return _fraction_anchor_point(i, 1, "z", 0)
     side = 1 if w > 0 else -1
     aw = abs(w)
     k = _fraction_flank_cycle(aw)
     za = catalog._anchor_abs("z", k)
     pa = catalog._anchor_abs("p", k)
     if aw <= pa:
-        a, b = catalog._anchor_point(i, side, "z", k), catalog._anchor_point(i, side, "p", k)
+        a, b = _fraction_anchor_point(i, side, "z", k), _fraction_anchor_point(i, side, "p", k)
         t = (aw - za) / (pa - za)
     else:
         zb = catalog._anchor_abs("z", k + 1)
-        a, b = catalog._anchor_point(i, side, "p", k), catalog._anchor_point(i, side, "z", k + 1)
+        a, b = _fraction_anchor_point(i, side, "p", k), _fraction_anchor_point(i, side, "z", k + 1)
         t = (aw - pa) / (zb - pa)
     return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
@@ -397,6 +489,25 @@ def test_gap_height_matches_the_anchor_interpolation(i, w):
     x, y = _fraction_gap_point(i, w)
     assert Fraction(*catalog._gap_height(i, a, b)) == y
     assert catalog._gap_point(i, w) == (x, y)
+
+
+def test_gap_shape_matches_the_fraction_oracle():
+    # Every key up to level 16, and 200 seeded keys at levels 17-48, S3's limit.
+    keys = [
+        (i, m, bit_r, bit_l)
+        for m in range(1, 17)
+        for i in range(1, m + 1)
+        for bit_r in (0, 1)
+        for bit_l in ((0, 1) if i < m else (None,))
+    ]
+    assert len(keys) == 512
+    rng = random.Random(1)
+    for _ in range(200):
+        m = rng.randint(17, 48)
+        i = rng.randint(1, m)
+        keys.append((i, m, rng.randint(0, 1), rng.randint(0, 1) if i < m else None))
+    for key in keys:
+        assert repr(_gap_shape.__wrapped__(*key)) == repr(_fraction_gap_shape(*key)), key
 
 
 # Circuits 1-8: v in (1/256, 1], their starts v = 2^-k, and T's window ends.
