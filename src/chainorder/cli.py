@@ -11,6 +11,12 @@ inputs over a stated cost budget; ``compare``, ``orders-count`` and
 and refuse depths, spiral circuits and moduli over its limits.  Exit codes:
 0 when every assertion the experiment embeds holds, 1 when one fails, 2
 on usage or input errors.
+
+Each call is parsed once.  A call whose first argument names a
+subcommand goes straight to that subcommand's parser; the full parser
+takes leading global options (``--format text compare ...``), ``--help``,
+and a missing or unknown subcommand.  Both routes print the same usage
+errors and give the same namespace.
 """
 
 from __future__ import annotations
@@ -73,6 +79,8 @@ class UsageError(ValueError):
 
 def _family(space: str, variant: str | None, bits: str | None):
     if space == "s3":
+        if variant is not None:
+            raise UsageError("--variant does not apply to space s3, which takes --bits")
         if not bits:
             raise UsageError("space s3 needs --bits, e.g. --bits 011")
         return s3_family(bits)
@@ -501,9 +509,11 @@ def _depth_help(command: str) -> str:
 
 
 # Built once per process on the first ``main`` call: parsing leaves the
-# parser unchanged, so repeated in-process calls share it.
+# parsers unchanged, so repeated in-process calls share them.  Returns the
+# full parser and its subcommand table, name to parser; ``_parse_args``
+# picks which of them reads a call.
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="chainorder",
         description="Chain-order experiments on chainable and circle-like continua.",
@@ -569,7 +579,28 @@ def _build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", help="run every acceptance experiment", parents=[common])
     suite.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the full parser would, by one parser only.
+
+    The full parser reads every argument against its own options before it
+    hands the rest to the subcommand's parser, and refuses one that
+    abbreviates several of them; only "--=..." can.  Such calls, and those
+    whose first argument names no subcommand, take the full parser.
+    """
+    parser, subcommands = _build_parser()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None or any(arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    args = argparse.Namespace(
+        format=parser.get_default("format"), timing=parser.get_default("timing"), command=argv[0]
+    )
+    args, extras = sub.parse_known_args(argv[1:], args)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 _COMMANDS = {
@@ -584,7 +615,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
 
     experiment = args.command + (f"-{args.subcommand}" if "subcommand" in args else "")
     started = time.perf_counter()

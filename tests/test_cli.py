@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainorder
@@ -24,7 +24,9 @@ from chainorder.cli import (
     _DEPTHS,
     _VARIANTS,
     ORIENTATION_BUDGET_LOG2,
+    _build_parser,
     _decompose_log2_steps,
+    _parse_args,
     _reach_log2_steps,
     _render,
     _suite_lines,
@@ -895,6 +897,47 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "--bits" in err
+
+    def test_variant_rejected_on_s3(self, capsys):
+        code, out, err = run(
+            capsys,
+            "compare", "--space", "s3", "--bits", "01", "--variant", "bogus",
+            "--x", "tooth_1:0", "--y", "tooth_1:1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --variant does not apply to space s3, which takes --bits\n"
+
+
+def parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` gives, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestParseRoutes:
+    """``main`` hands a call that starts with a subcommand straight to its
+    parser; it must read every call as the full parser does."""
+
+    @given(cli_argv)
+    @example(["compare", "--space", "arc", "--x", "0", "--y", "1", "--bogus"])
+    @example(["compare", "--space", "arc", "--x", "0"])
+    @example(["compare", "--space", "moon", "--x", "0", "--y", "1"])
+    @example(["compare", "-h"])
+    @example(["compare"])
+    @example(["catalog"])
+    @example(["orientation", "reach", "--from", "0", "--parity", "odd"])
+    @example(["compare", "--space", "arc", "--x", "0", "--y", "1", "--=x"])
+    @settings(deadline=None)
+    def test_both_routes_agree(self, argv):
+        parser, _ = _build_parser()
+        lead = {"--format": 2, "--timing": 1}.get(argv[0], 0)
+        # Also with a leading global flag moved after the subcommand's arguments.
+        for call in (argv, argv[lead:] + argv[:lead]):
+            assert parse_outcome(_parse_args, call) == parse_outcome(parser.parse_args, call)
 
 
 class TestRepeatedCalls:
