@@ -1209,9 +1209,10 @@ class OuterArcChainFamily(SineChainFamily):
 
 
 class _Leg(NamedTuple):
+    """A leg's ``count`` links of step 1/den and overlap 1/(8 den) in w, so
+    its grid keeps cq = den and ep = 8 den."""
+
     count: int
-    step: Fraction
-    ovw: Fraction
     link_base: int
     grid: _Grid  # over d = w_hi - w; its end windows reach the neighbouring legs' links
     hi: Pair  # w_hi
@@ -1321,11 +1322,10 @@ def _gap_shape(i: int, m: int, bit_r: int, bit_l: int | None) -> _GapShape:
         top = 2 << k
         count = -(-(top - 1) * 4 * m // (c * top))
         den = 2 * top * count
-        step, ovw = Fraction(1, den), Fraction(1, 8 * den)
         # Windows 0 and count + 1 are the neighbouring legs' end links.
         reach = count + 1 if j + 1 < len(cycles) else count
-        grid = _grid(step, ovw, 0 if link else 1, reach)
-        legs.append(_Leg(count, step, ovw, link, grid, anchors[j], anchors[j + 1]))
+        grid = _grid(Fraction(1, den), Fraction(1, 8 * den), 0 if link else 1, reach)
+        legs.append(_Leg(count, link, grid, anchors[j], anchors[j + 1]))
         dens.append(den)
         link += count
 
@@ -1336,10 +1336,10 @@ def _gap_shape(i: int, m: int, bit_r: int, bit_l: int | None) -> _GapShape:
         # neighbouring legs.
         widest=legs[dens.index(min(dens))].grid,
         cut_r=anchors[0],
-        margin_r=_q(Fraction(*anchors[0]) + legs[0].ovw),
+        margin_r=_q(Fraction(*anchors[0]) + Fraction(1, legs[0].grid.ep)),
         kind_l=kind_l,
         cut_l=anchors[-1],
-        margin_l=_q(Fraction(*anchors[-1]) - legs[-1].ovw),
+        margin_l=_q(Fraction(*anchors[-1]) - Fraction(1, legs[-1].grid.ep)),
     )
 
 
@@ -1511,16 +1511,16 @@ class ToothForestChainFamily(ChainFamily):
         windows: list[Window] = []
         for k, leg in enumerate(g.legs):
             # A leg's end links reach into the neighbouring leg or margin
-            # by that one's overlap.
-            ov_prev = g.legs[k - 1].ovw if k else leg.ovw
-            ov_next = g.legs[k + 1].ovw if k + 1 < len(g.legs) else leg.ovw
+            # by that one's overlap, 1/ep of its grid.
+            ep_prev = g.legs[k - 1].grid.ep if k else leg.grid.ep
+            ep_next = g.legs[k + 1].grid.ep if k + 1 < len(g.legs) else leg.grid.ep
             windows += _grid_windows(
                 name,
                 leg.grid,
                 leg.count,
                 base + leg.link_base,
-                -ov_prev,
-                leg.count * leg.step + ov_next,
+                Fraction(-1, ep_prev),
+                Fraction(leg.count, leg.grid.cq) + Fraction(1, ep_next),
                 lambda d, w_hi=Fraction(*leg.hi): w_hi - d,
                 ends_closed=False,
             )

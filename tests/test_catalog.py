@@ -390,8 +390,9 @@ def _fraction_gap_shape(i, m, bit_r, bit_l):
         step = (wa - wb) / count
         reach = count + 1 if k + 2 < len(anchors) else count
         grid = _grid(step, step / 8, 0 if link else 1, reach)
-        legs.append(catalog._Leg(count, step, step / 8, link, grid, catalog._q(wa), catalog._q(wb)))
+        legs.append(catalog._Leg(count, link, grid, catalog._q(wa), catalog._q(wb)))
         link += count
+
     for kind, k, tooth, side in ((kind_r, k_r, i, 1), (kind_l, k_l, i + 1, -1)):
         if kind == "p":
             height = Fraction(1, i) if side > 0 else Fraction(1, i + 1)
@@ -401,12 +402,13 @@ def _fraction_gap_shape(i, m, bit_r, bit_l):
     return catalog._GapShape(
         legs=tuple(legs),
         total=link,
-        widest=max(legs, key=lambda leg: leg.step + 2 * leg.ovw).grid,
+        # A grid's step is ep/eq and its overlap cq/eq.
+        widest=max(legs, key=lambda leg: Fraction(leg.grid.ep + 2 * leg.grid.cq, leg.grid.eq)).grid,
         cut_r=catalog._q(anchors[0][0]),
-        margin_r=catalog._q(anchors[0][0] + legs[0].ovw),
+        margin_r=catalog._q(anchors[0][0] + Fraction(legs[0].grid.cq, legs[0].grid.eq)),
         kind_l=kind_l,
         cut_l=catalog._q(anchors[-1][0]),
-        margin_l=catalog._q(anchors[-1][0] - legs[-1].ovw),
+        margin_l=catalog._q(anchors[-1][0] - Fraction(legs[-1].grid.cq, legs[-1].grid.eq)),
     )
 
 
@@ -550,7 +552,7 @@ def test_catalog_geometry_is_pinned():
     ]
     assert len(keys) == 200
     assert digest(_pass_data(p) for p in range(1, 9)) == "59636ff370aad925"
-    assert digest(_gap_shape(*key) for key in keys) == "e8082ec597b9a5c4"
+    assert digest(_gap_shape(*key) for key in keys) == "0450ee6f14cfadc0"
 
 
 class TestSeparationData:
