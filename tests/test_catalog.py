@@ -392,7 +392,6 @@ def _fraction_gap_shape(i, m, bit_r, bit_l):
         grid = _grid(step, step / 8, 0 if link else 1, reach)
         legs.append(catalog._Leg(count, link, grid, catalog._q(wa), catalog._q(wb)))
         link += count
-
     for kind, k, tooth, side in ((kind_r, k_r, i, 1), (kind_l, k_l, i + 1, -1)):
         if kind == "p":
             height = Fraction(1, i) if side > 0 else Fraction(1, i + 1)
