@@ -1351,6 +1351,108 @@ def test_link_windows_are_pinned():
     assert digest.hexdigest()[:16] == "4ac839b60ad95e65"
 
 
+# -- placement and settledness where the sine and spiral walks change hands -------
+
+
+def _walk_points(family, n):
+    """Points of S1, S2 or T where level n's walk changes hands: every
+    strand's ends, the wave's settled end u* and the handover stretch
+    past it, the wave 1, 2 and 50 periods past the cut, and T's spiral
+    before, at and past the end of its windows and on circuits 1-7."""
+    F = Fraction
+    h = F(1, 3 * (n + 3))
+    ov = h / 8
+    # The variants whose walk cuts the wave at a peak; T's D walks as S1's E.
+    peak_cut = {"s1": ("D", "E"), "s2": ("standard", "reversed"), "t": ("D",)}
+    variant = family.variant
+    deep = 4 * n + 2 if variant in peak_cut[family.SPACE] else 4 * n + 4
+    ustar, cut = deep - ov, deep + ov
+    wave = [F(0), F(7, 3), ustar - h / 2, ustar, ustar + ov / 3, F(deep), cut - ov / 5, cut]
+    wave += [cut + 4 * k + r for k in (1, 2, 50) for r in (0, F(1, 2), 1, F(5, 2), 3)]
+    points = [CatalogPoint("wave", u) for u in wave]
+    if family.SPACE == "s2":
+        points += [CatalogPoint("ell", F(t)) for t in (0, 1, 2, F(5, 2), 3, 4, 5)]
+    else:
+        points += [CatalogPoint("bar", F(t)) for t in (-1, F(-1, 3), 0, F(1, 2), 1)]
+    if family.SPACE == "t":
+        data = _pass_data(n)
+        end = catalog._prefix_total(n - 1)
+        if variant == "D":
+            end += data.cum[data.cut_index]
+        lengths = [end / 2, end - h / 3, end, end + ov / 2, end + ov, end + F(1, 5), end + 3]
+        params = [catalog._spiral_param_at(s.numerator, s.denominator) for s in lengths if s >= 0]
+        for p in range(1, 8):
+            params += [F(1, 2 ** (p - 1)), F(3, 2 ** (p + 1)), F(1, 2**p) + F(1, 2 ** (p + 4))]
+        points += [CatalogPoint("spiral", v) for v in params]
+    return points
+
+
+_WALK_FAMILIES = [
+    *[s1_family(v) for v in SineChainFamily.VARIANTS],
+    *[s2_family(v) for v in OuterArcChainFamily.VARIANTS],
+    *[t_family(v) for v in SpiralChainFamily.VARIANTS],
+]
+
+# The first 16 hex digits of SHA-256 over each family's placements and
+# settled pairs below, as the walks placed them when each family wrote
+# its placement, windows and settledness by hand.
+WALK_DIGESTS = {
+    "SineChainFamily(variant='D')": "e27f59c9205ceac7",
+    'SineChainFamily(variant="D\'")': "0590a240c0a343c7",
+    "SineChainFamily(variant='E')": "b4c79ea712a6d909",
+    'SineChainFamily(variant="E\'")': "9dd913a77ee57eaa",
+    "OuterArcChainFamily(variant='standard')": "db4546fb70298b39",
+    "OuterArcChainFamily(variant='reversed')": "a5c2edf258dff6a9",
+    "SpiralChainFamily(variant='D')": "14b96d86097b69fb",
+    "SpiralChainFamily(variant='E')": "4a32a68fb923697e",
+}
+
+
+@pytest.mark.parametrize("family", _WALK_FAMILIES, ids=repr)
+def test_walk_placement_and_settledness_are_pinned(family):
+    """index_of on every walk point and _pair_settled on a seeded sample of
+    their pairs, at levels 1-16 (T at 1-7), by digest."""
+    rng = random.Random(29)
+    digest = hashlib.sha256()
+    for n in range(1, (7 if family.SPACE == "t" else 16) + 1):
+        level, points = family.level(n), _walk_points(family, n)
+        placed = [(p.strand, rational_str(p.param), level.index_of(p)) for p in points]
+        pairs = [rng.sample(points, 2) for _ in range(120)]
+        settled = [family._pair_settled(x, y, n) for x, y in pairs]
+        digest.update(repr((n, placed, settled)).encode())
+    assert digest.hexdigest()[:16] == WALK_DIGESTS[repr(family)]
+
+
+@pytest.mark.parametrize("variant,walk", [("D", "E"), ("E", "E'")])
+def test_t_walks_bar_and_wave_as_s1_moved_by_its_offset(variant, walk):
+    """T's bar and wave are S1's walk E (for D) or E' (for E), moved past
+    T's spiral links in D: every bar and wave point is placed at S1's pair
+    plus that offset, and seeded pairs get S1's verdicts at depth 10."""
+    t, s1 = t_family(variant), s1_family(walk)
+    for n in range(1, 8):
+        offset = t.level(n).size - s1.level(n).size if variant == "D" else 0
+        for p in _walk_points(t, n):
+            if p.strand != "spiral":
+                lo, hi = s1.level(n).index_of(p)
+                assert t.level(n).index_of(p) == (lo + offset, hi + offset), (n, p)
+    rng = random.Random(3)
+
+    def point():
+        if rng.random() < 0.5:
+            return CatalogPoint("wave", Fraction(rng.randint(0, 48 * 12), rng.randint(1, 12)))
+        return CatalogPoint("bar", Fraction(rng.randint(-16, 16), 16))
+
+    stabilized = 0
+    for _ in range(200):
+        x, y = point(), point()
+        on_t, on_s1 = (chain_order_compare(f, x, y, None, 10) for f in (t, s1))
+        assert (on_t.kind, on_t.direction, on_t.threshold) == (
+            on_s1.kind, on_s1.direction, on_s1.threshold
+        ), (x, y)
+        stabilized += on_t.kind == "stabilized"
+    assert stabilized >= 90
+
+
 @given(
     step=st.fractions(Fraction(1, 40), 2, max_denominator=60),
     ov_share=st.fractions(0, Fraction(19, 40), max_denominator=40),
