@@ -812,10 +812,11 @@ def _grid_windows(
     hi: Fraction,
     param: Callable = lambda o: o,
     ends_closed: bool = True,
+    sense: int = 1,
 ) -> list[Window]:
     """Windows 1..count of the plan's ``grid`` over the coordinate stretch lo..hi.
 
-    Window i of the grid is link first + i; the first and last windows
+    Window i of the grid is link first + sense*i; the first and last windows
     reach the ends of the stretch, which are closed or open together.
     ``param`` maps the grid coordinate monotonically to the strand
     parameter; the ends stay integer numerators over ``den`` until kept.
@@ -837,7 +838,7 @@ def _grid_windows(
         pa, pb = param(Fraction(a, den)), param(Fraction(b, den))
         if pa > pb:
             pa, pb, ca, cb = pb, pa, cb, ca
-        out.append(Window(first + i, strand, pa, pb, ca, cb))
+        out.append(Window(first + sense * i, strand, pa, pb, ca, cb))
     return out
 
 
@@ -868,6 +869,61 @@ def _pull_back(strand: str, knots: list, host: list[Window], box: Callable) -> l
     return out
 
 
+# -- walks: segments and host tails -----------------------------------------------
+
+
+class _Segment(NamedTuple):
+    """One strand's stretch of a walk: windows 1..grid.hi of ``grid``, window i
+    in link first + sense*i, over grid coordinates 0..span.
+
+    A point at measure m (its parameter, or the spiral's arclength) sits at
+    grid coordinate along*m + shift, with along = ±1.  It is settled when
+    m <= end, or always without an end.  On the handover stretch from end
+    to ``reach`` it lies in the two links ``handover``; beyond, its host
+    places it.
+    """
+
+    strand: str
+    grid: _Grid
+    first: int
+    sense: int
+    along: int
+    shift: Pair
+    span: Fraction
+    end: Pair | None = None
+    reach: Pair | None = None
+    handover: tuple[int, int] | None = None
+
+
+def _measure(strand: str, a: int, b: int) -> Pair:
+    """The measure at parameter a/b of ``strand``: arclength on the spiral, else a/b."""
+    return _spiral_arclength(a, b) if strand == "spiral" else (a, b)
+
+
+def _param_at(strand: str, n: int, d: int) -> Fraction:
+    """The parameter of ``strand`` at measure n/d (d > 0), the inverse of ``_measure``."""
+    return _spiral_param_at(n, d) if strand == "spiral" else Fraction(n, d)
+
+
+def _segment_windows(seg: _Segment) -> list[Window]:
+    """A segment's grid windows, then its handover windows in walk order."""
+    (cn, cd), strand = seg.shift, seg.strand
+
+    def param(o: Fraction) -> Fraction:
+        # Coordinate o sits at measure along*(o - shift).
+        n = seg.along * (o.numerator * cd - cn * o.denominator)
+        return _param_at(strand, n, o.denominator * cd)
+
+    windows = _grid_windows(
+        strand, seg.grid, seg.grid.hi, seg.first, _ZERO, seg.span, param, sense=seg.sense
+    )
+    if seg.end is not None:
+        lo, hi = sorted((_param_at(strand, *seg.end), _param_at(strand, *seg.reach)))
+        links = seg.handover if seg.sense > 0 else seg.handover[::-1]
+        windows += [Window(link, strand, lo, hi) for link in links]
+    return windows
+
+
 # -- the shared chain-family protocol -------------------------------------------
 
 
@@ -887,6 +943,17 @@ class ChainFamily:
     The validator reads ``link_windows(n)``, the inverse of ``_index``,
     and the points of ``sampled_parts(n)``, which stand for what no
     window lists.
+
+    By default the plan lists its walk as segments, one per strand, in
+    the dict ``plan.walk``, and those three views read it alike.
+    ``_index`` places a point by its segment's grid, on the handover
+    stretch by the handover pair, and beyond it, or on a strand without
+    a segment, as its host (``_host``).  ``link_windows`` lists each
+    segment's windows, then its strand's tail windows (``_tail_windows``).
+    ``_pair_settled`` asks both points to be settled and, on one strand,
+    farther apart than any link of its segment spans, so no later level
+    (links only shrink) puts them in one link.  The arc and S3 place and
+    list their links by their own code.
     """
 
     SPACE: ClassVar[str]
@@ -940,6 +1007,49 @@ class ChainFamily:
                 meta = {"kind": "walk-scan", "first_constant_level": first, "settled_level": n}
                 return n, final, meta
         return None
+
+    def _index(self, plan, point: CatalogPoint) -> tuple[int, int]:
+        strand, a, b = point.strand, point.param.numerator, point.param.denominator
+        while True:
+            seg = plan.walk.get(strand)
+            if seg is not None:
+                mn, md = _measure(strand, a, b)
+                end = seg.end
+                if end is None or mn * end[1] <= end[0] * md:
+                    (cn, cd), first = seg.shift, seg.first
+                    lo, hi = _window_range(seg.grid, seg.along * mn * cd + cn * md, md * cd)
+                    return (first + lo, first + hi) if seg.sense > 0 else (first - hi, first - lo)
+                if mn * seg.reach[1] < seg.reach[0] * md:
+                    return seg.handover
+            strand, a, b = self._host(strand, a, b)
+
+    def _host(self, strand: str, a: int, b: int) -> tuple[str, int, int]:
+        """The point, as strand, numerator and denominator, that places
+        parameter a/b of ``strand`` beyond its segment."""
+        raise ValueError(f"unknown point: {CatalogPoint(strand, Fraction(a, b))}")
+
+    def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
+        walk = self._plan(n).walk
+        measures = []
+        for p in (x, y):
+            seg = walk.get(p.strand)
+            if seg is None:
+                return False
+            m = _measure(p.strand, p.param.numerator, p.param.denominator)
+            if seg.end is not None and m[0] * seg.end[1] > seg.end[0] * m[1]:
+                return False
+            measures.append(m)
+        return x.strand != y.strand or _farther(*measures, walk[x.strand].grid)
+
+    def link_windows(self, n: int) -> list[Window]:
+        plan = self._plan(n)
+        walked = {strand: _segment_windows(seg) for strand, seg in plan.walk.items()}
+        tails = {strand: self._tail_windows(plan, strand, walked) for strand in walked}
+        return [w for strand, ws in walked.items() for w in ws + tails[strand]]
+
+    def _tail_windows(self, plan, strand: str, walked: dict) -> list[Window]:
+        """Windows on ``strand`` beyond its segment, given every segment's windows."""
+        return []
 
     def sampled_parts(self, n: int) -> dict[str, list[CatalogPoint]]:
         return {}
@@ -1010,32 +1120,18 @@ class ArcChainFamily(ChainFamily):
 # -- the sine curve: S1, and S2 with its outer arc --------------------------------
 
 
-class _SinePlan(NamedTuple):
-    h: Fraction
-    ov: Fraction
-    deep: int
-    ustar: Fraction
-    windows: int
-    band: Fraction
+class _WalkPlan(NamedTuple):
+    """A level of S1, S2 or T: its segments by strand, in the order their windows are listed."""
+
+    walk: dict[str, _Segment]
     size: int
-    entry: int
-    sense: int
-    flip: bool
     mesh: Fraction
-    # Integer forms for placing points: the windows up to the handover
-    # link, the slabs, and (al, be) with slab coordinate al*t + be for a
-    # limit parameter t and for a wave height t past the cut.
-    wave: _Grid
-    slab: _Grid
-    limit_o: Pair
-    tail_o: Pair
+    h: Fraction  # the link step on the wave and the spiral; their links overlap by h/8
+    band: Fraction  # the slab step on the limit strand
 
 
-def _placed(lo: int, hi: int, plan: _SinePlan, offset: int) -> tuple[int, int]:
-    """Links lo..hi of a walk, numbered backwards if it is flipped, after ``offset`` others."""
-    if plan.flip:
-        lo, hi = reverse_bounds(plan.size, lo, hi)
-    return lo + offset, hi + offset
+def _sine_step(n: int) -> Fraction:
+    return Fraction(1, 3 * (n + 3))
 
 
 @dataclass(frozen=True)
@@ -1046,11 +1142,13 @@ class SineChainFamily(ChainFamily):
     top; D' cuts at a trough and enters from the bottom; E and E' are
     the reversely numbered copies.
 
-    The walk covers the oscillation in windows up to the cut, hands
-    over through one margin link, and runs the whole limit strand
-    ``LIMIT`` in slabs; the slabs also absorb the oscillation's tail
-    beyond the cut.  S2 and the bar-and-oscillation block of T reuse
-    this walk.
+    The walk has two segments.  The wave's windows run from the free end
+    to u* just short of the cut; from u* past the cut the last window
+    hands over to the first slab, and the limit strand ``LIMIT`` is
+    walked in slabs end to end.  Past the handover the wave's host is
+    the limit-strand point at its height, so the slabs absorb the tail;
+    its windows are the slabs' pulled back over one period.  S2 and the
+    bar-and-oscillation block of T reuse this walk.
     """
 
     SPACE: ClassVar[str] = "s1"
@@ -1067,112 +1165,71 @@ class SineChainFamily(ChainFamily):
         # beyond it, which the slabs absorb, stays within that x
         return max(h + h / 4, band + band / 4, reach)
 
-    def _build_plan(self, n: int) -> _SinePlan:
-        c = 3 * (n + 3)
-        h = Fraction(1, c)
+    def _build_plan(self, n: int, offset: int = 0) -> _WalkPlan:
+        """Level n, its links moved up by ``offset`` when the walk is a block
+        of a larger chain."""
+        h = _sine_step(n)
+        ov = h / 8
         peak_cut = self.variant in self.PEAK_CUT
         deep = 4 * n + 2 if peak_cut else 4 * n + 4
-        windows = deep * c
+        windows = deep * h.denominator
         # Slabs of width band cover the whole limit strand.
         limit = self.space.strand(self.LIMIT)
         band = Fraction(1, 2 * (n + 3))
         slabs = 2 * int(limit.hi - limit.lo) * (n + 3)
+        size = windows + slabs
         # The walk enters the limit strand where the cut's height meets it.
         m, c = self.LIMIT_AT_HEIGHT
         entry = m * (1 if peak_cut else -1) + c
-        sense = 1 if entry == limit.lo else -1
-        plan = _SinePlan(
-            h=h,
-            ov=h / 8,
-            deep=deep,
-            ustar=deep - h / 8,
-            windows=windows,
-            band=band,
-            size=windows + slabs,
-            entry=entry,
-            sense=sense,
-            flip=False,
-            mesh=self._mesh(h, band, _wave_point(deep - h / 8)[0]),
-            wave=_grid(h, h / 8, 1, windows + 1),
-            slab=_grid(band, band / 8, 1, slabs),
-            limit_o=(sense, -sense * entry),
-            tail_o=(sense * m, sense * (c - entry)),
+        along = 1 if entry == limit.lo else -1
+        flip = self.variant in self.REVERSED
+
+        def link(k: int) -> int:
+            # The walk's k-th link, numbered backwards if the walk is reversed.
+            return offset + (size + 1 - k if flip else k)
+
+        ustar, sense = deep - ov, -1 if flip else 1
+        # The last window and the first slab share (u*, deep + ov).
+        wave = _Segment(
+            "wave", _grid(h, ov, 1, windows), link(0), sense, along=1, shift=(0, 1), span=ustar,
+            end=_q(ustar), reach=_q(deep + ov),
+            handover=tuple(sorted((link(windows), link(windows + 1)))),
         )
+        # Slab coordinate o = along*(t - entry) at limit parameter t.
+        bar = _Segment(
+            self.LIMIT, _grid(band, band / 8, 1, slabs), link(windows), sense, along=along,
+            shift=(-along * entry, 1), span=limit.hi - limit.lo,
+        )
+        mesh = self._mesh(h, band, _wave_point(ustar)[0])
+        plan = _WalkPlan({"wave": wave, self.LIMIT: bar}, size, mesh, h, band)
         # The walk enters from the free end: the outermost trough is in
         # the first link, and the limit strand is first met by its entry slab.
-        if self._index(plan, CatalogPoint("wave", 0)) != (1, 1):
+        if self._index(plan, CatalogPoint("wave", 0)) != (link(1),) * 2:
             raise AssertionError("free end must open the walk")
-        entry_link = (plan.windows + 1, plan.windows + 1)
-        if self._index(plan, CatalogPoint(self.LIMIT, entry)) != entry_link:
+        if self._index(plan, CatalogPoint(self.LIMIT, entry)) != (link(windows + 1),) * 2:
             raise AssertionError("limit entry must follow the last window")
-        return plan._replace(flip=self.variant in self.REVERSED)
+        return plan
 
-    def _index(self, plan: _SinePlan, point: CatalogPoint, offset: int = 0) -> tuple[int, int]:
-        """The links holding ``point``, moved up by ``offset`` when the walk
-        is a block of a larger chain."""
-        a, b = point.param.numerator, point.param.denominator
-        if point.strand == self.LIMIT:
-            al, be = plan.limit_o
-        elif point.strand != "wave":
-            raise ValueError(f"unknown point: {point}")
-        else:
-            # The grid's window windows + 1 stands for the entry slab: where
-            # it meets the last window, on (ustar, deep + ov), the walk hands over.
-            lo, hi = _window_range(plan.wave, a, b)
-            if lo <= plan.windows:
-                return _placed(lo, hi, plan, offset)
-            # Past the cut the slabs take the wave by its height.
-            a, (al, be) = _wave_height(a, b), plan.tail_o
-        lo, hi = _window_range(plan.slab, al * a + be * b, b)
-        return _placed(lo + plan.windows, hi + plan.windows, plan, offset)
+    def _host(self, strand: str, a: int, b: int) -> tuple[str, int, int]:
+        # Past the cut the wave at height y is placed as limit-strand point m*y + c.
+        if strand != "wave":
+            return super()._host(strand, a, b)
+        m, c = self.LIMIT_AT_HEIGHT
+        return self.LIMIT, m * _wave_height(a, b) + c * b, b
 
-    def _settled(self, plan: _SinePlan, p: CatalogPoint) -> bool:
-        # u <= ustar exactly when the entry slab's window misses u.
-        return p.strand == self.LIMIT or _window_range(plan.wave, *_q(p.param))[1] <= plan.windows
-
-    def _apart(self, plan: _SinePlan, x: CatalogPoint, y: CatalogPoint) -> bool:
-        """Settled points of one strand farther apart than any of its links
-        spans, so no level from this one on (links only shrink) shares a link."""
-        if x.strand != y.strand:
-            return True
-        return _farther(_q(x.param), _q(y.param), plan.wave if x.strand == "wave" else plan.slab)
-
-    def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
-        plan = self._plan(n)
-        return self._settled(plan, x) and self._settled(plan, y) and self._apart(plan, x, y)
-
-    def link_windows(self, n: int) -> list[Window]:
-        return self._walk_windows(self._plan(n))
-
-    def _walk_windows(self, plan: _SinePlan) -> list[Window]:
-        limit = self.space.strand(self.LIMIT)
-        slabs = _grid_windows(
-            self.LIMIT,
-            plan.slab,
-            plan.slab.hi,
-            plan.windows,
-            _ZERO,
-            limit.hi - limit.lo,
-            lambda o: plan.entry + plan.sense * o,
-        )
-        wave = _grid_windows("wave", plan.wave, plan.windows, 0, _ZERO, plan.ustar)
-        # The handover: the last window and the entry slab share (ustar, deep + ov).
-        cut = plan.deep + plan.ov
-        wave += [Window(link, "wave", plan.ustar, cut) for link in (plan.windows, plan.windows + 1)]
-        windows = wave + self._tail_windows(plan, cut, slabs) + slabs
-        if plan.flip:
-            windows = [w._replace(link=plan.size + 1 - w.link) for w in windows]
-        return windows
-
-    def _tail_windows(self, plan: _SinePlan, cut: Fraction, slabs: list[Window]) -> list[Window]:
+    def _tail_windows(self, plan: _WalkPlan, strand: str, walked: dict) -> list[Window]:
         """The wave from the cut on, placed by height in the slabs, over one period.
 
         The height is periodic in u with period 4, so one period meets the
         slabs at every height the tail does; the tail stays within x in
         (0, x(cut)], which each window's box spans at the window's heights.
         """
+        if strand != "wave":
+            return []
+        cut = Fraction(*plan.walk["wave"].reach)
         reach = _wave_point(cut)[0]
-        us = [cut] + [Fraction(u) for u in range(plan.deep + 1, plan.deep + 5)] + [cut + 4]
+        j = _ceil(cut)
+        us = [cut] + [Fraction(u) for u in range(j, j + 4)] + [cut + 4]
         m, c = self.LIMIT_AT_HEIGHT
         knots = [(u, m * _wave_point(u)[1] + c) for u in us]
 
@@ -1180,7 +1237,7 @@ class SineChainFamily(ChainFamily):
             y_lo, y_hi = sorted((_wave_point(lo)[1], _wave_point(hi)[1]))
             return (_ZERO, reach, y_lo, y_hi)
 
-        return _pull_back("wave", knots, slabs, box)
+        return _pull_back("wave", knots, walked[self.LIMIT], box)
 
 
 @dataclass(frozen=True)
@@ -1568,26 +1625,8 @@ def _flank_tail(i: int, side: int, start: Fraction, host: list[Window]) -> list[
 # -- space T ---------------------------------------------------------------------
 
 
-class _TPlan(NamedTuple):
-    sine: _SinePlan
-    off_sine: int
-    spiral_count: int
-    spiral_len: Fraction
-    off_spiral: int
-    size: int
-    mesh: Fraction
-    # Integer forms: the spiral's grid, the arclengths spiral_len and
-    # spiral_len + sine.ov as pairs, (al, be) with grid coordinate
-    # al*s + be*spiral_len at arclength s, and the first handover link.
-    grid: _Grid
-    end: Pair
-    reach: Pair
-    along: Pair
-    handover: int
-
-
 @dataclass(frozen=True)
-class SpiralChainFamily(ChainFamily):
+class SpiralChainFamily(SineChainFamily):
     """Chains on T ordering the components as spiral, bar, oscillation (D)
     or bar, oscillation, spiral (E).
 
@@ -1596,121 +1635,63 @@ class SpiralChainFamily(ChainFamily):
     covers the circuits outward from the gate of circuit n, so its
     spiral block trails the oscillation block instead.  The bar and the
     oscillation are walked as in the reversed S1 level of the same
-    depth: S1's variant E for D, and E' for E.
+    depth: S1's variant E for D, and E' for E.  Past its handover the
+    spiral's host is the point of the bar or the oscillation it runs
+    along.
     """
 
     SPACE: ClassVar[str] = "t"
     VARIANTS: ClassVar[tuple[str, ...]] = ("D", "E")
-    variant: str
+    PEAK_CUT: ClassVar[tuple[str, ...]] = ("D",)
+    REVERSED: ClassVar[tuple[str, ...]] = VARIANTS
 
-    @property
-    def _sine(self) -> SineChainFamily:
-        return s1_family("E" if self.variant == "D" else "E'")
-
-    def _build_plan(self, n: int) -> _TPlan:
-        # The S1 plan, not its level: T builds no S1 level of its own.
-        sine = self._sine._build_plan(n)
-        h, band = sine.h, sine.band
+    def _build_plan(self, n: int) -> _WalkPlan:
         is_d = self.variant == "D"
         data = _pass_data(n)
+        spiral_len = _prefix_total(n - 1)
         if is_d:
-            spiral_len = _prefix_total(n - 1) + data.cum[data.cut_index]
-        else:
-            spiral_len = _prefix_total(n - 1)
-        spiral_count = _ceil(spiral_len / h)
-        if is_d:
-            off_spiral, off_sine = 0, spiral_count
-        else:
-            off_sine, off_spiral = 0, sine.size
+            spiral_len += data.cum[data.cut_index]
+        h = _sine_step(n)
+        count = _ceil(spiral_len / h)
+        # S1's plan, not its level: T builds no S1 level of its own.
+        sine = super()._build_plan(n, count if is_d else 0)
         e = _spiral_eps(n)
         mesh = max(
             h + h / 4 + 6 * e,
-            band + band / 4 + 2 * e,
-            _wave_point(sine.ustar)[0] + 2 * e,
+            sine.band + sine.band / 4 + 2 * e,
+            _wave_point(Fraction(*sine.walk["wave"].end))[0] + 2 * e,
             data.bar_x_max + 2 * e,
         )
-        return _TPlan(
-            sine=sine,
-            off_sine=off_sine,
-            spiral_count=spiral_count,
-            spiral_len=spiral_len,
-            off_spiral=off_spiral,
-            size=spiral_count + sine.size,
-            mesh=mesh,
-            grid=_grid(h, sine.ov, 1, spiral_count),
-            end=_q(spiral_len),
-            reach=_q(spiral_len + sine.ov),
-            along=(1, 0) if is_d else (-1, 1),
-            handover=spiral_count if is_d else off_spiral,
-        )
+        walk = sine.walk
+        if count:
+            # The grid runs in arclength s from the free end, s = 0 at v = 1.
+            # D walks the spiral inward from link 1; E walks it outward after
+            # the sine block, whose last link shares the handover.
+            first = 0 if is_d else sine.size
+            along, shift = (1, (0, 1)) if is_d else (-1, _q(spiral_len))
+            spiral = _Segment(
+                "spiral", _grid(h, h / 8, 1, count), first, 1, along, shift, span=spiral_len,
+                end=_q(spiral_len), reach=_q(spiral_len + h / 8),
+                handover=(count, count + 1) if is_d else (first, first + 1),
+            )
+            walk = {**walk, "spiral": spiral}
+        return sine._replace(walk=walk, size=count + sine.size, mesh=mesh)
 
-    def _spiral_index(self, plan: _TPlan, v: Fraction) -> tuple[int, int]:
-        a, b = v.numerator, v.denominator
-        if plan.spiral_count:
-            sn, sd = _spiral_arclength(a, b)
-            # s and spiral_len as numerators over sd * plan.end[1]
-            s, end = sn * plan.end[1], plan.end[0] * sd
-            if s <= end:
-                al, be = plan.along
-                lo, hi = _window_range(plan.grid, al * s + be * end, sd * plan.end[1])
-                return lo + plan.off_spiral, hi + plan.off_spiral
-            if sn * plan.reach[1] < plan.reach[0] * sd:
-                return plan.handover, plan.handover + 1
-        return self._sine._index(plan.sine, _spiral_host(a, b), plan.off_sine)
-
-    def _index(self, plan: _TPlan, point: CatalogPoint) -> tuple[int, int]:
-        if point.strand == "spiral":
-            return self._spiral_index(plan, point.param)
-        return self._sine._index(plan.sine, point, plan.off_sine)
-
-    def _pair_settled(self, x: CatalogPoint, y: CatalogPoint, n: int) -> bool:
-        plan = self._plan(n)
-
-        def settled(p: CatalogPoint) -> bool:
-            if p.strand != "spiral":
-                return self._sine._settled(plan.sine, p)
-            if plan.spiral_count == 0:
-                return False
-            sn, sd = _spiral_arclength(*_q(p.param))
-            return sn * plan.end[1] <= plan.end[0] * sd
-
-        if not (settled(x) and settled(y)):
-            return False
-        if x.strand == y.strand == "spiral":
-            s, t = _spiral_arclength(*_q(x.param)), _spiral_arclength(*_q(y.param))
-            return _farther(s, t, plan.grid)
-        return self._sine._apart(plan.sine, x, y)
-
-    def link_windows(self, n: int) -> list[Window]:
-        plan = self._plan(n)
-        sine = self._sine._walk_windows(plan.sine)
-        sine = [w._replace(link=w.link + plan.off_sine) for w in sine]
-        if plan.spiral_count == 0:
-            return sine
-        # The grid runs in arclength s from the free end at s = 0, v = 1,
-        # and v falls as s grows.  D walks the spiral inward from link 1;
-        # E walks it outward after the sine block, so its handover pair of
-        # links comes first.  Grid coordinate o sits at s = al*o + be*spiral_len.
-        al, be = plan.along
-        (en, ed), end = plan.end, plan.spiral_len
-        v_of = lambda o: _spiral_param_at(
-            al * o.numerator * ed + be * en * o.denominator, o.denominator * ed
-        )
-        spiral = _grid_windows(
-            "spiral", plan.grid, plan.spiral_count, plan.off_spiral, _ZERO, end, v_of
-        )
-        lo, hi = _spiral_param_at(*plan.reach), _spiral_param_at(*plan.end)
-        spiral += [Window(link, "spiral", lo, hi) for link in (plan.handover, plan.handover + 1)]
-        return sine + spiral
+    def _host(self, strand: str, a: int, b: int) -> tuple[str, int, int]:
+        if strand != "spiral":
+            return super()._host(strand, a, b)
+        host = _spiral_host(a, b)
+        return host.strand, host.param.numerator, host.param.denominator
 
     def sampled_parts(self, n: int) -> dict[str, list[CatalogPoint]]:
         """The spiral beyond its windows, which circles on forever."""
         plan = self._plan(n)
+        spiral = plan.walk.get("spiral")
+        end, s = (Fraction(*spiral.end), Fraction(*spiral.reach)) if spiral else (_ZERO, _ZERO)
         pts = []
-        s = plan.spiral_len + plan.sine.ov if plan.spiral_count else _ZERO
-        while s <= plan.spiral_len + 2:
+        while s <= end + 2:
             pts.append(CatalogPoint("spiral", _spiral_param_at(*_q(s))))
-            s += plan.sine.h / 3
+            s += plan.h / 3
         deep_pass = Fraction(1, 2**n)
         for k in range(1, 17):
             pts.append(CatalogPoint("spiral", deep_pass - deep_pass / 2 * Fraction(k, 17)))

@@ -1170,7 +1170,7 @@ class TestValidator:
 
 
 def _fraction_grid_windows(
-    strand, step, overlap, count, first, lo, hi, param=lambda o: o, ends_closed=True
+    strand, step, overlap, count, first, lo, hi, param=lambda o: o, ends_closed=True, sense=1
 ):
     out = []
     for i in range(1, count + 1):
@@ -1185,7 +1185,7 @@ def _fraction_grid_windows(
         pa, pb = param(a), param(b)
         if pa > pb:
             pa, pb, ca, cb = pb, pa, cb, ca
-        out.append(Window(first + i, strand, pa, pb, ca, cb))
+        out.append(Window(first + sense * i, strand, pa, pb, ca, cb))
     return out
 
 

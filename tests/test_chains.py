@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainorder import chains
-from chainorder.catalog import CatalogPoint, SineChainFamily, arc_family
+from chainorder.catalog import CatalogPoint, ChainFamily, SineChainFamily, arc_family
 from chainorder.chains import (
     BOTH,
     GE_ONLY,
@@ -234,13 +234,13 @@ class TestLevelPreorder:
         sequence keeps no memo across calls, but places each thread at most
         once per level within a comparison or trace."""
         placed = []
-        index = SineChainFamily._index
+        index = ChainFamily._index
 
-        def counting(family, plan, point, offset=0):
-            placed.append((point.strand, point.param, plan.windows))
-            return index(family, plan, point, offset)
+        def counting(family, plan, point):
+            placed.append((point.strand, point.param, plan.size))
+            return index(family, plan, point)
 
-        monkeypatch.setattr(SineChainFamily, "_index", counting)
+        monkeypatch.setattr(ChainFamily, "_index", counting)
         family = SineChainFamily("D")
         for n in range(1, 21):
             family.level(n)
@@ -249,8 +249,8 @@ class TestLevelPreorder:
         verdict = chain_order_compare(family, CatalogPoint(*x), CatalogPoint(*y), None, 20)
         chain_trace(family, CatalogPoint(*x), CatalogPoint(*y), 8)
         assert verdict.kind == STABILIZED
-        windows = [family.level(n).plan.windows for n in range(1, 21)]
-        assert sorted(placed) == sorted({(*p, w) for p in (x, y) for w in windows})
+        sizes = [family.level(n).plan.size for n in range(1, 21)]
+        assert sorted(placed) == sorted({(*p, size) for p in (x, y) for size in sizes})
         placed.clear()
         mirror = chain_order_compare(family, CatalogPoint(*y), CatalogPoint(*x), None, 20)
         chain_trace(family, CatalogPoint(*y), CatalogPoint(*x), 8)
