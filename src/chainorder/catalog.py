@@ -914,8 +914,11 @@ def _segment_windows(seg: _Segment) -> list[Window]:
         n = seg.along * (o.numerator * cd - cn * o.denominator)
         return _param_at(strand, n, o.denominator * cd)
 
+    same = strand != "spiral" and (seg.along, seg.shift) == (1, (0, 1))
     windows = _grid_windows(
-        strand, seg.grid, seg.grid.hi, seg.first, _ZERO, seg.span, param, sense=seg.sense
+        strand, seg.grid, seg.grid.hi, seg.first, _ZERO, seg.span,
+        # Where the coordinate is the parameter, keep it rather than build it again.
+        (lambda o: o) if same else param, sense=seg.sense,
     )
     if seg.end is not None:
         lo, hi = sorted((_param_at(strand, *seg.end), _param_at(strand, *seg.reach)))
@@ -1126,11 +1129,11 @@ class _WalkPlan(NamedTuple):
     walk: dict[str, _Segment]
     size: int
     mesh: Fraction
-    h: Fraction  # the link step on the wave and the spiral; their links overlap by h/8
     band: Fraction  # the slab step on the limit strand
 
 
 def _sine_step(n: int) -> Fraction:
+    """The link step on level n's wave and T's spiral; their links overlap by an eighth of it."""
     return Fraction(1, 3 * (n + 3))
 
 
@@ -1183,12 +1186,13 @@ class SineChainFamily(ChainFamily):
         entry = m * (1 if peak_cut else -1) + c
         along = 1 if entry == limit.lo else -1
         flip = self.variant in self.REVERSED
+        sense = -1 if flip else 1
 
         def link(k: int) -> int:
             # The walk's k-th link, numbered backwards if the walk is reversed.
             return offset + (size + 1 - k if flip else k)
 
-        ustar, sense = deep - ov, -1 if flip else 1
+        ustar = deep - ov
         # The last window and the first slab share (u*, deep + ov).
         wave = _Segment(
             "wave", _grid(h, ov, 1, windows), link(0), sense, along=1, shift=(0, 1), span=ustar,
@@ -1196,12 +1200,12 @@ class SineChainFamily(ChainFamily):
             handover=tuple(sorted((link(windows), link(windows + 1)))),
         )
         # Slab coordinate o = along*(t - entry) at limit parameter t.
-        bar = _Segment(
+        limit_seg = _Segment(
             self.LIMIT, _grid(band, band / 8, 1, slabs), link(windows), sense, along=along,
             shift=(-along * entry, 1), span=limit.hi - limit.lo,
         )
         mesh = self._mesh(h, band, _wave_point(ustar)[0])
-        plan = _WalkPlan({"wave": wave, self.LIMIT: bar}, size, mesh, h, band)
+        plan = _WalkPlan({"wave": wave, self.LIMIT: limit_seg}, size, mesh, band)
         # The walk enters from the free end: the outermost trough is in
         # the first link, and the limit strand is first met by its entry slab.
         if self._index(plan, CatalogPoint("wave", 0)) != (link(1),) * 2:
@@ -1685,13 +1689,12 @@ class SpiralChainFamily(SineChainFamily):
 
     def sampled_parts(self, n: int) -> dict[str, list[CatalogPoint]]:
         """The spiral beyond its windows, which circles on forever."""
-        plan = self._plan(n)
-        spiral = plan.walk.get("spiral")
+        spiral = self._plan(n).walk.get("spiral")
         end, s = (Fraction(*spiral.end), Fraction(*spiral.reach)) if spiral else (_ZERO, _ZERO)
-        pts = []
+        pts, step = [], _sine_step(n) / 3
         while s <= end + 2:
             pts.append(CatalogPoint("spiral", _spiral_param_at(*_q(s))))
-            s += plan.h / 3
+            s += step
         deep_pass = Fraction(1, 2**n)
         for k in range(1, 17):
             pts.append(CatalogPoint("spiral", deep_pass - deep_pass / 2 * Fraction(k, 17)))
