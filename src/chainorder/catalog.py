@@ -872,15 +872,21 @@ def _pull_back(strand: str, knots: list, host: list[Window], box: Callable) -> l
 # -- walks: segments and host tails -----------------------------------------------
 
 
+def _by_param(a: int, b: int) -> Pair:
+    """The measure of a strand walked by its parameter: the parameter a/b itself."""
+    return a, b
+
+
 class _Segment(NamedTuple):
     """One strand's stretch of a walk: windows 1..grid.hi of ``grid``, window i
     in link first + sense*i, over grid coordinates 0..span.
 
-    A point at measure m (its parameter, or the spiral's arclength) sits at
-    grid coordinate along*m + shift, with along = ±1.  It is settled when
-    m <= end, or always without an end.  On the handover stretch from end
-    to ``reach`` it lies in the two links ``handover``; beyond, its host
-    places it.
+    A point at parameter a/b has measure ``measure(a, b)``, by default the
+    parameter, and sits at grid coordinate along*m + shift for measure m,
+    with along = ±1; ``param_at(n, d)`` is the parameter at measure n/d.
+    It is settled when m <= end, or always without an end.  On the
+    handover stretch from end to ``reach`` it lies in the two links
+    ``handover``; beyond, its host places it.
     """
 
     strand: str
@@ -893,37 +899,25 @@ class _Segment(NamedTuple):
     end: Pair | None = None
     reach: Pair | None = None
     handover: tuple[int, int] | None = None
-
-
-def _measure(strand: str, a: int, b: int) -> Pair:
-    """The measure at parameter a/b of ``strand``: arclength on the spiral, else a/b."""
-    return _spiral_arclength(a, b) if strand == "spiral" else (a, b)
-
-
-def _param_at(strand: str, n: int, d: int) -> Fraction:
-    """The parameter of ``strand`` at measure n/d (d > 0), the inverse of ``_measure``."""
-    return _spiral_param_at(n, d) if strand == "spiral" else Fraction(n, d)
+    measure: Callable[[int, int], Pair] = _by_param
+    param_at: Callable[[int, int], Fraction] = Fraction
 
 
 def _segment_windows(seg: _Segment) -> list[Window]:
     """A segment's grid windows, then its handover windows in walk order."""
-    (cn, cd), strand = seg.shift, seg.strand
+    (cn, cd), param_at = seg.shift, seg.param_at
 
     def param(o: Fraction) -> Fraction:
         # Coordinate o sits at measure along*(o - shift).
-        n = seg.along * (o.numerator * cd - cn * o.denominator)
-        return _param_at(strand, n, o.denominator * cd)
+        return param_at(seg.along * (o.numerator * cd - cn * o.denominator), o.denominator * cd)
 
-    same = strand != "spiral" and (seg.along, seg.shift) == (1, (0, 1))
     windows = _grid_windows(
-        strand, seg.grid, seg.grid.hi, seg.first, _ZERO, seg.span,
-        # Where the coordinate is the parameter, keep it rather than build it again.
-        (lambda o: o) if same else param, sense=seg.sense,
+        seg.strand, seg.grid, seg.grid.hi, seg.first, _ZERO, seg.span, param, sense=seg.sense
     )
     if seg.end is not None:
-        lo, hi = sorted((_param_at(strand, *seg.end), _param_at(strand, *seg.reach)))
+        lo, hi = sorted((param_at(*seg.end), param_at(*seg.reach)))
         links = seg.handover if seg.sense > 0 else seg.handover[::-1]
-        windows += [Window(link, strand, lo, hi) for link in links]
+        windows += [Window(link, seg.strand, lo, hi) for link in links]
     return windows
 
 
@@ -1016,7 +1010,7 @@ class ChainFamily:
         while True:
             seg = plan.walk.get(strand)
             if seg is not None:
-                mn, md = _measure(strand, a, b)
+                mn, md = seg.measure(a, b)
                 end = seg.end
                 if end is None or mn * end[1] <= end[0] * md:
                     (cn, cd), first = seg.shift, seg.first
@@ -1038,7 +1032,7 @@ class ChainFamily:
             seg = walk.get(p.strand)
             if seg is None:
                 return False
-            m = _measure(p.strand, p.param.numerator, p.param.denominator)
+            m = seg.measure(p.param.numerator, p.param.denominator)
             if seg.end is not None and m[0] * seg.end[1] > seg.end[0] * m[1]:
                 return False
             measures.append(m)
@@ -1641,7 +1635,12 @@ class SpiralChainFamily(SineChainFamily):
     oscillation are walked as in the reversed S1 level of the same
     depth: S1's variant E for D, and E' for E.  Past its handover the
     spiral's host is the point of the bar or the oscillation it runs
-    along.
+    along.  The spiral segment measures a point by its arclength.
+
+    T subclasses S1 for that walk alone: S1's ``_build_plan`` at an
+    offset, its ``LIMIT`` bar and ``LIMIT_AT_HEIGHT``, the wave's host
+    and its tail windows.  T's own ``_build_plan`` takes no offset, since
+    no larger chain holds T's walk as a block.
     """
 
     SPACE: ClassVar[str] = "t"
@@ -1677,6 +1676,7 @@ class SpiralChainFamily(SineChainFamily):
                 "spiral", _grid(h, h / 8, 1, count), first, 1, along, shift, span=spiral_len,
                 end=_q(spiral_len), reach=_q(spiral_len + h / 8),
                 handover=(count, count + 1) if is_d else (first, first + 1),
+                measure=_spiral_arclength, param_at=_spiral_param_at,
             )
             walk = {**walk, "spiral": spiral}
         return sine._replace(walk=walk, size=count + sine.size, mesh=mesh)
