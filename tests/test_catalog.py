@@ -1423,6 +1423,74 @@ def test_walk_placement_and_settledness_are_pinned(family):
     assert digest.hexdigest()[:16] == WALK_DIGESTS[repr(family)]
 
 
+# -- placement and settledness on the arc and S3 ------------------------------------
+
+
+def _arc_grid_points(n):
+    """j/(8k) for k = 2^n links, as bare rationals and as segment points."""
+    k = 2**n
+    grid = [Fraction(j, 8 * k) for j in range(8 * k + 1)]
+    return grid + [CatalogPoint("segment", t) for t in grid]
+
+
+def _s3_grid_points(m, rng):
+    """Points of S3 at level m: on teeth 1..m + 1 their ends, j/(8i) and
+    seeded heights; on gaps 1..m + 1 every flank anchor of cycles k < 14,
+    points just past each, and seeded w in (-1, 1); and the origin."""
+    F = Fraction
+    points = [CatalogPoint("origin", 0)]
+    for i in range(1, m + 2):
+        heights = [F(j, 8 * i) for j in range(9)]
+        heights += [F(rng.randint(0, 10**4), 10**4 * i) for _ in range(4)]
+        points += [CatalogPoint(f"tooth_{i}", y) for y in heights]
+        ws = [F(0)]
+        for k in range(14):
+            for anchor in (1 - F(1, 2**k), 1 - F(3, 2 ** (k + 2))):
+                for w in (anchor, anchor + F(1, 2 ** (k + 8))):
+                    ws += [w, -w]
+        ws += [F(rng.randint(-(10**6) + 1, 10**6 - 1), 10**6) for _ in range(8)]
+        points += [CatalogPoint(f"gap_{i}", w) for w in ws]
+    return points
+
+
+_GRID_FAMILIES = [
+    *[arc_family(v) for v in ArcChainFamily.VARIANTS],
+    *[s3_family(bits) for bits in ("01101001", "10010110", "11111111", "00000000")],
+]
+
+# The first 16 hex digits of SHA-256 over each family's placements and, on
+# S3, settled pairs below, as the arc and S3 placed them with their own
+# placement code, before their levels became walk segments.
+GRID_DIGESTS = {
+    "ArcChainFamily(variant='standard')": "e103cf23cd9a02be",
+    "ArcChainFamily(variant='reversed')": "4d55407733177daf",
+    "ToothForestChainFamily(bits=(0, 1, 1, 0, 1, 0, 0, 1))": "e873d589bc9a0d76",
+    "ToothForestChainFamily(bits=(1, 0, 0, 1, 0, 1, 1, 0))": "9d0b65acb8411601",
+    "ToothForestChainFamily(bits=(1, 1, 1, 1, 1, 1, 1, 1))": "c329ff089e12cc9a",
+    "ToothForestChainFamily(bits=(0, 0, 0, 0, 0, 0, 0, 0))": "47686d1b3883a8b7",
+}
+
+
+@pytest.mark.parametrize("family", _GRID_FAMILIES, ids=repr)
+def test_arc_and_s3_placement_and_settledness_are_pinned(family):
+    """index_of on the arc's grid points at levels 1-12, and on S3's points
+    with _pair_settled on a seeded sample of their pairs at levels 1-8, by digest."""
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    for n in range(1, (12 if family.SPACE == "arc" else 8) + 1):
+        level = family.level(n)
+        if family.SPACE == "arc":
+            placed = [level.index_of(p) for p in _arc_grid_points(n)]
+            digest.update(repr((n, placed)).encode())
+            continue
+        points = _s3_grid_points(n, rng)
+        placed = [(p.strand, rational_str(p.param), level.index_of(p)) for p in points]
+        pairs = [rng.sample(points, 2) for _ in range(400)]
+        settled = [family._pair_settled(x, y, n) for x, y in pairs]
+        digest.update(repr((n, placed, settled)).encode())
+    assert digest.hexdigest()[:16] == GRID_DIGESTS[repr(family)]
+
+
 @pytest.mark.parametrize("variant,walk", [("D", "E"), ("E", "E'")])
 def test_t_walks_bar_and_wave_as_s1_moved_by_its_offset(variant, walk):
     """T's bar and wave are S1's walk E (for D) or E' (for E), moved past
