@@ -27,16 +27,7 @@ from functools import lru_cache, partial
 from math import lcm
 from typing import Callable, ClassVar, NamedTuple
 
-from .chains import (
-    BOTH,
-    GE_ONLY,
-    LE_ONLY,
-    ChainLevel,
-    IntervalChain,
-    LinkMemo,
-    reverse_bounds,
-    settled_from,
-)
+from .chains import BOTH, GE_ONLY, LE_ONLY, ChainLevel, LinkMemo, settled_from
 from .foundations import rational, rational_str
 from .inverse_limit import Certificate
 from .orientation import parse_word
@@ -810,7 +801,9 @@ def _grid_windows(
     first: int,
     lo: Fraction,
     hi: Fraction,
-    param: Callable = lambda o: o,
+    along: int = 1,
+    shift: Pair = (0, 1),
+    param_at: Callable[[int, int], Fraction] = Fraction,
     ends_closed: bool = True,
     sense: int = 1,
 ) -> list[Window]:
@@ -818,13 +811,17 @@ def _grid_windows(
 
     Window i of the grid is link first + sense*i; the first and last windows
     reach the ends of the stretch, which are closed or open together.
-    ``param`` maps the grid coordinate monotonically to the strand
-    parameter; the ends stay integer numerators over ``den`` until kept.
+    Coordinate o sits at measure along*(o - shift), and ``param_at(n, d)``
+    is the strand parameter at measure n/d; the ends stay integer
+    numerators over ``den`` until ``param_at`` keeps them.
     """
     eq, cq, ep = grid.eq, grid.cq, grid.ep
     den = lcm(eq, lo.denominator, hi.denominator)
     ep, cq = ep * (den // eq), cq * (den // eq)
     lo_n, hi_n = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    # Coordinate a/den sits at measure along*(a*cd - cn*den)/(den*cd).
+    cn, cd = shift
+    off, scale = cn * den, den * cd
     out = []
     for i in range(1, count + 1):
         a, ca = (i - 1) * ep - cq, False
@@ -835,7 +832,7 @@ def _grid_windows(
             b, cb = hi_n, ends_closed
         if a > b or (a == b and not (ca and cb)):
             continue
-        pa, pb = param(Fraction(a, den)), param(Fraction(b, den))
+        pa, pb = param_at(along * (a * cd - off), scale), param_at(along * (b * cd - off), scale)
         if pa > pb:
             pa, pb, ca, cb = pb, pa, cb, ca
         out.append(Window(first + sense * i, strand, pa, pb, ca, cb))
@@ -895,7 +892,7 @@ class _Segment(NamedTuple):
     sense: int
     along: int
     shift: Pair
-    span: Fraction
+    span: Pair
     end: Pair | None = None
     reach: Pair | None = None
     handover: tuple[int, int] | None = None
@@ -905,20 +902,24 @@ class _Segment(NamedTuple):
 
 def _segment_windows(seg: _Segment) -> list[Window]:
     """A segment's grid windows, then its handover windows in walk order."""
-    (cn, cd), param_at = seg.shift, seg.param_at
-
-    def param(o: Fraction) -> Fraction:
-        # Coordinate o sits at measure along*(o - shift).
-        return param_at(seg.along * (o.numerator * cd - cn * o.denominator), o.denominator * cd)
-
     windows = _grid_windows(
-        seg.strand, seg.grid, seg.grid.hi, seg.first, _ZERO, seg.span, param, sense=seg.sense
+        seg.strand, seg.grid, seg.grid.hi, seg.first, _ZERO, Fraction(*seg.span),
+        seg.along, seg.shift, seg.param_at, sense=seg.sense,
     )
     if seg.end is not None:
-        lo, hi = sorted((param_at(*seg.end), param_at(*seg.reach)))
+        lo, hi = sorted((seg.param_at(*seg.end), seg.param_at(*seg.reach)))
         links = seg.handover if seg.sense > 0 else seg.handover[::-1]
         windows += [Window(link, seg.strand, lo, hi) for link in links]
     return windows
+
+
+class _WalkPlan(NamedTuple):
+    """A level of the arc, S1, S2 or T: its segments by strand, in the order
+    their windows are listed."""
+
+    walk: dict[str, _Segment]
+    size: int
+    mesh: Fraction
 
 
 # -- the shared chain-family protocol -------------------------------------------
@@ -941,16 +942,18 @@ class ChainFamily:
     and the points of ``sampled_parts(n)``, which stand for what no
     window lists.
 
-    By default the plan lists its walk as segments, one per strand, in
+    Every family's plan lists its walk as segments, one per strand, in
     the dict ``plan.walk``, and those three views read it alike.
     ``_index`` places a point by its segment's grid, on the handover
     stretch by the handover pair, and beyond it, or on a strand without
     a segment, as its host (``_host``).  ``link_windows`` lists each
-    segment's windows, then its strand's tail windows (``_tail_windows``).
+    segment's windows, then what ``_tail_windows`` lists after that
+    segment: the windows of whatever the walk covers before the next
+    segment, such as a tail its host places.  By default
     ``_pair_settled`` asks both points to be settled and, on one strand,
     farther apart than any link of its segment spans, so no later level
-    (links only shrink) puts them in one link.  The arc and S3 place and
-    list their links by their own code.
+    (links only shrink) puts them in one link.  Only S3's gaps and blob
+    keep placement and windows of their own.
     """
 
     SPACE: ClassVar[str]
@@ -1045,7 +1048,8 @@ class ChainFamily:
         return [w for strand, ws in walked.items() for w in ws + tails[strand]]
 
     def _tail_windows(self, plan, strand: str, walked: dict) -> list[Window]:
-        """Windows on ``strand`` beyond its segment, given every segment's windows."""
+        """The windows listed after ``strand``'s segment, given every segment's
+        windows: by default none."""
         return []
 
     def sampled_parts(self, n: int) -> dict[str, list[CatalogPoint]]:
@@ -1055,15 +1059,18 @@ class ChainFamily:
 # -- the arc ------------------------------------------------------------------
 
 
-class _ArcPlan(NamedTuple):
-    chain: IntervalChain
-    size: int
-    mesh: Fraction
-
-
 @dataclass(frozen=True)
 class ArcChainFamily(ChainFamily):
-    """Canonical chains of 2^n links on [0,1], optionally reversely numbered."""
+    """Canonical chains of 2^n links on [0,1], optionally reversely numbered.
+
+    Level n is one walk segment on the strand ``segment``, whose grid's
+    windows are the links of ``IntervalChain(2^n)``: window i is link i,
+    or link 2^n + 1 - i on the reversed variant.  The generic walk places
+    points and lists windows, with no tail windows after the segment;
+    ``_index`` only turns a bare rational into the segment point at that
+    parameter and refuses one outside [0, 1].  The arc certifies a pair
+    by its own interval gap (``_settling_level``).
+    """
 
     SPACE: ClassVar[str] = "arc"
     VARIANTS: ClassVar[tuple[str, ...]] = ("standard", "reversed")
@@ -1073,16 +1080,25 @@ class ArcChainFamily(ChainFamily):
         if isinstance(point, CatalogPoint):
             if point.strand != "segment":
                 raise ValueError(f"unknown point: {point}")
-            return point.param
-        return rational(point)
+            t = point.param
+        else:
+            t = rational(point)
+        if not 0 <= t.numerator <= t.denominator:
+            raise ValueError(f"point outside [0,1]: {t}")
+        return t
 
-    def _build_plan(self, n: int) -> _ArcPlan:
-        chain = IntervalChain(2**n)
-        return _ArcPlan(chain, chain.k, chain.mesh)
+    def _build_plan(self, n: int) -> _WalkPlan:
+        # IntervalChain(k)'s link i spans ((i-1)/k - 1/(4k), i/k + 1/(4k)).
+        k = 2**n
+        first, sense = (k + 1, -1) if self.variant == "reversed" else (0, 1)
+        segment = _Segment(
+            "segment", _grid(Fraction(1, k), Fraction(1, 4 * k), 1, k), first, sense,
+            along=1, shift=(0, 1), span=(1, 1),
+        )
+        return _WalkPlan({"segment": segment}, k, Fraction(3, 2 * k))
 
-    def _index(self, plan: _ArcPlan, point) -> tuple[int, int]:
-        lo, hi = plan.chain.bounds(*self._param(point).as_integer_ratio())
-        return reverse_bounds(plan.size, lo, hi) if self.variant == "reversed" else (lo, hi)
+    def _index(self, plan: _WalkPlan, point) -> tuple[int, int]:
+        return super()._index(plan, CatalogPoint("segment", self._param(point)))
 
     def _settling_level(self, x, y, depth: int, relation) -> tuple[int, str, dict | None] | None:
         s, t = self._param(x), self._param(y)
@@ -1104,31 +1120,18 @@ class ArcChainFamily(ChainFamily):
                 return n, forward, {"kind": "interval-gap", "witness_index": m, "links": k}
         return None
 
-    def link_windows(self, n: int) -> list[Window]:
-        chain = self._plan(n).chain
-        windows = []
-        for i in range(1, chain.k + 1):
-            lo, hi = chain.link(i)
-            link = chain.k + 1 - i if self.variant == "reversed" else i
-            windows.append(Window(link, "segment", lo, hi, lo == 0, hi == 1))
-        return windows
-
 
 # -- the sine curve: S1, and S2 with its outer arc --------------------------------
-
-
-class _WalkPlan(NamedTuple):
-    """A level of S1, S2 or T: its segments by strand, in the order their windows are listed."""
-
-    walk: dict[str, _Segment]
-    size: int
-    mesh: Fraction
-    band: Fraction  # the slab step on the limit strand
 
 
 def _sine_step(n: int) -> Fraction:
     """The link step on level n's wave and T's spiral; their links overlap by an eighth of it."""
     return Fraction(1, 3 * (n + 3))
+
+
+def _slab_step(n: int) -> Fraction:
+    """The slab width on level n's limit strand of S1, S2 and T."""
+    return Fraction(1, 2 * (n + 3))
 
 
 @dataclass(frozen=True)
@@ -1172,7 +1175,7 @@ class SineChainFamily(ChainFamily):
         windows = deep * h.denominator
         # Slabs of width band cover the whole limit strand.
         limit = self.space.strand(self.LIMIT)
-        band = Fraction(1, 2 * (n + 3))
+        band = _slab_step(n)
         slabs = 2 * int(limit.hi - limit.lo) * (n + 3)
         size = windows + slabs
         # The walk enters the limit strand where the cut's height meets it.
@@ -1189,17 +1192,17 @@ class SineChainFamily(ChainFamily):
         ustar = deep - ov
         # The last window and the first slab share (u*, deep + ov).
         wave = _Segment(
-            "wave", _grid(h, ov, 1, windows), link(0), sense, along=1, shift=(0, 1), span=ustar,
+            "wave", _grid(h, ov, 1, windows), link(0), sense, along=1, shift=(0, 1), span=_q(ustar),
             end=_q(ustar), reach=_q(deep + ov),
             handover=tuple(sorted((link(windows), link(windows + 1)))),
         )
         # Slab coordinate o = along*(t - entry) at limit parameter t.
         limit_seg = _Segment(
             self.LIMIT, _grid(band, band / 8, 1, slabs), link(windows), sense, along=along,
-            shift=(-along * entry, 1), span=limit.hi - limit.lo,
+            shift=(-along * entry, 1), span=_q(limit.hi - limit.lo),
         )
         mesh = self._mesh(h, band, _wave_point(ustar)[0])
-        plan = _WalkPlan({"wave": wave, self.LIMIT: limit_seg}, size, mesh, band)
+        plan = _WalkPlan({"wave": wave, self.LIMIT: limit_seg}, size, mesh)
         # The walk enters from the free end: the outermost trough is in
         # the first link, and the limit strand is first met by its entry slab.
         if self._index(plan, CatalogPoint("wave", 0)) != (link(1),) * 2:
@@ -1290,16 +1293,12 @@ class _GapShape(NamedTuple):
     margin_l: Pair
 
 
-class _Tooth(NamedTuple):
-    base: int
-    grid: _Grid
-
-
 class _S3Plan(NamedTuple):
-    """Level m of S3; its last link, ``size``, is the blob."""
+    """Level m of S3: a segment per tooth in ``walk``, and the gaps by index;
+    its last link, ``size``, is the blob."""
 
     m: int
-    teeth: dict
+    walk: dict[str, _Segment]
     gap_base: dict
     gaps: dict
     size: int
@@ -1416,6 +1415,13 @@ class ToothForestChainFamily(ChainFamily):
     covers the bottom endpoint in an earlier link than the top, bit 1
     the reverse.  Everything beyond the level's reach is absorbed into
     the single last link.
+
+    Each tooth up to the level is a walk segment, so the generic walk
+    places its points and lists its windows.  The gaps and the blob keep
+    their own code: ``_index`` places the blob's strands and a gap's legs
+    and margins, and leaves a flank's tail to its host, the tooth the
+    flank climbs toward, at the tail's height.  ``_tail_windows`` lists
+    gap i after tooth i, and the blob after gap m.
     """
 
     SPACE: ClassVar[str] = "s3"
@@ -1430,45 +1436,30 @@ class ToothForestChainFamily(ChainFamily):
             raise ValueError(
                 f"prefix too short: level {m} needs {m} bits, got {len(self.bits)}"
             )
-        teeth: dict[int, _Tooth] = {}
+        walk: dict[str, _Segment] = {}
         gap_base: dict[int, int] = {}
         gaps: dict[int, _GapShape] = {}
         off = 0
         for i in range(1, m + 1):
+            # Tooth i in slabs of 1/q, q = i*slabs, walked from its top
+            # (coordinate 1/i - y) when bit i is 1, else from its bottom.
             slabs = -(-4 * m // i)
-            bt = Fraction(1, i * slabs)
-            teeth[i] = _Tooth(off, _grid(bt, bt / 8, 1, slabs))
+            q = i * slabs
+            along, shift = (-1, (1, i)) if self.bits[i - 1] == 1 else (1, (0, 1))
+            name = f"tooth_{i}"
+            walk[name] = _Segment(
+                name, _grid(Fraction(1, q), Fraction(1, 8 * q), 1, slabs), off, 1, along, shift,
+                span=(1, i),
+            )
             off += slabs
             gap_base[i] = off
             gaps[i] = _gap_shape(i, m, self.bits[i - 1], self.bits[i] if i < m else None)
             off += gaps[i].total
-        return _S3Plan(
-            m=m,
-            teeth=teeth,
-            gap_base=gap_base,
-            gaps=gaps,
-            size=off + 1,
-            mesh=Fraction(4 * m + 1, 4 * m * (m + 1)),
-        )
+        mesh = Fraction(4 * m + 1, 4 * m * (m + 1))
+        return _S3Plan(m, walk, gap_base, gaps, size=off + 1, mesh=mesh)
 
-    def _tooth_index(self, plan: _S3Plan, i: int, a: int, b: int) -> tuple[int, int]:
-        """The links holding height a/b (b > 0) on tooth i."""
-        if i > plan.m:
-            return plan.size, plan.size
-        # Clamp y to 0..1/i, then measure it from the end the walk enters at.
-        if a < 0:
-            a = 0
-        elif a * i > b:
-            a, b = 1, i
-        if self.bits[i - 1] == 1:
-            a, b = b - i * a, i * b
-        tooth = plan.teeth[i]
-        lo, hi = _window_range(tooth.grid, a, b)
-        return lo + tooth.base, hi + tooth.base
-
-    def _gap_index(self, plan: _S3Plan, i: int, w: Fraction) -> tuple[int, int]:
-        if i > plan.m:
-            return plan.size, plan.size
+    def _gap_index(self, plan: _S3Plan, i: int, w: Fraction) -> tuple[int, int] | None:
+        """The links holding w on gap i, or None on a flank's tail, which its host places."""
         g, base = plan.gaps[i], plan.gap_base[i]
         part = _gap_part(g, w)
         a, b = w.numerator, w.denominator
@@ -1485,16 +1476,24 @@ class ToothForestChainFamily(ChainFamily):
             return base + g.total, base + g.total + 1
         if part == "tail_l" and g.kind_l == "blob":
             return plan.size, plan.size
-        # A flank's tail is placed on its tooth by height.
-        return self._tooth_index(plan, i if part == "tail_r" else i + 1, *_gap_height(i, a, b))
+        return None
 
     def _index(self, plan: _S3Plan, point: CatalogPoint) -> tuple[int, int]:
         kind, i = _parse_s3_strand(point.strand)
-        if kind == "origin":
+        if kind == "origin" or i > plan.m:
             return plan.size, plan.size
-        if kind == "tooth":
-            return self._tooth_index(plan, i, *_q(point.param))
-        return self._gap_index(plan, i, point.param)
+        if kind == "gap":
+            links = self._gap_index(plan, i, point.param)
+            if links is not None:
+                return links
+        return super()._index(plan, point)
+
+    def _host(self, strand: str, a: int, b: int) -> tuple[str, int, int]:
+        # A flank's tail is placed by height on the tooth it climbs toward.
+        kind, i = _parse_s3_strand(strand)
+        if kind != "gap":
+            return super()._host(strand, a, b)
+        return f"tooth_{i if a > 0 else i + 1}", *_gap_height(i, a, b)
 
     def _classify(self, plan: _S3Plan, p: CatalogPoint) -> str:
         kind, i = _parse_s3_strand(p.strand)
@@ -1514,7 +1513,7 @@ class ToothForestChainFamily(ChainFamily):
             # Both on one tooth or one gap: farther apart than any of its
             # links spans, which no later level widens.
             kind, i = _parse_s3_strand(x.strand)
-            grid = plan.teeth[i].grid if kind == "tooth" else plan.gaps[i].widest
+            grid = plan.walk[x.strand].grid if kind == "tooth" else plan.gaps[i].widest
             return _farther(_q(x.param), _q(y.param), grid)
         if {cx, cy} == {"pure", "blob"}:
             return True
@@ -1525,43 +1524,16 @@ class ToothForestChainFamily(ChainFamily):
             return x.strand != y.strand
         return False
 
-    def link_windows(self, m: int) -> list[Window]:
-        """Teeth and gaps up to m as walked, then the blob.
+    def _tail_windows(self, plan: _S3Plan, strand: str, walked: dict) -> list[Window]:
+        """After tooth i, gap i: its legs and margins, and its flanks' tails
+        placed by height on the teeth's windows.  After gap m, the blob.
 
         The blob holds the left tail of gap m and every strand beyond it:
         teeth and gaps past m, which run in x below 1/(m + 1) and never
         rise above it, and the origin.  It is listed on the declared
         strands past m and on tooth and gap m + 1.
         """
-        plan = self._plan(m)
-        teeth = {i: self._tooth_windows(plan, i) for i in range(1, m + 1)}
-        blob_cut = Fraction(*plan.gaps[m].margin_l)
-        blob_box = (_ZERO, _gap_point(m, blob_cut)[0], _ZERO, Fraction(1, m + 1))
-        windows: list[Window] = []
-        for i in range(1, m + 1):
-            windows += teeth[i] + self._gap_windows(plan, i, teeth)
-        windows.append(Window(plan.size, f"gap_{m}", Fraction(-1), blob_cut, False, True, blob_box))
-        for i in range(m + 1, max(m + 1, 8) + 1):
-            top = Fraction(1, i)
-            windows.append(Window(plan.size, f"tooth_{i}", _ZERO, top, True, True, blob_box))
-            windows.append(Window(plan.size, f"gap_{i}", Fraction(-1), _ONE, box=blob_box))
-        windows.append(Window(plan.size, "origin", _ZERO, _ZERO, True, True, blob_box))
-        return windows
-
-    def _tooth_windows(self, plan: _S3Plan, i: int) -> list[Window]:
-        tooth, top = plan.teeth[i], Fraction(1, i)
-        return _grid_windows(
-            f"tooth_{i}",
-            tooth.grid,
-            tooth.grid.hi,
-            tooth.base,
-            _ZERO,
-            top,
-            (lambda o: top - o) if self.bits[i - 1] == 1 else (lambda o: o),
-        )
-
-    def _gap_windows(self, plan: _S3Plan, i: int, teeth: dict) -> list[Window]:
-        """Gap i's legs and margins, and its flanks' tails placed by height."""
+        i, m = _parse_s3_strand(strand)[1], plan.m
         name, g, base = f"gap_{i}", plan.gaps[i], plan.gap_base[i]
         windows: list[Window] = []
         for k, leg in enumerate(g.legs):
@@ -1569,23 +1541,26 @@ class ToothForestChainFamily(ChainFamily):
             # by that one's overlap, 1/ep of its grid.
             ep_prev = g.legs[k - 1].grid.ep if k else leg.grid.ep
             ep_next = g.legs[k + 1].grid.ep if k + 1 < len(g.legs) else leg.grid.ep
+            reach = Fraction(leg.count, leg.grid.cq) + Fraction(1, ep_next)
             windows += _grid_windows(
-                name,
-                leg.grid,
-                leg.count,
-                base + leg.link_base,
-                Fraction(-1, ep_prev),
-                Fraction(leg.count, leg.grid.cq) + Fraction(1, ep_next),
-                lambda d, w_hi=Fraction(*leg.hi): w_hi - d,
-                ends_closed=False,
+                name, leg.grid, leg.count, base + leg.link_base, Fraction(-1, ep_prev), reach,
+                along=-1, shift=leg.hi, ends_closed=False,
             )
         right = Fraction(*g.margin_r)
         windows.append(Window(base, name, Fraction(*g.cut_r), right))
-        windows += _flank_tail(i, 1, right, teeth[i])
+        windows += _flank_tail(i, 1, right, walked[strand])
         left = Fraction(*g.margin_l)
         windows.append(Window(base + g.total + 1, name, left, Fraction(*g.cut_l)))
-        if g.kind_l != "blob":
-            windows += _flank_tail(i, -1, left, teeth[i + 1])
+        if i < m:
+            return windows + _flank_tail(i, -1, left, walked[f"tooth_{i + 1}"])
+        blob_cut = Fraction(*plan.gaps[m].margin_l)
+        blob_box = (_ZERO, _gap_point(m, blob_cut)[0], _ZERO, Fraction(1, m + 1))
+        windows.append(Window(plan.size, f"gap_{m}", Fraction(-1), blob_cut, False, True, blob_box))
+        for j in range(m + 1, max(m + 1, 8) + 1):
+            top = Fraction(1, j)
+            windows.append(Window(plan.size, f"tooth_{j}", _ZERO, top, True, True, blob_box))
+            windows.append(Window(plan.size, f"gap_{j}", Fraction(-1), _ONE, box=blob_box))
+        windows.append(Window(plan.size, "origin", _ZERO, _ZERO, True, True, blob_box))
         return windows
 
 
@@ -1654,14 +1629,14 @@ class SpiralChainFamily(SineChainFamily):
         spiral_len = _prefix_total(n - 1)
         if is_d:
             spiral_len += data.cum[data.cut_index]
-        h = _sine_step(n)
+        h, band = _sine_step(n), _slab_step(n)
         count = _ceil(spiral_len / h)
         # S1's plan, not its level: T builds no S1 level of its own.
         sine = super()._build_plan(n, count if is_d else 0)
         e = _spiral_eps(n)
         mesh = max(
             h + h / 4 + 6 * e,
-            sine.band + sine.band / 4 + 2 * e,
+            band + band / 4 + 2 * e,
             _wave_point(Fraction(*sine.walk["wave"].end))[0] + 2 * e,
             data.bar_x_max + 2 * e,
         )
@@ -1673,7 +1648,7 @@ class SpiralChainFamily(SineChainFamily):
             first = 0 if is_d else sine.size
             along, shift = (1, (0, 1)) if is_d else (-1, _q(spiral_len))
             spiral = _Segment(
-                "spiral", _grid(h, h / 8, 1, count), first, 1, along, shift, span=spiral_len,
+                "spiral", _grid(h, h / 8, 1, count), first, 1, along, shift, span=_q(spiral_len),
                 end=_q(spiral_len), reach=_q(spiral_len + h / 8),
                 handover=(count, count + 1) if is_d else (first, first + 1),
                 measure=_spiral_arclength, param_at=_spiral_param_at,

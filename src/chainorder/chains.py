@@ -44,13 +44,6 @@ def settled_from(n: int, relation: str, meta: dict | None, probe: int) -> Certif
     return Certificate((sign,) * n, (sign,), n, meta, probe)
 
 
-def reverse_bounds(k: int, lo: int, hi: int) -> tuple[int, int]:
-    """Links lo..hi renumbered in the reverse chain d'_i = d_{k-i+1}."""
-    if hi > k:
-        raise ValueError("range exceeds the chain")
-    return k - hi + 1, k - lo + 1
-
-
 def _relation(px: tuple[int, int], py: tuple[int, int]) -> str:
     """The level relation of two points placed at link pairs px and py."""
     # x may come first when some link of x is at or before some link of y;
@@ -166,17 +159,9 @@ class IntervalChain:
     def mesh(self) -> Fraction:
         return Fraction(3, 2 * self.k)
 
-    def raw_link(self, i: int) -> tuple[Fraction, Fraction]:
-        if not 1 <= i <= self.k:
-            raise ValueError(f"link index {i} outside 1..{self.k}")
-        return Fraction(4 * i - 5, 4 * self.k), Fraction(4 * i + 1, 4 * self.k)
-
-    def link(self, i: int) -> tuple[Fraction, Fraction]:
-        lo, hi = self.raw_link(i)
-        return max(lo, Fraction(0)), min(hi, Fraction(1))
-
     def bounds(self, a: int, b: int) -> tuple[int, int]:
-        """The links whose open raw links hold the point a/b (b > 0), as (lo, hi)."""
+        """The links i whose open interval ((i-1)/k - 1/(4k), i/k + 1/(4k))
+        holds the point a/b (b > 0), as (lo, hi)."""
         if not 0 <= a <= b:
             raise ValueError(f"point outside [0,1]: {Fraction(a, b)}")
         # i ranges over integers with (4kt-1)/4 < i < (4kt+5)/4; with

@@ -32,6 +32,7 @@ from chainorder.catalog import (
     _gap_shape,
     _grid,
     _pass_data,
+    _q,
     _s3_family_cached,
     _window_range,
     arc_family,
@@ -840,6 +841,19 @@ class TestToothForestFamilies:
         assert level.index_of(CatalogPoint("origin", 0)) == (last, last)
         assert level.index_of(CatalogPoint("tooth_9", Fraction(1, 18))) == (last, last)
 
+    @pytest.mark.parametrize(
+        "strand,param",
+        [("tooth_2", Fraction(1)), ("tooth_2", Fraction(51, 100)),
+         ("tooth_1", Fraction(-1, 100)), ("tooth_1", Fraction(-1))],
+    )
+    def test_tooth_points_off_their_strand_are_refused(self, strand, param):
+        # A tooth's segment places heights on its grid without clamping them
+        # to 0..1/i, so by level 4 a height off the strand meets no link pair.
+        # The message names the links rather than the point.
+        x, y = CatalogPoint(strand, param), CatalogPoint("tooth_1", Fraction(1, 2))
+        with pytest.raises(ValueError, match="^not one or two consecutive links"):
+            chain_order_compare(s3_family("0110"), x, y, None, 4)
+
     def test_gap_shapes_are_shared_by_prefixes(self):
         # A gap's shape depends on its index, the level and the two bits
         # around it: 4 shapes per inner gap and 2 for the last, 72 in all.
@@ -1170,8 +1184,13 @@ class TestValidator:
 
 
 def _fraction_grid_windows(
-    strand, step, overlap, count, first, lo, hi, param=lambda o: o, ends_closed=True, sense=1
+    strand, step, overlap, count, first, lo, hi, along=1, shift=(0, 1), param_at=Fraction,
+    ends_closed=True, sense=1,
 ):
+    def param(o):
+        m = along * (o - Fraction(*shift))
+        return param_at(m.numerator, m.denominator)
+
     out = []
     for i in range(1, count + 1):
         a, ca = (i - 1) * step - overlap, False
@@ -1527,16 +1546,17 @@ def test_t_walks_bar_and_wave_as_s1_moved_by_its_offset(variant, walk):
     count=st.integers(1, 12),
     lo=st.fractions(-1, 2, max_denominator=40),
     length=st.fractions(0, 8, max_denominator=40),
-    decreasing=st.booleans(),
+    along=st.sampled_from((1, -1)),
+    shift=st.fractions(-2, 4, max_denominator=12),
     ends_closed=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
 def test_grid_windows_match_the_fraction_oracle(
-    step, ov_share, count, lo, length, decreasing, ends_closed
+    step, ov_share, count, lo, length, along, shift, ends_closed
 ):
-    """Stretches that clamp windows anywhere in the grid, or drop them."""
-    param = (lambda o: 3 - o) if decreasing else (lambda o: o)
-    args = (count, 5, lo, lo + length, param, ends_closed)
+    """Stretches that clamp windows anywhere in the grid, or drop them, and
+    coordinates mapped to the parameter either way and by any shift."""
+    args = (count, 5, lo, lo + length, along, _q(shift), Fraction, ends_closed)
     grid = catalog._grid(step, step * ov_share, 1, count)
     got = catalog._grid_windows("wave", grid, *args)
     assert repr(got) == repr(_fraction_grid_windows("wave", step, step * ov_share, *args))

@@ -27,7 +27,6 @@ from chainorder.chains import (
     chain_trace,
     equal_or_opposite,
     never_between_after,
-    reverse_bounds,
 )
 from chainorder.foundations import (
     EQ,
@@ -64,9 +63,20 @@ def u_mod2(residue: int) -> SimulatedUltrafilter:
     return SimulatedUltrafilter((1, 2), (0, residue))
 
 
+def raw_link(chain: IntervalChain, i: int) -> tuple[Fraction, Fraction]:
+    """Link i of ``chain`` as the open interval ((i-1)/k - 1/(4k), i/k + 1/(4k))."""
+    return Fraction(4 * i - 5, 4 * chain.k), Fraction(4 * i + 1, 4 * chain.k)
+
+
+def cut_link(chain: IntervalChain, i: int) -> tuple[Fraction, Fraction]:
+    """Link i of ``chain`` cut to [0,1]."""
+    lo, hi = raw_link(chain, i)
+    return max(lo, Fraction(0)), min(hi, Fraction(1))
+
+
 def contains(chain: IntervalChain, i: int, t) -> bool:
     """Definitional oracle for ``bounds``: t lies in the open raw link i."""
-    lo, hi = chain.raw_link(i)
+    lo, hi = raw_link(chain, i)
     return lo < Fraction(t) < hi
 
 
@@ -90,13 +100,6 @@ def pair_relation(pair_x: tuple[int, int], pair_y: tuple[int, int]) -> str:
 
 
 class TestCanonicalChain:
-    def test_links_frozen_for_k4(self):
-        chain = IntervalChain(4)
-        assert chain.link(2) == (Fraction(3, 16), Fraction(9, 16))
-        assert chain.link(1) == (Fraction(0), Fraction(5, 16))
-        assert chain.link(4) == (Fraction(11, 16), Fraction(1))
-        assert chain.mesh == Fraction(3, 8)
-
     def test_midpoint_lands_in_two_links(self):
         chain = IntervalChain(4)
         assert chain_index(chain, Fraction(1, 2)) == (2, 3)
@@ -109,18 +112,13 @@ class TestCanonicalChain:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             IntervalChain(0)
-        chain = IntervalChain(3)
         with pytest.raises(ValueError):
-            chain.link(0)
-        with pytest.raises(ValueError):
-            chain.link(4)
-        with pytest.raises(ValueError):
-            chain_index(chain, Fraction(3, 2))
+            chain_index(IntervalChain(3), Fraction(3, 2))
 
     @pytest.mark.parametrize("k", list(range(1, 65)))
     def test_is_a_chain(self, k):
         chain = IntervalChain(k)
-        links = [chain.link(i) for i in range(1, k + 1)]
+        links = [cut_link(chain, i) for i in range(1, k + 1)]
         for i in range(k):
             lo, hi = links[i]
             assert lo < hi
@@ -150,6 +148,31 @@ class TestCanonicalChain:
         direct = {i for i in range(1, k + 1) if contains(chain, i, t)}
         assert direct == links(chain_index(chain, t))
 
+    @pytest.mark.parametrize("variant", ["standard", "reversed"])
+    def test_arc_levels_walk_the_canonical_chain(self, variant):
+        """Level n of the arc is IntervalChain(2^n), the pullback's base
+        chain, renumbered k + 1 - i on the reversed arc: at every j/(8k) its
+        index_of is ``bounds``, and its windows are the links cut to [0,1]."""
+        family = arc_family(variant)
+        for n in range(1, 13):
+            chain, level = IntervalChain(2**n), family.level(n)
+            k = chain.k
+            for j in range(8 * k + 1):
+                lo, hi = chain.bounds(j, 8 * k)
+                expected = (k + 1 - hi, k + 1 - lo) if variant == "reversed" else (lo, hi)
+                assert level.index_of(Fraction(j, 8 * k)) == expected, (n, j)
+            windows = [
+                (k + 1 - i if variant == "reversed" else i, lo, hi, lo == 0, hi == 1)
+                for i in range(1, k + 1)
+                for lo, hi in [cut_link(chain, i)]
+            ]
+            listed = family.link_windows(n)
+            assert [(w.link, w.lo, w.hi, w.lo_closed, w.hi_closed) for w in listed] == windows
+        for outside in (Fraction(3, 2), Fraction(-1, 100)):
+            for point in (outside, CatalogPoint("segment", outside)):
+                with pytest.raises(ValueError, match=r"^point outside \[0,1\]"):
+                    family.level(3).index_of(point)
+
 
 def fraction_index_of(chain: IntervalChain, t) -> tuple[int, int]:
     """The Fraction formula the integer bounds replaced, as its oracle."""
@@ -174,7 +197,7 @@ class TestIntegerIndexAgainstFractions:
     @given(st.integers(min_value=1, max_value=64), st.data())
     def test_index_of(self, k, data):
         chain = IntervalChain(k)
-        ends = [end for i in range(1, k + 1) for end in chain.raw_link(i)]
+        ends = [end for i in range(1, k + 1) for end in raw_link(chain, i)]
         t = data.draw(
             st.one_of(
                 st.sampled_from([0, 1, Fraction(0), Fraction(1)] + ends),
@@ -188,7 +211,7 @@ class TestIntegerIndexAgainstFractions:
     def test_every_link_end(self, k):
         chain = IntervalChain(k)
         for i in range(1, k + 1):
-            for end in chain.raw_link(i) + chain.link(i):
+            for end in raw_link(chain, i) + cut_link(chain, i):
                 assert outcome(chain_index, chain, end) == outcome(
                     fraction_index_of, chain, end
                 )
@@ -203,20 +226,6 @@ class TestLevelPreorder:
         assert pair_relation((2, 3), (3, 4)) == BOTH
         assert pair_relation((4, 4), (4, 4)) == BOTH
 
-    def test_reverse_bounds_frozen_example(self):
-        assert reverse_bounds(10, 2, 2) == (9, 9)
-        assert reverse_bounds(10, 3, 4) == (7, 8)
-
-    def test_reverse_bounds_validation(self):
-        with pytest.raises(ValueError):
-            reverse_bounds(3, 3, 4)
-
-    def test_reverse_is_an_involution(self):
-        for k in range(1, 13):
-            for lo in range(1, k + 1):
-                for hi in (lo, min(lo + 1, k)):
-                    assert reverse_bounds(k, *reverse_bounds(k, lo, hi)) == (lo, hi)
-
     def test_reversal_flips_strict_relations(self):
         flip = {LE_ONLY: GE_ONLY, GE_ONLY: LE_ONLY, BOTH: BOTH}
         chain = IntervalChain(6)
@@ -224,7 +233,8 @@ class TestLevelPreorder:
         for t, s in itertools.product(grid, repeat=2):
             rx, ry = chain_index(chain, t), chain_index(chain, s)
             rel = pair_relation(rx, ry)
-            reversed_rel = pair_relation(reverse_bounds(6, *rx), reverse_bounds(6, *ry))
+            # Links lo..hi of the reverse chain d'_i = d_{7-i}.
+            reversed_rel = pair_relation((7 - rx[1], 7 - rx[0]), (7 - ry[1], 7 - ry[0]))
             assert reversed_rel == flip[rel]
 
     def test_points_are_placed_once_per_level_read(self, monkeypatch):
