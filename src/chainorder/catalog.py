@@ -801,8 +801,8 @@ def _grid_windows(
     first: int,
     lo: Fraction,
     hi: Fraction,
-    along: int = 1,
-    shift: Pair = (0, 1),
+    along: int,
+    shift: Pair,
     param_at: Callable[[int, int], Fraction] = Fraction,
     ends_closed: bool = True,
     sense: int = 1,

@@ -1184,7 +1184,7 @@ class TestValidator:
 
 
 def _fraction_grid_windows(
-    strand, step, overlap, count, first, lo, hi, along=1, shift=(0, 1), param_at=Fraction,
+    strand, step, overlap, count, first, lo, hi, along, shift, param_at=Fraction,
     ends_closed=True, sense=1,
 ):
     def param(o):

@@ -100,6 +100,14 @@ def pair_relation(pair_x: tuple[int, int], pair_y: tuple[int, int]) -> str:
 
 
 class TestCanonicalChain:
+    def test_links_frozen_for_k4(self):
+        # IntervalChain(4)'s links are the arc's windows at level 2.
+        windows = {w.link: (w.lo, w.hi) for w in arc_family("standard").link_windows(2)}
+        assert windows[2] == (Fraction(3, 16), Fraction(9, 16))
+        assert windows[1] == (Fraction(0), Fraction(5, 16))
+        assert windows[4] == (Fraction(11, 16), Fraction(1))
+        assert IntervalChain(4).mesh == Fraction(3, 8)
+
     def test_midpoint_lands_in_two_links(self):
         chain = IntervalChain(4)
         assert chain_index(chain, Fraction(1, 2)) == (2, 3)
